@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-json bench-compare alloc-gate batch-race server-race chaos-race cluster-race ci
+.PHONY: build test race vet fmt-check bench bench-json bench-compare benchmark-test alloc-gate batch-race server-race chaos-race cluster-race ci
 
 build:
 	$(GO) build ./...
@@ -30,17 +30,16 @@ bench-json:
 	$(GO) run ./cmd/mdsbench -scale small -seed 1 -format json
 
 # Compare two committed engine-benchmark records (benchstat format). The
-# defaults pin the PR 7 context-aware engine against the PR 9 staged
-# parallel router (degree-weighted shards + drain/merge staging; the
-# workers=4 rows are where the change shows); override with
-# BENCH_OLD=/BENCH_NEW= to compare other points on the trajectory
-# (PR 1's, PR 3's, PR 4's, and PR 5's records are also committed). Note
-# each record's numcpu/gomaxprocs header before reading workers>1 rows
-# as a scaling curve — single-core records measure dispatch overhead,
-# not scaling. Uses benchstat when available (CI installs it); falls
+# defaults pin the staged push router (drain/merge staging) against the
+# pull router (one outbox entry per broadcast, two phases per round);
+# override with BENCH_OLD=/BENCH_NEW= to compare other points on the
+# trajectory (the older BENCH_*_engine_* records are also committed).
+# Note each record's numcpu/gomaxprocs header before reading workers>1
+# rows as a scaling curve — single-core records measure dispatch
+# overhead, not scaling. Uses benchstat when available (CI installs it); falls
 # back to printing both records side by side offline.
-BENCH_OLD ?= BENCH_2026-08-07_engine_pr7.txt
-BENCH_NEW ?= BENCH_2026-08-07_engine_pr9.txt
+BENCH_OLD ?= BENCH_2026-08-07_engine_pr9.txt
+BENCH_NEW ?= BENCH_2026-10-16_engine_pr12.txt
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat $(BENCH_OLD) $(BENCH_NEW); \
@@ -50,6 +49,11 @@ bench-compare:
 		echo "--- $(BENCH_OLD)"; grep Benchmark $(BENCH_OLD); \
 		echo "--- $(BENCH_NEW)"; grep Benchmark $(BENCH_NEW); \
 	fi
+
+# The repo benchmark (benchmark/, run by `bash benchmark/run.sh`) is a
+# module of its own, so `go test ./...` at the root does not reach it.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Allocation-regression gate: a mid-size run must stay within the
 # testing.AllocsPerRun ceilings of TestAllocationCeiling (O(1) allocs on a

@@ -44,19 +44,20 @@
 // wire words (a 4-bit tag plus at most two uint64 payload words) whose bit
 // cost is fixed at pack time from per-field accounting, and Strict mode
 // fails the run on a budget violation — and reports rounds, message and
-// bit counts. Message delivery uses a reverse-edge index precomputed at
-// graph build time, so the hot path does no searching, boxing, or
-// reflection. Runs are deterministic given WithSeed, independent of
-// WithWorkers: parallel runs shard senders and receivers by cumulative
-// degree and merge staged traffic back in exact (sender ID, send index)
-// order, so every worker count — including WithWorkers(0), which picks
-// adaptively by graph size — produces a bit-identical transcript.
+// bit counts. A broadcast is queued once and pulled by each receiver as
+// it walks its own sorted neighbor list, so the hot path does no
+// searching, boxing, or reflection. Runs are deterministic given
+// WithSeed, independent of WithWorkers: workers own node ranges cut by
+// cumulative degree, and every inbox comes out in exact (sender ID, send
+// index) order because receivers visit their neighbors in ID order, so
+// every worker count — including WithWorkers(0), which picks adaptively by
+// graph size — produces a bit-identical transcript.
 //
 // # Serving pattern
 //
 // Run state — the worker pool, the run arenas that per-node state carves
-// from, flat inbox/outbox backing arrays, and graph-derived routing
-// tables — lives on a reusable Runner. A plain run builds a transient one;
+// from, and the outbox slabs and flat inbox arrays — lives on a reusable
+// Runner. A plain run builds a transient one;
 // callers that execute many runs (sweeps, repeated requests, benchmark
 // loops) should create one Runner and pass it to every run:
 //

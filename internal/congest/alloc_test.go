@@ -46,9 +46,10 @@ func TestAllocationCeiling(t *testing.T) {
 
 	// The ceilings are gated at every worker count, not just the
 	// sequential engine: the parallel path's warm runs must be exactly as
-	// allocation-clean (the staged drain/merge router appends into
-	// Runner-owned buckets, and phase dispatch carries no per-run method
-	// values), so workers=4 is held to the same 32/15 marks as workers=1.
+	// allocation-clean (the step phase appends into Runner-owned outbox
+	// slabs, the route phase into inbox arrays presized at layout time, and
+	// phase dispatch carries no per-run method values), so workers=4 is
+	// held to the same 32/15 marks as workers=1.
 	for _, workers := range []int{1, 4} {
 		r := congest.NewRunner()
 		run := func(opts ...congest.Option) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"arbods/internal/congest"
@@ -39,6 +40,15 @@ func benchGraph(b *testing.B, n int) *graph.Graph {
 	return largeGraph
 }
 
+// benchWorkers is the worker counts the engine benchmarks sweep: the
+// sequential engine, every core of this machine, and 4 (the count the
+// older committed records used), deduplicated and ascending.
+func benchWorkers() []int {
+	ws := []int{1, runtime.GOMAXPROCS(0), 4}
+	slices.Sort(ws)
+	return slices.Compact(ws)
+}
+
 // slabFactory builds echo procs in place in one n-sized slab — the
 // in-place construction pattern every library algorithm uses since the
 // arena engine, so the benchmark measures the engine, not n heap procs.
@@ -68,9 +78,9 @@ func warmRun(b *testing.B, g *graph.Graph, slab []echoProc, rounds int, opts ...
 
 // BenchmarkRunLarge drives the engine end to end on a million-node
 // sparse random graph (avg degree ≈ 4, ≈ 2·10⁶ edges): three rounds of
-// broadcast traffic, ≈ 12·10⁶ routed messages per run. workers=1 is the
-// sequential engine; the other sub-benchmarks exercise the sharded
-// parallel routing path. Allocation counts are the headline: messages
+// broadcast traffic, ≈ 12·10⁶ routed messages per run. workers=1 is one
+// shard stepped and routed inline; the other sub-benchmarks run the same
+// router sharded across the worker pool. Allocation counts are the headline: messages
 // are value-typed packets, routing is CSR placement into per-shard flat
 // arrays, rng streams seed in place, and procs build into one slab, so
 // allocs/op is O(1) in both the message volume and (beyond the slab and
@@ -78,11 +88,7 @@ func warmRun(b *testing.B, g *graph.Graph, slab []echoProc, rounds int, opts ...
 func BenchmarkRunLarge(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
 	slab := make([]echoProc, g.N())
-	workerCounts := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		workerCounts = append(workerCounts, p)
-	}
-	for _, w := range workerCounts {
+	for _, w := range benchWorkers() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			warmRun(b, g, slab, 2,
 				congest.WithSeed(1), congest.WithWorkers(w), congest.WithMode(congest.Local))
@@ -103,13 +109,13 @@ func BenchmarkRunLarge(b *testing.B) {
 }
 
 // BenchmarkRunnerReuse is BenchmarkRunLarge on one shared Runner — the
-// serving pattern: graph-derived tables, flat inbox arrays, outbox slab,
-// arena, and worker pool all amortized, so per-run setup drops to the
+// serving pattern: outbox records and slabs, flat inbox arrays, arena,
+// and worker pool all amortized, so per-run setup drops to the
 // proc slab and the result.
 func BenchmarkRunnerReuse(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
 	slab := make([]echoProc, g.N())
-	for _, w := range []int{1, 4} {
+	for _, w := range benchWorkers() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			r := congest.NewRunner()
 			defer r.Close()
@@ -205,7 +211,7 @@ func BenchmarkSweepBatch(b *testing.B) {
 func BenchmarkRouteOnly(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
 	slab := make([]echoProc, g.N())
-	for _, w := range []int{1, 4} {
+	for _, w := range benchWorkers() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			warmRun(b, g, slab, 1,
 				congest.WithSeed(1), congest.WithWorkers(w), congest.WithMode(congest.Local))
@@ -217,6 +223,66 @@ func BenchmarkRouteOnly(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// hubProc is the mixed-outbox worst case: in round 0 every node sends one
+// targeted message to each neighbor in *descending* order (so the step
+// phase must regroup the outbox by receiver) with a broadcast halfway
+// through, then terminates.
+type hubProc struct{ ni congest.NodeInfo }
+
+func (p *hubProc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
+	if round > 0 {
+		return true
+	}
+	nb := p.ni.Neighbors
+	for k := len(nb) - 1; k >= 0; k-- {
+		s.Send(int(nb[k]), packPing(int64(k)))
+		if k == len(nb)/2 {
+			s.Broadcast(packPing(-1))
+		}
+	}
+	return false
+}
+
+func (p *hubProc) Output() struct{} { return struct{}{} }
+
+// BenchmarkRouteTargeted pins mixed outboxes to time linear in messages:
+// a star whose hub sends one targeted message to every leaf plus one
+// broadcast. Grouping happens once per sender in the step phase, and each
+// leaf finds its group with a binary search, so ns/msg stays flat as the
+// hub's degree grows 100× — a router that rescanned the hub's outbox per
+// receiver would be quadratic and blow up at hub=100000.
+func BenchmarkRouteTargeted(b *testing.B) {
+	for _, hub := range []int{1_000, 10_000, 100_000} {
+		g := gen.Star(hub + 1).G
+		slab := make([]hubProc, g.N())
+		factory := func(ni congest.NodeInfo) congest.Proc[struct{}] {
+			p := &slab[ni.ID]
+			*p = hubProc{ni: ni}
+			return p
+		}
+		b.Run(fmt.Sprintf("hub=%d", hub), func(b *testing.B) {
+			r := congest.NewRunner()
+			defer r.Close()
+			var msgs int64
+			run := func() {
+				res, err := congest.Run(g, factory, congest.WithWorkers(1),
+					congest.WithMode(congest.Local), congest.WithRunner(r))
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs = res.Messages
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs*int64(b.N)), "ns/msg")
 		})
 	}
 }

@@ -27,44 +27,42 @@
 // the same BitsInt/BitsUint field accounting the legacy interface-based
 // path used. Outboxes and inboxes are flat slices of these values, so
 // routing a message is a value copy — no boxing, no allocation, no
-// reflection, no dynamic size call. Each delivered Incoming additionally
-// carries the sender's position in the receiver's sorted neighbor list,
-// read from the graph's precomputed reverse-edge index
-// (graph.ReverseIndex), which replaces the O(log deg) binary search
-// receivers used to pay per message.
+// reflection, no dynamic size call. A broadcast is one outbox entry, not
+// deg(v) copies: receivers pull it while walking their own sorted neighbor
+// lists, so each delivered Incoming's Idx — the sender's position in the
+// receiver's neighbor list — is simply the receiver's loop index.
 //
 // # Run state
 //
-// All run-scoped state lives on a Runner: the worker pool, the sender
-// tables and their single outbox backing slab, the flat per-shard inbox
-// arrays (CSR-style: per-receiver offsets computed from each round's send
-// counts, delivery is a value copy into one backing array), the per-node
-// random streams (embedded by value in NodeInfo and seeded in place by
-// rng.Init), and an Arena that procs carve their neighbor caches from. A
-// plain Run builds a transient Runner and discards it; serving-style
-// callers create one Runner, pass it to every run with WithRunner, and
-// amortize all of the setup — repeated runs on the same graph allocate
-// almost nothing beyond the procs themselves. Transcripts are identical
-// either way.
+// All run-scoped state lives on a Runner: the worker pool, the per-shard
+// outbox slabs, the flat per-shard inbox arrays (sized by the shard's
+// receiver degree sum; each inbox is a contiguous view into one backing
+// array), the per-node random streams (embedded by value in NodeInfo and
+// seeded in place by rng.Init), and an Arena that procs carve their
+// neighbor caches from. A plain Run builds a transient Runner and discards
+// it; serving-style callers create one Runner, pass it to every run with
+// WithRunner, and amortize all of the setup — repeated runs on the same
+// graph allocate almost nothing beyond the procs themselves. Transcripts
+// are identical either way.
 //
 // # Parallel execution
 //
-// A round executes in barrier-separated phases on the Runner's worker
-// pool. With workers > 1 there are three: step (each worker steps its
-// node range), drain (each worker empties its own senders' outboxes into
-// worker-local staging, bucketed by receiver shard with run-length sender
-// headers), and merge (each worker assembles its own receivers' inboxes
-// from the staging buckets in sender-shard order). The merge order
-// replays every receiver's traffic in exact (sender ID, send index)
-// order, so transcripts are bit-identical at every worker count — and
-// each worker touches O(m/workers) messages per round instead of
-// scanning every outbox. Shard boundaries are cut by cumulative degree
+// A round is two barrier-separated phases on the Runner's worker pool:
+// step (each worker steps its node range, appending broadcasts and
+// targeted sends to its own outbox slabs) and route (each worker fills its
+// own receivers' inboxes by pulling). A receiver walks its sorted neighbor
+// list and appends, per neighbor, that neighbor's broadcasts plus any
+// targeted sends addressed to it, in send order — so every inbox is in
+// exact (sender ID, send index) order by construction, transcripts are
+// bit-identical at every worker count, and each worker touches only its
+// own receivers' adjacency. Shard boundaries are cut by cumulative degree
 // (node weight deg+1, one binary search per boundary on the graph's CSR
 // offsets), so hubs don't serialize one shard; on regular graphs the cut
-// equals the node-count split. WithWorkers(1) uses the sequential
-// single-shard router with no staging copy; WithWorkers(0) picks
-// adaptively by graph size. Per-shard structs carry trailing cache-line
-// padding so adjacent shards' hot fields never false-share.
+// equals the node-count split. The same code runs at every worker count:
+// WithWorkers(1) is one shard stepped and routed inline, and
+// WithWorkers(0) picks adaptively by graph size. Per-shard structs carry
+// trailing cache-line padding so adjacent shards' hot fields never
+// false-share.
 //
 // # Result lifetime
 //
@@ -107,9 +105,8 @@ import (
 )
 
 // Incoming is a received packet tagged with its sender and with the
-// sender's precomputed position in the receiver's sorted neighbor list
-// (the reverse-edge index), so procs index their neighbor caches directly
-// instead of binary-searching per message.
+// sender's position in the receiver's sorted neighbor list, so procs index
+// their neighbor caches directly instead of binary-searching per message.
 type Incoming struct {
 	From int32 // sender ID
 	Idx  int32 // position of From in the receiver's Neighbors slice
@@ -396,48 +393,65 @@ func (e *BandwidthError) Error() string {
 		e.Round, e.From, e.To, e.Bits, e.Budget)
 }
 
-// outPacket is one queued send: the destination, the sender's position in
-// the destination's neighbor list (from the graph's reverse-edge index),
-// and the packet itself. Outboxes are flat slices of these values; the
-// routing shards stream through them cache-linearly with no pointer
-// chasing and no per-message dynamic calls.
+// outPacket is one targeted send: the destination, how many broadcasts
+// the sender had queued before it (so a receiver can interleave the two
+// streams back into send order), and the packet itself.
 type outPacket struct {
-	to  int32
-	idx int32
-	p   Packet
+	to     int32
+	before int32
+	p      Packet
 }
 
-// Sender collects a node's outgoing packets for the current round.
+// outbox is the head of one node's traffic for the current round:
+// published by the step phase, read by the route phase, overwritten by
+// the next step. The first broadcast sits inline, so a receiver pulls the
+// common round — at most one broadcast per node — with a single 32-byte
+// read per neighbor; anything more lives in the node's outList.
+type outbox struct {
+	first    Packet // the first broadcast, when nbc > 0
+	nbc, ntg int32  // broadcasts and targeted sends queued this round
+}
+
+// outList is one node's full traffic for the current round, as views into
+// its step shard's slabs. Written and read only when the node's outbox
+// says it sent more than one broadcast or any targeted send.
+type outList struct {
+	bc []Packet    // broadcasts, in send order
+	tg []outPacket // targeted sends, grouped by receiver, send order within a group
+}
+
+// Sender collects a node's outgoing packets for the current round. A
+// broadcast is queued once, whatever the degree; receivers pull it. One
+// Sender serves a whole step shard: the engine points it at each node in
+// turn, and the node's sends append to the shard's slabs.
 type Sender struct {
 	owner     int32
 	neighbors []int32
-	revIdx    []int32 // graph.ReverseIndex(owner): owner's position in each neighbor's list
-	out       []outPacket
+	bc        []Packet    // the shard's broadcast slab, appended in node order
+	tg        []outPacket // the shard's targeted-send slab, appended in node order
+	bcStart   int         // len(bc) when the owner's Step began
 	err       error
 }
 
 // Send sends p to neighbor `to` (delivered next round). Sending to a
 // non-neighbor or with an out-of-range tag records an error that aborts
-// the run. The neighbor check is the same binary search as before; the
-// position it finds also yields the reverse-edge index, so the receiver
-// pays nothing.
+// the run.
 func (s *Sender) Send(to int, p Packet) {
 	if s.err != nil {
 		return
 	}
-	j := s.neighborPos(to)
-	if j < 0 {
+	if s.neighborPos(to) < 0 {
 		s.err = fmt.Errorf("congest: node %d sent to non-neighbor %d", s.owner, to)
 		return
 	}
 	if err := s.validate(p); err != nil {
 		return
 	}
-	s.out = append(s.out, outPacket{to: int32(to), idx: s.revIdx[j], p: p})
+	s.tg = append(s.tg, outPacket{to: int32(to), before: int32(len(s.bc) - s.bcStart), p: p})
 }
 
-// Broadcast sends p to every neighbor. The reverse-edge indices come
-// straight from the precomputed table — no searches at all.
+// Broadcast sends p to every neighbor: one outbox entry, which each
+// neighbor pulls during routing.
 func (s *Sender) Broadcast(p Packet) {
 	if s.err != nil {
 		return
@@ -445,9 +459,7 @@ func (s *Sender) Broadcast(p Packet) {
 	if err := s.validate(p); err != nil {
 		return
 	}
-	for j, u := range s.neighbors {
-		s.out = append(s.out, outPacket{to: u, idx: s.revIdx[j], p: p})
-	}
+	s.bc = append(s.bc, p)
 }
 
 // validate rejects malformed packets: an out-of-range tag (would index

@@ -13,22 +13,24 @@ import (
 const parallelStepMin = 64
 
 // engine is the per-run, output-typed veneer over a Runner. The Runner
-// (embedded) owns everything O-independent — senders, done flags, shard
-// layout, flat inbox arrays, outbox slab, worker pool, arena — and persists
-// across runs; the engine adds the run's config, the procs, and the result.
+// (embedded) owns everything O-independent — outbox records and slabs,
+// done flags, shard layout, flat inbox arrays, worker pool, arena — and
+// persists across runs; the engine adds the run's config, the procs, and
+// the result.
 //
-// The round loop alternates two phases with a barrier between:
+// Each round is two phases with a barrier between:
 //
 //   - step: workers step disjoint node ranges (each node touches only
-//     its own proc, inbox and sender, so shards race on nothing);
-//   - route: workers own disjoint contiguous *receiver* ranges and drain
-//     every sender's outbox for their range, so every inbox is written
-//     by exactly one worker and — because senders are drained in ID
-//     order and outboxes preserve send order — ends up ordered by
-//     (sender ID, send index), exactly the sequential engine's order.
+//     its own proc, inbox and outbox record, and appends to its shard's
+//     slabs, so shards race on nothing);
+//   - route: workers own disjoint contiguous *receiver* ranges, and each
+//     receiver walks its sorted neighbor list pulling what each neighbor
+//     sent it, so every inbox is written by exactly one worker and ends
+//     up ordered by (sender ID, send index) — the order follows from the
+//     sorted neighbor lists, not from any merge.
 //
-// All scratch (outbox slab, flat inbox arrays, edge-bit accounting, worker
-// goroutines) lives on the Runner and is reused across rounds and runs.
+// All scratch (outbox slabs, flat inbox arrays, worker goroutines) lives
+// on the Runner and is reused across rounds and runs.
 type engine[O any] struct {
 	*Runner
 	cfg    config
@@ -51,10 +53,8 @@ func (e *engine[O]) runShard(ph phase, w int) {
 	switch ph {
 	case phaseStep:
 		e.stepRange(w)
-	case phaseDrain:
-		e.drainRange(w)
-	case phaseMerge:
-		e.mergeRange(w)
+	case phaseRoute:
+		e.routeRange(w)
 	}
 }
 
@@ -125,39 +125,13 @@ func newEngine[O any](r *Runner, g *graph.Graph, factory Factory[O], cfg config)
 	return e, nil
 }
 
-// stepPhase steps every shard (inline when sequential).
-func (e *engine[O]) stepPhase() {
+// runPhase runs ph on every shard, inline when there is only one.
+func (e *engine[O]) runPhase(ph phase) {
 	if len(e.steps) == 1 {
-		e.stepRange(0)
+		e.runShard(ph, 0)
 		return
 	}
-	e.pool.run(e, phaseStep, len(e.steps))
-}
-
-// routePhase routes the round's outboxes into the next round's inboxes.
-// Sequential runs take the single-shard direct path (two passes over the
-// outboxes, no staging copy). Parallel runs split routing at a barrier:
-// drain (workers own disjoint *sender* ranges, staging packets into
-// worker-local buckets keyed by receiver shard) and merge (workers own
-// disjoint *receiver* ranges, replaying the buckets in sender-shard order).
-// Each phase's worker touches only its own shard's memory, so total
-// routing work is O(m) split across workers — the previous single-phase
-// router had every worker scanning every outbox, O(m) *per worker*.
-// A drain-phase panic (engine fault or injected) aborts before the merge
-// reads the half-built staging.
-func (e *engine[O]) routePhase() *ProcPanicError {
-	if len(e.steps) == 1 {
-		e.routeRange(0)
-		return nil
-	}
-	e.pool.run(e, phaseDrain, len(e.drains))
-	for w := range e.drains {
-		if p := e.drains[w].pan; p != nil {
-			return p // shards checked in order: deterministic winner
-		}
-	}
-	e.pool.run(e, phaseMerge, len(e.routes))
-	return nil
+	e.pool.run(e, ph, len(e.steps))
 }
 
 func (e *engine[O]) run() (*Result[O], error) {
@@ -184,8 +158,9 @@ func (e *engine[O]) run() (*Result[O], error) {
 		}
 		e.round = round
 
-		e.stepPhase()
+		e.runPhase(phaseStep)
 		activeCount = 0
+		var roundMsgs, roundBits int64
 		var pan *ProcPanicError
 		for w := range e.steps {
 			s := &e.steps[w]
@@ -197,6 +172,8 @@ func (e *engine[O]) run() (*Result[O], error) {
 				pan = s.pan
 			}
 			activeCount += s.active
+			roundMsgs += s.msgs
+			roundBits += s.bits
 		}
 		if pan != nil {
 			return nil, pan
@@ -210,29 +187,13 @@ func (e *engine[O]) run() (*Result[O], error) {
 			}
 		}
 
-		if p := e.routePhase(); p != nil {
-			return nil, p
-		}
-		var roundMsgs, roundBits, inflight int64
+		e.runPhase(phaseRoute)
 		var rerr *BandwidthError
 		for w := range e.routes {
-			if s := &e.routes[w]; s.pan != nil {
+			s := &e.routes[w]
+			if s.pan != nil {
 				return nil, s.pan // engine-internal panic while routing; shards checked in order
 			}
-		}
-		// Message/bit totals live on the drain shards when the parallel
-		// router ran and on the route shards when the sequential one did;
-		// the unused side is zero, so summing both is mode-free.
-		for w := range e.drains {
-			d := &e.drains[w]
-			roundMsgs += d.msgs
-			roundBits += d.bits
-		}
-		for w := range e.routes {
-			s := &e.routes[w]
-			roundMsgs += s.msgs
-			roundBits += s.bits
-			inflight += s.inflight
 			if s.err != nil && (rerr == nil || s.err.From < rerr.From ||
 				(s.err.From == rerr.From && s.err.To < rerr.To)) {
 				rerr = s.err
@@ -260,11 +221,6 @@ func (e *engine[O]) run() (*Result[O], error) {
 		// backing arrays by round parity, so the views just published in
 		// next stay valid while the other array is overwritten.
 		e.inbox, e.next = e.next, e.inbox
-
-		if activeCount == 0 && inflight > 0 {
-			// Messages to terminated nodes only; they were dropped above.
-			break
-		}
 	}
 	return e.finish()
 }
@@ -292,8 +248,8 @@ func (e *engine[O]) mergeTagStats(stats *[MaxTags]MessageStat) {
 				res.MessageStats = make(map[string]MessageStat, 4)
 			}
 		}
-		// One name lookup per *tag* per shard; the per-message work in
-		// the routers is two array adds.
+		// One name lookup per *tag* per shard; the per-send work in
+		// the step phase is two array adds.
 		name := Tag(t).String()
 		agg := res.MessageStats[name]
 		agg.Count += st.Count
@@ -314,13 +270,9 @@ func (e *engine[O]) finish() (*Result[O], error) {
 		if s.maxEdgeBits > res.MaxEdgeBits {
 			res.MaxEdgeBits = s.maxEdgeBits
 		}
-		e.mergeTagStats(&s.stats)
 	}
-	// Tag statistics are recorded where the per-packet accounting ran: on
-	// the route shards under the sequential router, on the drain shards
-	// under the parallel one. The unused side is all zeros.
-	for w := range e.drains {
-		e.mergeTagStats(&e.drains[w].stats)
+	for w := range e.steps {
+		e.mergeTagStats(&e.steps[w].stats)
 	}
 	if slab, ok := e.Runner.outSlabO.([]O); e.cfg.recycle && ok && cap(slab) >= e.n {
 		slab = slab[:cap(slab)]

@@ -10,8 +10,7 @@ type phase int
 
 const (
 	phaseStep phase = iota
-	phaseDrain
-	phaseMerge
+	phaseRoute
 )
 
 // phaseRunner is implemented by the engine: execute one phase on one shard.
@@ -20,11 +19,10 @@ type phaseRunner interface {
 }
 
 // pool is a set of long-lived worker goroutines, one per engine worker.
-// The engine dispatches one task per worker per phase (step, then
-// drain/merge) and waits on a shared WaitGroup; workers park on their
-// signal channel between phases instead of being respawned every round,
-// which removes the per-round goroutine create/destroy cost the old
-// engine paid.
+// The engine dispatches one task per worker per phase (step, then route)
+// and waits on a shared WaitGroup; workers park on their signal channel
+// between phases instead of being respawned every round, which removes
+// the per-round goroutine create/destroy cost the old engine paid.
 type pool struct {
 	runner phaseRunner     // current dispatch target; published by the channel sends
 	phase  phase           // current phase; published by the channel sends

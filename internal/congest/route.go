@@ -1,70 +1,50 @@
 package congest
 
-// routeShard is one worker's receiver range plus its routing scratch and
-// accumulators. The scratch arrays are indexed by (receiver − lo) and
-// reused across senders and rounds; stamp marks which entries belong to
-// the sender currently being drained, so nothing is ever cleared — the
-// per-sender `make(map[int]int)` of the old engine is gone entirely.
+// routeShard is one worker's receiver range plus its inbox arrays and
+// accumulators.
 //
-// Delivery is CSR-style: each round the shard counts, per receiver, the
-// messages actually delivered (pass 1, which also does all of the bit and
-// budget accounting), prefix-sums the counts into offsets, and then copies
-// the packets into one flat []Incoming backing array at those offsets
-// (pass 2). Receivers' inbox views are subslices of the flat array, so the
-// per-node slice growth of the old engine — n append-grown inboxes on the
-// first busy round — is gone: the only growth is the shard's single flat
-// array, and a reused Runner keeps it warm across runs. Two flat arrays
-// alternate by round parity because round r's inboxes are read while round
-// r+1's are written.
+// Delivery is CSR-style: the shard's receivers fill one flat []Incoming
+// backing array in receiver order, and each inbox is a contiguous view
+// into it. The array is sized at layout time by the shard's receiver
+// degree sum — exactly one round of one broadcast per node — so the
+// common round never grows it; only a busier round (several broadcasts
+// per node) grows it by append, and a reused Runner keeps the larger
+// array warm. Two flat arrays alternate by round
+// parity because round r's inboxes are read while round r+1's are
+// written.
 type routeShard struct {
 	lo, hi int // receiver range [lo, hi)
 
-	// per-(sender, receiver) edge-bit accounting scratch
-	edgeBits  []int64
-	stamp     []uint64
-	touched   []int32
-	senderGen uint64
-
-	// CSR delivery scratch: per-receiver delivered counts (reused as the
-	// write cursor in pass 2), the prefix-summed offsets, and the two
-	// parity-alternating flat backing arrays.
-	cnt          []int32
-	off          []int32
 	flatA, flatB []Incoming
 
-	// per-round results, reset by routeRange
-	msgs, bits, inflight int64
-	err                  *BandwidthError // strict mode: (min sender, then min receiver)
-	pan                  *ProcPanicError // panic recovered while routing (engine fault, not user code)
+	// per-round result, reset by routeRange
+	err *BandwidthError // strict mode: (min sender, then min receiver)
+	pan *ProcPanicError // panic recovered while routing (engine fault, not user code)
 
 	// per-run accumulators, merged by finish
 	dropped     int64
 	violations  int64
 	maxEdgeBits int
-	// stats is tag-indexed: recording a message is two array adds, and
-	// finish aggregates by scanning MaxTags entries — no reflect.Type
-	// map, no hashing in the hot path. Only the sequential router records
-	// here; the parallel router's per-packet accounting happens on the
-	// drain shards (senderShard.stats).
-	stats [MaxTags]MessageStat
 
-	_ linePad // keep adjacent shards' hot fields off shared cache lines
+	_ [24]byte // round the live fields up to a line boundary
+	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
-// routeRange is the sequential router: the single shard drains every
-// sender's outbox directly into its flat inbox array, two passes, no
-// staging copy. (Parallel runs route through drainRange/mergeRange in
-// shard.go instead — each worker would otherwise scan every outbox.)
-// Senders are scanned in ID order and outboxes preserve send order, so
-// each inbox fills in (sender ID, send index) order — bit-identical to
-// the parallel router at any worker count. The outbox entries are
-// plain 32-byte values (destination, reverse index, 24-byte packet)
-// streamed sequentially: no interface unboxing, no dynamic Bits() call,
-// no allocation in steady state.
+// routeRange fills the inboxes of shard w's receivers by pulling: each
+// receiver walks its own sorted neighbor list and appends, per neighbor,
+// that neighbor's broadcasts plus the targeted sends addressed to it,
+// interleaved back into send order. Neighbors come in ascending ID order,
+// so every inbox is in exact (sender ID, send index) order and Idx is just
+// the walk's loop index — bit-identical at every worker count and shard
+// layout, with every write landing in this shard's own memory.
+//
+// The walk also does the per-directed-edge bit accounting: budget applies
+// per edge (v, u), so all of v's messages to u this round share one B-bit
+// slot and their sizes sum. A terminated receiver gets nothing delivered;
+// its traffic only counts toward its edges' bits and the dropped total.
 func (e *engine[O]) routeRange(w int) {
 	s := &e.routes[w]
-	lo, hi := s.lo, s.hi
-	s.msgs, s.bits, s.inflight, s.err, s.pan = 0, 0, 0, nil, nil
+	s.err, s.pan = nil, nil
 	// Routing executes no user code, so a panic here is an engine bug (or
 	// an injected fault) — still recovered, on the same contract as the
 	// step phase: the run fails with ErrProcPanic, the process survives,
@@ -74,113 +54,98 @@ func (e *engine[O]) routeRange(w int) {
 			s.pan = newProcPanic(e.round, -1, v)
 		}
 	}()
-	cnt := s.cnt
-	clear(cnt)
-
-	// Pass 1: accounting and per-receiver delivery counts. Budget applies
-	// per directed edge (v, to): messages to the same neighbor in one round
-	// share one B-bit slot, so their sizes sum.
-	strict := e.cfg.mode == Congest
-	budget := e.budget
-	msgStats := e.cfg.msgStats
-	var msgs, bits, inflight int64
-	for v := 0; v < e.n; v++ {
-		out := e.senders[v].out
-		if len(out) == 0 {
-			continue
-		}
-		gen := s.senderGen
-		s.senderGen++
-		nt := 0 // receivers this sender touched in range, in send order
-		for i := range out {
-			to := int(out[i].to)
-			if to < lo || to >= hi {
-				continue
-			}
-			mb := int64(out[i].p.Bits)
-			idx := to - lo
-			if s.stamp[idx] != gen {
-				s.stamp[idx] = gen
-				s.edgeBits[idx] = 0
-				s.touched[nt] = int32(to)
-				nt++
-			}
-			s.edgeBits[idx] += mb
-			msgs++
-			bits += mb
-			if msgStats {
-				st := &s.stats[out[i].p.Tag]
-				st.Count++
-				st.Bits += mb
-			}
-			if e.done[to] {
-				s.dropped++
-				continue
-			}
-			cnt[idx]++
-			inflight++
-		}
-		for i := 0; i < nt; i++ {
-			to := int(s.touched[i])
-			sum := s.edgeBits[to-lo]
-			if int(sum) > s.maxEdgeBits {
-				s.maxEdgeBits = int(sum)
-			}
-			if budget > 0 && sum > int64(budget) {
-				if strict {
-					if s.err == nil || to < s.err.To {
-						s.err = &BandwidthError{Round: e.round, From: v, To: to, Bits: int(sum), Budget: budget}
-					}
-				} else {
-					s.violations++
-				}
-			}
-		}
-		if s.err != nil {
-			// First violating sender found (senders scanned in ID order);
-			// the run is about to abort, so stop draining.
-			return
-		}
-	}
-	s.msgs, s.bits, s.inflight = msgs, bits, inflight
-
-	// Prefix-sum the counts into offsets and publish the inbox views —
-	// every receiver in range gets one, empty or not, which also retires
-	// the previous parity round's view.
-	total := int32(0)
-	for i := range cnt {
-		s.off[i] = total
-		total += cnt[i]
-	}
-	s.off[len(cnt)] = total
 	flat := &s.flatA
 	if e.round&1 == 1 {
 		flat = &s.flatB
 	}
-	if cap(*flat) < int(total) {
-		*flat = make([]Incoming, total+total/4)
-	}
-	dst := (*flat)[:total]
-	for i := range cnt {
-		e.next[lo+i] = dst[s.off[i]:s.off[i+1]:s.off[i+1]]
-		cnt[i] = s.off[i] // pass-2 write cursor
-	}
-
-	// Pass 2: place the delivered packets at their offsets, in the same
-	// (sender ID, send index) order pass 1 counted them.
-	if total == 0 {
-		return
-	}
-	for v := 0; v < e.n; v++ {
-		out := e.senders[v].out
-		for i := range out {
-			to := int(out[i].to)
-			if to < lo || to >= hi || e.done[to] {
+	dst := (*flat)[:0]
+	strict := e.cfg.mode == Congest
+	budget := int64(e.budget)
+	maxEdge := int64(s.maxEdgeBits)
+	var dropped, violations int64
+	for u := s.lo; u < s.hi; u++ {
+		u32 := int32(u)
+		deliver := !e.done[u]
+		start := len(dst)
+		for i, v := range e.g.Neighbors(u) {
+			if !e.sent[v] {
 				continue
 			}
-			idx := to - lo
-			dst[cnt[idx]] = Incoming{From: int32(v), Idx: out[i].idx, P: out[i].p}
-			cnt[idx]++
+			ob := &e.outs[v]
+			var sum, msgs int64
+			switch {
+			case ob.nbc == 1 && ob.ntg == 0:
+				sum, msgs = int64(ob.first.Bits), 1
+				if deliver {
+					dst = append(dst, Incoming{From: v, Idx: int32(i), P: ob.first})
+				}
+			default:
+				dst, sum, msgs = pull(dst, &e.lists[v], v, int32(i), u32, deliver)
+			}
+			if !deliver {
+				dropped += msgs
+			}
+			if sum > maxEdge {
+				maxEdge = sum
+			}
+			if budget > 0 && sum > budget {
+				if !strict {
+					violations++
+				} else if s.err == nil || v < int32(s.err.From) {
+					// Receivers ascend, so the first violation seen for a
+					// sender is its lowest receiver.
+					s.err = &BandwidthError{Round: e.round, From: int(v), To: u, Bits: int(sum), Budget: int(budget)}
+				}
+			}
+		}
+		e.next[u] = dst[start:len(dst):len(dst)]
+	}
+	*flat = dst // keep a grown array warm for the next round of this parity
+	s.dropped += dropped
+	s.violations += violations
+	s.maxEdgeBits = int(maxEdge)
+}
+
+// pull handles a sender with more than one broadcast or any targeted
+// send: it finds the targeted sends addressed to u (grouped by receiver in
+// the step phase) and interleaves them with v's broadcasts back into send
+// order, appending to dst when deliver is set. It returns the edge's
+// message count and bit sum either way. i is v's position in u's
+// neighbor list.
+func pull(dst []Incoming, l *outList, v, i, u int32, deliver bool) ([]Incoming, int64, int64) {
+	bc, tg := l.bc, l.tg
+	var sum, msgs int64
+	k := 0 // next broadcast
+	take := func(p Packet) {
+		sum += int64(p.Bits)
+		msgs++
+		if deliver {
+			dst = append(dst, Incoming{From: v, Idx: i, P: p})
 		}
 	}
+	for j := groupStart(tg, u); j < len(tg) && tg[j].to == u; j++ {
+		for ; k < int(tg[j].before); k++ {
+			take(bc[k])
+		}
+		take(tg[j].p)
+	}
+	for ; k < len(bc); k++ {
+		take(bc[k])
+	}
+	return dst, sum, msgs
+}
+
+// groupStart returns the index of the first targeted send in tg (grouped
+// by receiver) addressed to u or above.
+func groupStart(tg []outPacket, u int32) int {
+	lo, hi := 0, len(tg)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tg[m].to < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }

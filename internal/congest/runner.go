@@ -8,8 +8,8 @@ import (
 )
 
 // Runner owns the run-scoped state of the simulator — the worker pool, the
-// proc Arena, the flat inbox/outbox backing arrays, and the graph-derived
-// sender tables — and reuses all of it across Run calls. A one-shot
+// proc Arena, the outbox slabs and flat inbox arrays, and the per-node
+// outbox records — and reuses all of it across Run calls. A one-shot
 // congest.Run constructs and discards a transient Runner; a serving-style
 // caller that executes many runs (cmd/mdsbench, parameter sweeps, repeated
 // requests on the same graph) creates one Runner, passes it to each run
@@ -31,16 +31,16 @@ type Runner struct {
 	pool     *pool
 	poolSize int
 
-	senders []Sender
-	outSlab []outPacket // one backing array; sender v owns deg(v)+1 slots
-	done    []bool
-	inbox   [][]Incoming // per-node views into the route shards' flat arrays
-	next    [][]Incoming
-	bounds  []int32 // degree-weighted shard boundaries, len workers+1
-	steps   []stepShard
-	routes  []routeShard
-	drains  []senderShard // drain-phase shards + staging; nil when workers == 1
-	arena   Arena
+	sent   []bool    // per node: queued any message this round
+	outs   []outbox  // per-node traffic heads, valid where sent
+	lists  []outList // per-node full traffic, valid where the head says so
+	done   []bool
+	inbox  [][]Incoming // per-node views into the route shards' flat arrays
+	next   [][]Incoming
+	bounds []int32 // degree-weighted shard boundaries, len workers+1
+	steps  []stepShard
+	routes []routeShard
+	arena  Arena
 
 	// Output-typed slabs, cached through any-boxes because the Runner
 	// itself is not generic: procSlab holds the engine's []Proc[O] (always
@@ -111,41 +111,16 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 	if r.g != g {
 		r.g = g
 		r.n = n
-		if cap(r.senders) >= n {
-			r.senders = r.senders[:n]
-		} else {
-			r.senders = make([]Sender, n)
-		}
-		// One outbox backing array for all nodes: node v owns deg(v)+1
-		// slots — degree covers a full broadcast, the +1 the occasional
-		// extra targeted send (a node that outgrows its slot falls back to
-		// ordinary append growth and keeps the grown slice).
-		slots := g.DegreeSum() + n
-		if cap(r.outSlab) < slots {
-			r.outSlab = make([]outPacket, slots)
-		}
-		base := 0
-		for v := 0; v < n; v++ {
-			nbr := g.Neighbors(v)
-			end := base + len(nbr) + 1
-			r.senders[v] = Sender{
-				owner:     int32(v),
-				neighbors: nbr,
-				revIdx:    g.ReverseIndex(v),
-				out:       r.outSlab[base:base:end],
-			}
-			base = end
-		}
+		// Every node steps in round 0 and sets its sent flag before
+		// anything reads it, so reused arrays need no clearing.
+		r.sent = withLen(r.sent, n)
+		r.outs = withLen(r.outs, n)
+		r.lists = withLen(r.lists, n)
 		r.done = resized(r.done, n)
 		r.inbox = resized(r.inbox, n)
 		r.next = resized(r.next, n)
 		r.workers = 0 // force a shard-layout rebuild below
 	} else {
-		for v := range r.senders {
-			s := &r.senders[v]
-			s.err = nil
-			s.out = s.out[:0]
-		}
 		clear(r.done)
 		// Stale views would alias flat arrays about to be overwritten; the
 		// round-0 step must see empty inboxes.
@@ -175,46 +150,29 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 		// CSR offsets per boundary), so skewed-degree graphs don't serialize
 		// on the shard that holds the hubs; see shardBounds.
 		r.bounds = shardBounds(g, workers)
-		r.steps = make([]stepShard, workers)
-		r.routes = make([]routeShard, workers)
-		r.drains = nil
-		if workers > 1 {
-			r.drains = make([]senderShard, workers)
+		if len(r.steps) != workers {
+			r.steps = make([]stepShard, workers)
+			r.routes = make([]routeShard, workers)
 		}
 		for w := 0; w < workers; w++ {
 			lo, hi := int(r.bounds[w]), int(r.bounds[w+1])
-			r.steps[w] = stepShard{lo: lo, hi: hi}
+			// Slabs are sized for the common round — one broadcast per node,
+			// so one inbox entry per directed edge — and kept across graphs
+			// when they are already large enough.
+			ss := &r.steps[w]
+			ss.lo, ss.hi = lo, hi
+			ss.snd.bc = withCap(ss.snd.bc, hi-lo)
 			rs := &r.routes[w]
 			rs.lo, rs.hi = lo, hi
-			rs.edgeBits = make([]int64, hi-lo)
-			rs.stamp = make([]uint64, hi-lo)
-			rs.touched = make([]int32, hi-lo)
-			rs.cnt = make([]int32, hi-lo)
-			rs.off = make([]int32, hi-lo+1)
-			rs.senderGen = 1 // stamp's zero value must mean "never touched"
-			if workers > 1 {
-				d := &r.drains[w]
-				d.lo, d.hi = lo, hi
-				// CSR staging bookkeeping (one int32 array per role, sized by
-				// the worker count, not the graph); the entry/run slabs grow
-				// on the first busy round and stay warm afterwards.
-				d.cntE = make([]int32, workers)
-				d.cntR = make([]int32, workers)
-				d.offE = make([]int32, workers+1)
-				d.offR = make([]int32, workers+1)
-				d.last = make([]int32, workers)
-			}
+			degSum := g.AdjOffset(hi) - g.AdjOffset(lo)
+			rs.flatA = withCap(rs.flatA, degSum)
+			rs.flatB = withCap(rs.flatB, degSum)
 		}
 	}
 	for w := range r.routes {
 		rs := &r.routes[w]
 		rs.dropped, rs.violations, rs.maxEdgeBits = 0, 0, 0
-		rs.stats = [MaxTags]MessageStat{}
-		// senderGen stays monotonic across runs, so the stamp scratch needs
-		// no clearing — entries from previous runs can never match.
-	}
-	for w := range r.drains {
-		r.drains[w].stats = [MaxTags]MessageStat{}
+		r.steps[w].stats = [MaxTags]MessageStat{}
 	}
 
 	if workers > 1 && (r.pool == nil || r.poolSize < workers) {
@@ -235,6 +193,23 @@ func (r *Runner) release(closePool bool) {
 	if closePool {
 		r.Close()
 	}
+}
+
+// withLen returns s at length n, reallocated only when its capacity is
+// below n; surviving elements are not cleared.
+func withLen[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// withCap returns s emptied, reallocated only when its capacity is below n.
+func withCap[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // resized returns s resized to length n with every element zeroed,

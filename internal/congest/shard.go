@@ -7,25 +7,23 @@ import (
 )
 
 // Shard layout. Workers own contiguous node ranges twice per round: as
-// *sender* ranges in the drain phase (each worker empties its own senders'
-// outboxes) and as *receiver* ranges in the merge phase (each worker owns
-// its receivers' inboxes exclusively). Both phases use the same
-// boundaries, cut by cumulative degree rather than node count: a node's
-// routing work is proportional to its degree on both sides (outbox size
-// when sending, inbox traffic when receiving), so equal-node shards
-// serialize on whichever shard holds the hubs of a skewed-degree graph —
-// a star's center shard does ~all of the work while the others idle.
-// Equal-degree shards keep the broom/star/lower-bound families balanced,
-// and on regular graphs they degrade to exactly the node-count split.
+// stepping ranges in the step phase and as *receiver* ranges in the route
+// phase (each worker owns its receivers' inboxes exclusively). Both phases
+// use the same boundaries, cut by cumulative degree rather than node
+// count: a receiver's routing work is its degree (the neighbor list it
+// walks), so equal-node shards serialize on whichever shard holds the
+// hubs of a skewed-degree graph — a star's center shard does ~all of the
+// work while the others idle. Equal-degree shards keep the
+// broom/star/lower-bound families balanced, and on regular graphs they
+// degrade to exactly the node-count split.
 
 // adaptiveWorkersMin is the node count at which WithWorkers(0) switches
-// from the sequential engine to GOMAXPROCS workers. Below it the per-round
-// dispatch barriers (three per round: step, drain, merge) cost more than
-// the parallelism recovers; the crossover is a provisional estimate — the
-// development container is single-core, where the parallel engine can
-// never win — so it is set where per-round work (≈ degree-sum packet
-// copies) comfortably exceeds the few-µs barrier cost. Re-measure on
-// multicore hardware before tuning.
+// from the sequential engine to GOMAXPROCS workers. Below it the two
+// per-round dispatch barriers (step, route) cost more than the
+// parallelism recovers. The crossover is a provisional estimate, set
+// where per-round work (≈ degree-sum packet copies) comfortably exceeds
+// the few-µs barrier cost; no workers=1 vs 2 sweep across graph sizes has
+// measured it yet.
 const adaptiveWorkersMin = 1 << 15
 
 // shardBounds cuts [0, n) into `workers` contiguous ranges of near-equal
@@ -54,308 +52,9 @@ func shardBounds(g *graph.Graph, workers int) []int32 {
 	return bounds
 }
 
-// shardOf returns the index of the shard whose range contains node v:
-// the largest k with bounds[k] <= v. bounds is small (workers+1 entries,
-// cache-resident), so this is a handful of well-predicted branches per
-// routed packet.
-func shardOf(bounds []int32, v int32) int {
-	lo, hi := 0, len(bounds)-1
-	for hi-lo > 1 {
-		mid := int(uint(lo+hi) >> 1)
-		if bounds[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// stageRun is a run-length header over staged entries: `count` consecutive
-// entries in one bucket all sent by `from`. Senders are drained in ID
-// order, each sender lives in exactly one sender shard, and sorted
-// broadcasts visit receiver shards in non-decreasing order, so within a
-// bucket the runs ascend by sender — which is what lets the merge phase
-// replay a receiver shard's traffic in exact (sender ID, send index)
-// order and do the per-directed-edge bit accounting over contiguous
-// slices with no per-entry sender comparisons.
-type stageRun struct {
-	from  int32
-	count int32
-}
-
-// senderShard is one worker's sender range in the drain phase, plus its
-// worker-local staging and accumulators. The staging is CSR-shaped: one
-// entry slab and one run slab per shard, with per-receiver-shard counted
-// offsets ("bucket" b of shard d is entSlab[offE[b]:offE[b+1]]), all
-// Runner-owned and reused across rounds and runs — a warm drain allocates
-// nothing, and a cold one allocates O(workers) slices, not O(workers²)
-// growing buffers. Nothing here is touched by any other worker during the
-// phase: the drain writes only worker-local memory, which is the point —
-// the previous single-phase router had every worker scanning every
-// sender's outbox (O(m) work per worker, O(m·workers) total) over shared
-// cursor arrays. The struct is padded so adjacent shards in the Runner's
-// slice never share a cache line (TestShardPadding pins the layout).
-type senderShard struct {
-	lo, hi int
-
-	// CSR staging: entries/runs for receiver shard b live at
-	// entSlab[offE[b]:offE[b+1]] / runSlab[offR[b]:offR[b+1]].
-	entSlab []outPacket
-	runSlab []stageRun
-	cntE    []int32 // per-bucket entry counts; reused as pass-B cursors
-	cntR    []int32 // per-bucket run counts; reused as pass-B cursors
-	offE    []int32 // len workers+1
-	offR    []int32 // len workers+1
-	last    []int32 // per-bucket last sender seen (run-boundary detection)
-
-	// per-round accumulators (the merge side owns edge-level accounting)
-	msgs, bits int64
-	pan        *ProcPanicError // engine fault recovered while draining
-
-	// per-run accumulator, merged by finish
-	stats [MaxTags]MessageStat
-
-	_ [48]byte // round the live fields up to a line boundary
-	_ linePad  // keep adjacent shards' hot fields off shared cache lines
-}
-
 // linePad is a full cache line of trailing padding. Shards live in plain
 // slices whose backing arrays are not line-aligned, so rounding a struct
 // to a 64-byte multiple alone cannot keep neighbors apart; a full trailing
 // line guarantees that no cache line holds live fields of two adjacent
 // shards at any base alignment. TestShardPadding pins the layouts.
 type linePad [64]byte
-
-// drainRange empties every outbox in shard w's sender range into the
-// worker-local staging, bucketed by the receiver's shard. Like the
-// sequential router it works in two counted passes (count per bucket,
-// prefix-sum to offsets, place), so the slabs are written exactly once
-// per round with no growth bookkeeping in the inner loop. Message and tag
-// accounting (per-packet, sender-attributable) happens here; the
-// per-directed-edge bit accounting needs the receiver's full traffic and
-// so belongs to the merge phase. Senders are scanned in ID order and
-// outboxes preserve send order, so each bucket's entries are ordered by
-// (sender ID, send index) by construction.
-func (e *engine[O]) drainRange(w int) {
-	d := &e.drains[w]
-	d.msgs, d.bits, d.pan = 0, 0, nil
-	// Draining executes no user code; a panic is an engine bug (or an
-	// injected fault), recovered on the same contract as the other phases.
-	defer func() {
-		if v := recover(); v != nil {
-			d.pan = newProcPanic(e.round, -1, v)
-		}
-	}()
-	nb := len(e.drains)
-	cntE, cntR, last := d.cntE, d.cntR, d.last
-	for i := 0; i < nb; i++ {
-		cntE[i], cntR[i], last[i] = 0, 0, -1
-	}
-	bounds := e.bounds
-	msgStats := e.cfg.msgStats
-	var msgs, bits int64
-
-	// Pass A: per-bucket entry and run counts; per-packet accounting
-	// rides along, including messages to terminated receivers (their
-	// bandwidth is consumed whether or not delivery happens).
-	for v := d.lo; v < d.hi; v++ {
-		out := e.senders[v].out
-		if len(out) == 0 {
-			continue
-		}
-		v32 := int32(v)
-		for i := range out {
-			mb := int64(out[i].p.Bits)
-			msgs++
-			bits += mb
-			if msgStats {
-				st := &d.stats[out[i].p.Tag]
-				st.Count++
-				st.Bits += mb
-			}
-			rs := shardOf(bounds, out[i].to)
-			cntE[rs]++
-			if last[rs] != v32 {
-				last[rs] = v32
-				cntR[rs]++
-			}
-		}
-	}
-	d.msgs, d.bits = msgs, bits
-
-	// Prefix-sum the counts into bucket offsets, size the slabs (amortized
-	// growth, Runner-owned), and turn the counters into write cursors.
-	offE, offR := d.offE, d.offR
-	var te, tr int32
-	for i := 0; i < nb; i++ {
-		offE[i] = te
-		te += cntE[i]
-		offR[i] = tr
-		tr += cntR[i]
-		cntE[i] = offE[i]
-		cntR[i] = offR[i]
-		last[i] = -1
-	}
-	offE[nb], offR[nb] = te, tr
-	if cap(d.entSlab) < int(te) {
-		d.entSlab = make([]outPacket, te+te/4)
-	}
-	if cap(d.runSlab) < int(tr) {
-		d.runSlab = make([]stageRun, tr+tr/4)
-	}
-	ents := d.entSlab[:te]
-	runs := d.runSlab[:tr]
-
-	// Pass B: place entries and run-length headers at their offsets.
-	for v := d.lo; v < d.hi; v++ {
-		out := e.senders[v].out
-		if len(out) == 0 {
-			continue
-		}
-		v32 := int32(v)
-		for i := range out {
-			rs := shardOf(bounds, out[i].to)
-			ents[cntE[rs]] = out[i]
-			cntE[rs]++
-			if last[rs] != v32 {
-				last[rs] = v32
-				runs[cntR[rs]] = stageRun{from: v32, count: 1}
-				cntR[rs]++
-			} else {
-				runs[cntR[rs]-1].count++
-			}
-		}
-	}
-}
-
-// mergeRange assembles the inboxes of shard w's receiver range from the
-// staging buckets every drain worker filled for it. Walking the sender
-// shards in index order visits senders in ascending ID order (each
-// bucket's runs already ascend), so the merged stream for every receiver
-// is in exact (sender ID, send index) order — bit-identical to the
-// sequential router at any worker count and any shard layout.
-//
-// The walk happens twice, mirroring the sequential router's two passes:
-// pass 1 does the per-directed-edge bit accounting (run-length headers
-// make "all packets on edge (from, to) this round" a contiguous scan) and
-// counts deliveries per receiver; then the counts prefix-sum into offsets
-// in the shard's flat parity array and pass 2 places the packets. Every
-// write — counts, offsets, flat array, inbox views — lands in this
-// shard's own memory; the only cross-worker reads are the staging slabs
-// published at the drain barrier.
-func (e *engine[O]) mergeRange(w int) {
-	s := &e.routes[w]
-	lo := s.lo
-	s.msgs, s.bits, s.inflight, s.err, s.pan = 0, 0, 0, nil, nil
-	defer func() {
-		if v := recover(); v != nil {
-			s.pan = newProcPanic(e.round, -1, v)
-		}
-	}()
-	cnt := s.cnt
-	clear(cnt)
-
-	strict := e.cfg.mode == Congest
-	budget := e.budget
-	var inflight int64
-	for dw := range e.drains {
-		d := &e.drains[dw]
-		ents := d.entSlab[d.offE[w]:d.offE[w+1]]
-		runs := d.runSlab[d.offR[w]:d.offR[w+1]]
-		base := 0
-		for _, run := range runs {
-			end := base + int(run.count)
-			gen := s.senderGen
-			s.senderGen++
-			nt := 0 // receivers this sender touched, in send order
-			for i := base; i < end; i++ {
-				to := int(ents[i].to)
-				idx := to - lo
-				if s.stamp[idx] != gen {
-					s.stamp[idx] = gen
-					s.edgeBits[idx] = 0
-					s.touched[nt] = int32(to)
-					nt++
-				}
-				s.edgeBits[idx] += int64(ents[i].p.Bits)
-				if e.done[to] {
-					s.dropped++
-					continue
-				}
-				cnt[idx]++
-				inflight++
-			}
-			base = end
-			from := int(run.from)
-			for i := 0; i < nt; i++ {
-				to := int(s.touched[i])
-				sum := s.edgeBits[to-lo]
-				if int(sum) > s.maxEdgeBits {
-					s.maxEdgeBits = int(sum)
-				}
-				if budget > 0 && sum > int64(budget) {
-					if strict {
-						if s.err == nil || to < s.err.To {
-							s.err = &BandwidthError{Round: e.round, From: from, To: to, Bits: int(sum), Budget: budget}
-						}
-					} else {
-						s.violations++
-					}
-				}
-			}
-			if s.err != nil {
-				// First violating sender in ID order (the same stop rule as
-				// the sequential router); the run is about to abort.
-				return
-			}
-		}
-	}
-	s.inflight = inflight
-
-	// Prefix-sum into offsets and publish the inbox views, exactly as the
-	// sequential router does.
-	total := int32(0)
-	for i := range cnt {
-		s.off[i] = total
-		total += cnt[i]
-	}
-	s.off[len(cnt)] = total
-	flat := &s.flatA
-	if e.round&1 == 1 {
-		flat = &s.flatB
-	}
-	if cap(*flat) < int(total) {
-		*flat = make([]Incoming, total+total/4)
-	}
-	dst := (*flat)[:total]
-	for i := range cnt {
-		e.next[lo+i] = dst[s.off[i]:s.off[i+1]:s.off[i+1]]
-		cnt[i] = s.off[i] // pass-2 write cursor
-	}
-	if total == 0 {
-		return
-	}
-
-	// Pass 2: place the delivered packets at their offsets, in the same
-	// merged order pass 1 counted them.
-	for dw := range e.drains {
-		d := &e.drains[dw]
-		ents := d.entSlab[d.offE[w]:d.offE[w+1]]
-		runs := d.runSlab[d.offR[w]:d.offR[w+1]]
-		base := 0
-		for _, run := range runs {
-			end := base + int(run.count)
-			for i := base; i < end; i++ {
-				to := int(ents[i].to)
-				if e.done[to] {
-					continue
-				}
-				idx := to - lo
-				dst[cnt[idx]] = Incoming{From: run.from, Idx: ents[i].idx, P: ents[i].p}
-				cnt[idx]++
-			}
-			base = end
-		}
-	}
-}

@@ -64,9 +64,9 @@ func shardWeight(g *graph.Graph, lo, hi int) int {
 }
 
 // TestShardBoundsCover pins the partition invariants on every graph
-// shape: bounds start at 0, end at n, never decrease, and shardOf agrees
-// with the ranges — so the shards cover [0, n) exactly, with no gaps and
-// no overlaps, even when a hub makes some shards empty.
+// shape: bounds start at 0, end at n, and never decrease — so the shards
+// cover [0, n) exactly, with no gaps and no overlaps, even when a hub
+// makes some shards empty.
 func TestShardBoundsCover(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"star":  buildStar(t, 1000),
@@ -85,12 +85,6 @@ func TestShardBoundsCover(t *testing.T) {
 			for k := 1; k <= workers; k++ {
 				if bounds[k] < bounds[k-1] {
 					t.Fatalf("%s workers=%d: bounds decrease at %d: %v", name, workers, k, bounds)
-				}
-			}
-			for v := 0; v < g.N(); v++ {
-				w := shardOf(bounds, int32(v))
-				if int32(v) < bounds[w] || int32(v) >= bounds[w+1] {
-					t.Fatalf("%s workers=%d: shardOf(%d)=%d but range is [%d,%d)", name, workers, v, w, bounds[w], bounds[w+1])
 				}
 			}
 		}
@@ -147,9 +141,8 @@ func TestShardBoundsRegularDegradesToNodeCount(t *testing.T) {
 // slices, at any backing-array alignment.
 func TestShardPadding(t *testing.T) {
 	sizes := map[string]uintptr{
-		"stepShard":   unsafe.Sizeof(stepShard{}),
-		"routeShard":  unsafe.Sizeof(routeShard{}),
-		"senderShard": unsafe.Sizeof(senderShard{}),
+		"stepShard":  unsafe.Sizeof(stepShard{}),
+		"routeShard": unsafe.Sizeof(routeShard{}),
 	}
 	for name, size := range sizes {
 		if size%64 != 0 {
@@ -194,8 +187,7 @@ func runFlood(t *testing.T, g *graph.Graph, bits uint32, opts ...Option) (*Resul
 }
 
 // TestBandwidthErrorWorkerInvariance pins the strict-mode abort across
-// engine layouts: the sequential router, the staged parallel router, and
-// every worker count must report the identical *BandwidthError (the
+// engine layouts: every worker count must report the identical *BandwidthError (the
 // lowest violating sender, then its lowest receiver).
 func TestBandwidthErrorWorkerInvariance(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{

@@ -1,6 +1,14 @@
 package congest
 
+import (
+	"cmp"
+	"slices"
+)
+
 // stepShard is one worker's node range plus its per-round step results.
+// Its Sender owns the shard's outbox slabs: every node in range appends
+// its sends there, in node order, and the step phase publishes each
+// node's slice of them as that node's outbox.
 type stepShard struct {
 	lo, hi int
 	active int   // nodes in range still running after this round
@@ -19,12 +27,25 @@ type stepShard struct {
 	// the surviving minimum cannot).
 	pan *ProcPanicError
 
-	_ [8]byte // round the live fields up to a line boundary
-	_ linePad // keep adjacent shards' hot fields off shared cache lines
+	snd Sender
+
+	// per-round traffic sent from this range, counted per send: a
+	// broadcast is deg(v) messages, including those to terminated nodes
+	// (their bandwidth is consumed whether or not delivery happens)
+	msgs, bits int64
+
+	// per-run accumulator, merged by finish. Tag-indexed: recording a
+	// send is two array adds, and finish aggregates by scanning MaxTags
+	// entries — no map, no hashing in the hot path.
+	stats [MaxTags]MessageStat
+
+	_ [16]byte // round the live fields up to a line boundary
+	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
 // stepRange steps every node in shard w's range. Each node touches only
-// its own proc, inbox and sender, so shards are race-free.
+// its own proc, inbox and outbox record, and appends only to this shard's
+// slabs, so shards are race-free.
 //
 // A panic in a Proc.Step call (or in an injected engine fault) is
 // recovered here — on the worker goroutine that runs the shard — and
@@ -32,7 +53,7 @@ type stepShard struct {
 // error, so one faulty proc fails one run instead of the process.
 func (e *engine[O]) stepRange(w int) {
 	s := &e.steps[w]
-	s.active = 0
+	s.active, s.msgs, s.bits = 0, 0, 0
 	// Reset the error like routeRange resets its own: a Sender error from
 	// an aborted previous run must not poison a reused Runner.
 	s.err = nil
@@ -55,16 +76,21 @@ func (e *engine[O]) stepRange(w int) {
 			return
 		}
 	}
+	snd := &s.snd
+	snd.bc, snd.tg = snd.bc[:0], snd.tg[:0]
+	msgStats := e.cfg.msgStats
 	for v := s.lo; v < s.hi; v++ {
-		snd := &e.senders[v]
-		// Truncate the outbox even for terminated nodes: a node's final
-		// messages are routed the round it finishes, and the router scans
-		// every outbox every round, so a stale outbox would re-deliver.
-		snd.out = snd.out[:0]
 		if e.done[v] {
+			// Silence terminated nodes every round: a node's final messages
+			// are routed the round it finishes, and receivers pull from
+			// every neighbor every round.
+			e.sent[v] = false
 			continue
 		}
 		s.cur = v
+		snd.owner, snd.neighbors, snd.err = int32(v), e.g.Neighbors(v), nil
+		b0, t0 := len(snd.bc), len(snd.tg)
+		snd.bcStart = b0
 		if e.procs[v].Step(round, e.inbox[v], snd) {
 			e.done[v] = true
 		} else {
@@ -73,5 +99,51 @@ func (e *engine[O]) stepRange(w int) {
 		if snd.err != nil && s.err == nil {
 			s.err = snd.err
 		}
+		bc, tg := snd.bc[b0:], snd.tg[t0:]
+		e.sent[v] = len(bc)+len(tg) > 0
+		if !e.sent[v] {
+			continue
+		}
+		ob := &e.outs[v]
+		*ob = outbox{nbc: int32(len(bc)), ntg: int32(len(tg))}
+		if len(bc) > 0 {
+			ob.first = bc[0]
+		}
+		if len(bc) > 1 || len(tg) > 0 {
+			e.lists[v] = outList{bc: bc[:len(bc):len(bc)], tg: tg[:len(tg):len(tg)]}
+		}
+		s.account(bc, tg, int64(len(snd.neighbors)), msgStats)
 	}
 }
+
+// account adds one node's sends to the shard's traffic totals and groups
+// its targeted sends by receiver — once, here, so the route phase finds a
+// receiver's group with a binary search instead of rescanning the whole
+// outbox per receiver. The sort is stable, so each group keeps send order.
+func (s *stepShard) account(bc []Packet, tg []outPacket, deg int64, msgStats bool) {
+	for _, p := range bc {
+		b := int64(p.Bits) * deg
+		s.msgs += deg
+		s.bits += b
+		if msgStats {
+			st := &s.stats[p.Tag]
+			st.Count += deg
+			st.Bits += b
+		}
+	}
+	for i := range tg {
+		b := int64(tg[i].p.Bits)
+		s.msgs++
+		s.bits += b
+		if msgStats {
+			st := &s.stats[tg[i].p.Tag]
+			st.Count++
+			st.Bits += b
+		}
+	}
+	if len(tg) > 1 && !slices.IsSortedFunc(tg, byReceiver) {
+		slices.SortStableFunc(tg, byReceiver)
+	}
+}
+
+func byReceiver(a, b outPacket) int { return cmp.Compare(a.to, b.to) }

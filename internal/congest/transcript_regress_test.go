@@ -245,7 +245,7 @@ func TestTranscriptWorkerInvariance(t *testing.T) {
 }
 
 // TestTranscriptRunnerReuse runs all 11 families back to back on ONE
-// shared Runner — arenas, flat inboxes, worker pool, and sender tables
+// shared Runner — arenas, flat inboxes, worker pool, and outbox records
 // recycled across runs and across the two pinned graphs — and requires
 // every transcript to match the transient-state goldens. Any state leaking
 // from one run into the next (stale inbox views, un-reset arena memory,

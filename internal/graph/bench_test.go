@@ -24,7 +24,7 @@ func randomEdges(n int, avgDeg float64, seed uint64) [][2]int {
 }
 
 // BenchmarkBuild measures CSR construction (counting-sort placement,
-// dedup, reverse-edge index) from a prebuilt edge list, at the two scales
+// dedup) from a prebuilt edge list, at the two scales
 // the routing benchmarks use. The edge-list fill is timed too — it is the
 // same O(m) append work every caller pays — but generation randomness is
 // hoisted out.

@@ -26,9 +26,9 @@ import (
 // Decode re-validates everything a Builder would have enforced — sorted
 // strictly-ascending neighbor lists, in-range IDs, no self-loops,
 // symmetric adjacency, weights in [1, MaxWeight] — and recomputes the
-// reverse-edge index and the maximum degree rather than trusting the
-// blob, so a corrupted or hand-forged snapshot can fail the checksum or
-// the structural checks but can never produce an inconsistent Graph.
+// maximum degree rather than trusting the blob, so a corrupted or
+// hand-forged snapshot can fail the checksum or the structural checks but
+// can never produce an inconsistent Graph.
 
 const (
 	binaryMagic  = "ARBCSR01"
@@ -196,19 +196,5 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 
-	// Reverse-edge index, recomputed exactly as Build does: a stable
-	// counting pass by target enumerates the slots sorted by
-	// (target, source), and the k-th slot in that order is the mirror of
-	// the slot it was read from. Symmetry was verified above, so the
-	// cursors cannot escape their node's range.
-	rev := make([]int32, e)
-	cursor := make([]int32, n+1)
-	copy(cursor, offsets)
-	for i := range adj {
-		k := cursor[adj[i]]
-		cursor[adj[i]] = k + 1
-		rev[i] = k - offsets[adj[i]]
-	}
-
-	return &Graph{offsets: offsets, adj: adj, rev: rev, weights: weights, maxDeg: maxDeg}, nil
+	return &Graph{offsets: offsets, adj: adj, weights: weights, maxDeg: maxDeg}, nil
 }

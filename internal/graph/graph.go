@@ -28,7 +28,6 @@ const MaxWeight = int64(1) << 40
 type Graph struct {
 	offsets []int32 // len n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
 	adj     []int32 // concatenated sorted neighbor lists
-	rev     []int32 // parallel to adj: rev[e] is the position of v in adj[e]'s list, where v owns slot e
 	weights []int64 // len n; all entries in [1, MaxWeight]
 	maxDeg  int
 }
@@ -181,21 +180,7 @@ func (b *Builder) Build() (*Graph, error) {
 		adj = append([]int32(nil), adjDup[:w]...)
 	}
 
-	// Reverse-edge index: slot e holds the directed edge (v → adj[e]) with
-	// slots sorted by (source, target). A single stable counting pass by
-	// target enumerates the same slots sorted by (target, source) — and the
-	// k-th slot in that order is exactly the mirror slot of the slot it was
-	// read from, so rev falls out in O(m) with no searching.
-	rev := make([]int32, len(adj))
-	copy(cursor[:n+1], offsets)
-	for e := range adj {
-		k := cursor[adj[e]]
-		cursor[adj[e]] = k + 1
-		rev[e] = k - offsets[adj[e]] // store position within the target's list
-	}
-
-	g := &Graph{offsets: offsets, adj: adj, rev: rev, weights: b.weights, maxDeg: maxDeg}
-	return g, nil
+	return &Graph{offsets: offsets, adj: adj, weights: b.weights, maxDeg: maxDeg}, nil
 }
 
 // MustBuild is Build that panics on error; intended for tests and examples
@@ -215,7 +200,7 @@ func (g *Graph) N() int { return len(g.weights) }
 func (g *Graph) M() int { return len(g.adj) / 2 }
 
 // DegreeSum returns Σ_v deg(v) = 2·M(), the number of directed edge slots.
-// Run-scoped allocators (the CONGEST simulator's outbox slab and arena) use
+// Run-scoped allocators (the CONGEST simulator's inbox arrays and arena) use
 // it to size their backing arrays in one allocation.
 func (g *Graph) DegreeSum() int { return len(g.adj) }
 
@@ -252,15 +237,6 @@ func (g *Graph) neighborSlice(v int) []int32 {
 // use AppendNeighbors to obtain an owned copy.
 func (g *Graph) Neighbors(v int) []int32 {
 	return g.neighborSlice(v)
-}
-
-// ReverseIndex returns, for each position i in v's neighbor list, the
-// position of v in Neighbors(v)[i]'s own sorted neighbor list. It is the
-// precomputed mirror of the CSR: for the directed edge (v → u) it answers
-// "where does u keep v" in O(1), replacing the per-message binary search a
-// receiver would otherwise pay. Read-only view, aligned with Neighbors(v).
-func (g *Graph) ReverseIndex(v int) []int32 {
-	return g.rev[g.offsets[v]:g.offsets[v+1]]
 }
 
 // AppendNeighbors appends the neighbors of v to dst and returns the extended

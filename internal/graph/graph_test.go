@@ -251,28 +251,3 @@ func TestDecodeIgnoresComments(t *testing.T) {
 		t.Fatal("decode with comments failed")
 	}
 }
-
-func TestReverseIndex(t *testing.T) {
-	r := rng.New(11)
-	b := graph.NewBuilder(200)
-	for i := 0; i < 900; i++ {
-		u, v := r.Intn(200), r.Intn(200)
-		if u != v {
-			b.AddEdge(u, v)
-		}
-	}
-	g := b.MustBuild()
-	for v := 0; v < g.N(); v++ {
-		nbrs := g.Neighbors(v)
-		rev := g.ReverseIndex(v)
-		if len(rev) != len(nbrs) {
-			t.Fatalf("node %d: rev len %d != deg %d", v, len(rev), len(nbrs))
-		}
-		for i, u := range nbrs {
-			back := g.Neighbors(int(u))
-			if int(rev[i]) >= len(back) || back[rev[i]] != int32(v) {
-				t.Fatalf("node %d nbr %d: rev index %d does not point back", v, u, rev[i])
-			}
-		}
-	}
-}

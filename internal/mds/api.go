@@ -320,6 +320,15 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 	if alpha > 0 {
 		all = append(all, congest.WithKnownArboricity(alpha))
 	}
+	switch {
+	case params.skipPartial:
+		params.r = 0
+	case params.forceIters > 0:
+		params.r = params.forceIters
+	default:
+		params.r = partialIterations(params.eps, params.lambda, g.MaxDegree())
+	}
+	params.pow = newPowTable(1+params.eps, params.r+1)
 	slab := make([]proc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		pr := &slab[ni.ID]

@@ -70,6 +70,37 @@ type detParams struct {
 	// whole certificate collapses — which is precisely what the ablation
 	// experiment demonstrates.
 	noFreeze bool
+
+	// r is the Lemma 4.1 iteration count and pow the run's (1+ε)^k for
+	// every exponent a packing message can carry (k ≤ r); run fills both
+	// in once, since every node sees the same Δ.
+	r   int
+	pow *powTable
+}
+
+// powTable holds base^k for k below its length, so procs decode a packing
+// message's exponent with a lookup instead of one math.Pow call per
+// message. Exponents past the table fall back to math.Pow; either way the
+// value is math.Pow's, bit for bit.
+type powTable struct {
+	base float64
+	tab  []float64
+}
+
+func newPowTable(base float64, size int) *powTable {
+	t := &powTable{base: base, tab: make([]float64, size)}
+	for k := range t.tab {
+		t.tab[k] = math.Pow(base, float64(k))
+	}
+	return t
+}
+
+// at returns base^k.
+func (t *powTable) at(k int32) float64 {
+	if uint32(k) < uint32(len(t.tab)) {
+		return t.tab[k]
+	}
+	return math.Pow(t.base, float64(k))
 }
 
 // stage is the proc's position in the globally synchronized schedule. All
@@ -96,8 +127,6 @@ type proc struct {
 	p     detParams
 	ni    congest.NodeInfo
 	delta int // Δ, globally known
-
-	r int // number of Lemma 4.1 iterations
 
 	// Neighbor caches, indexed by position in ni.Neighbors.
 	nbrX   []float64
@@ -152,14 +181,6 @@ func (pr *proc) init(p detParams, ni congest.NodeInfo) {
 		pr.extIters = extensionIterations(p.gamma, pr.delta)
 		pr.extPhases = extensionPhases(p.gamma, p.lambda)
 	}
-	switch {
-	case p.skipPartial:
-		pr.r = 0
-	case p.forceIters > 0:
-		pr.r = p.forceIters
-	default:
-		pr.r = partialIterations(p.eps, p.lambda, pr.delta)
-	}
 }
 
 // partialIterations returns the Lemma 4.1 iteration count r: the integer
@@ -202,7 +223,7 @@ func extensionPhases(gamma, lambda float64) int {
 
 // xValue reconstructs τ·(1+ε)^exp/(Δ+1) from a packing message.
 func (pr *proc) xValue(tau int64, exp int32) float64 {
-	return float64(tau) * math.Pow(1+pr.p.eps, float64(exp)) / float64(pr.delta+1)
+	return float64(tau) * pr.p.pow.at(exp) / float64(pr.delta+1)
 }
 
 // absorb processes an inbox, updating neighbor caches. It reports whether
@@ -272,7 +293,7 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 		pr.computeTau()
 		pr.x = float64(pr.tau) / float64(pr.delta+1)
 		pr.x41 = pr.x
-		if pr.r > 0 {
+		if pr.p.r > 0 {
 			s.Broadcast(packPacking(pr.tau, 0, 0))
 			pr.st = stIterA
 			return false
@@ -306,13 +327,13 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 			// the completion request round or the extension. Self/none
 			// completions terminate everyone this round, so broadcasting
 			// would only ship messages to terminated nodes.
-			lastAndLocal := pr.iter == pr.r &&
+			lastAndLocal := pr.iter == pr.p.r &&
 				(pr.p.mode == completeSelf || pr.p.mode == completeNone)
 			if !lastAndLocal {
 				s.Broadcast(packPacking(pr.tau, int32(pr.exp), 0))
 			}
 		}
-		if pr.iter < pr.r {
+		if pr.iter < pr.p.r {
 			pr.st = stIterA
 			return false
 		}

@@ -83,13 +83,14 @@ func UnknownAlpha(g *graph.Graph, eps float64, opts ...congest.Option) (*Report,
 	if err != nil {
 		return nil, err
 	}
+	pow := udPowTable(eps, g.N())
 	slab := make([]uaProc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		p := &slab[ni.ID]
 		p.eps = eps
 		p.orient.Init(ni, sched, eps)
 		// λ is learned from the orientation phase (stage 2 fills it in).
-		p.ud.init(ni, eps, 0, ni.N+1)
+		p.ud.init(ni, eps, 0, ni.N+1, pow)
 		return p
 	}
 	res, err := congest.Run(g, factory, opts...)

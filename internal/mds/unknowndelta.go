@@ -1,8 +1,6 @@
 package mds
 
 import (
-	"math"
-
 	"arbods/internal/congest"
 	"arbods/internal/graph"
 )
@@ -33,6 +31,7 @@ type udProc struct {
 	// fixedNorm, when positive, overrides the max_{u∈N+(v)}|N+(u)| packing
 	// normalizer (Remark 4.5 initializes with τ_v/(n+1) instead).
 	fixedNorm int
+	pow       *powTable // (1+ε)^k, shared by the run's procs
 
 	nbrX   []float64
 	nbrW   []int64
@@ -58,17 +57,26 @@ var _ congest.Proc[Output] = (*udProc)(nil)
 // run's arena. fixedNorm > 0 selects the Remark 4.5 τ_v/(n+1) packing
 // normalizer; lambda may be filled in later (the unknown-α variant learns
 // it from the orientation phase).
-func (p *udProc) init(ni congest.NodeInfo, eps, lambda float64, fixedNorm int) {
+func (p *udProc) init(ni congest.NodeInfo, eps, lambda float64, fixedNorm int, pow *powTable) {
 	deg := ni.Degree()
 	*p = udProc{
 		ni:        ni,
 		eps:       eps,
 		lambda:    lambda,
 		fixedNorm: fixedNorm,
+		pow:       pow,
 		nbrX:      ni.Arena.Float64s(deg),
 		nbrW:      ni.Arena.Int64s(deg),
 		nbrDom:    ni.Arena.Bools(deg),
 	}
+}
+
+// udPowTable sizes the (1+ε)^k table for an n-node run. A node raises its
+// exponent only while x = τ(1+ε)^exp/norm ≤ λτ, with λ < 1 and
+// norm ≤ n+1, so exponents stay below the Lemma 4.1 count for λ = 1 and
+// Δ = n, plus the one raise that crosses the threshold.
+func udPowTable(eps float64, n int) *powTable {
+	return newPowTable(1+eps, partialIterations(eps, 1, n)+2)
 }
 
 func (p *udProc) absorb(in []congest.Incoming) {
@@ -83,7 +91,7 @@ func (p *udProc) absorb(in []congest.Incoming) {
 			}
 		case congest.TagPacking:
 			tau, exp, norm := packingFields(m.P)
-			p.nbrX[i] = float64(tau) * math.Pow(1+p.eps, float64(exp)) / float64(norm)
+			p.nbrX[i] = float64(tau) * p.pow.at(exp) / float64(norm)
 		case congest.TagJoin:
 			p.nbrDom[i] = true
 			p.dom = true
@@ -210,10 +218,11 @@ func UnknownDelta(g *graph.Graph, alpha int, eps float64, opts ...congest.Option
 		return nil, err
 	}
 	lambda := 1 / (float64(2*alpha+1) * (1 + eps))
+	pow := udPowTable(eps, g.N())
 	slab := make([]udProc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		p := &slab[ni.ID]
-		p.init(ni, eps, lambda, 0)
+		p.init(ni, eps, lambda, 0, pow)
 		return p
 	}
 	all := make([]congest.Option, 0, len(opts)+1)
