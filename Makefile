@@ -30,16 +30,17 @@ bench-json:
 	$(GO) run ./cmd/mdsbench -scale small -seed 1 -format json
 
 # Compare two committed engine-benchmark records (benchstat format). The
-# defaults pin the staged push router (drain/merge staging) against the
-# pull router (one outbox entry per broadcast, two phases per round);
-# override with BENCH_OLD=/BENCH_NEW= to compare other points on the
+# defaults pin the route-phase pull router (step, then route: two phases
+# per round) against pulling each inbox inside the step phase (one phase
+# per round, no inbox arrays); override with BENCH_OLD=/BENCH_NEW= to
+# compare other points on the
 # trajectory (the older BENCH_*_engine_* records are also committed).
 # Note each record's numcpu/gomaxprocs header before reading workers>1
 # rows as a scaling curve — single-core records measure dispatch
 # overhead, not scaling. Uses benchstat when available (CI installs it); falls
 # back to printing both records side by side offline.
-BENCH_OLD ?= BENCH_2026-08-07_engine_pr9.txt
-BENCH_NEW ?= BENCH_2026-10-16_engine_pr12.txt
+BENCH_OLD ?= BENCH_2026-10-16_engine_pr12.txt
+BENCH_NEW ?= BENCH_2026-10-16_engine_pr13.txt
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat $(BENCH_OLD) $(BENCH_NEW); \

@@ -54,7 +54,7 @@ func run(args []string) error {
 		return nil
 	}
 	// One reusable Runner serves every sequential simulator run of the
-	// sweep: the worker pool, arenas, and flat inbox arrays are built once
+	// sweep: the worker pool, arenas, and outbox records are built once
 	// and amortized across all experiments — the serving pattern the
 	// engine is designed around. With -parallel > 1 the independent runs
 	// of each experiment additionally pipeline across a shared RunnerPool

@@ -56,7 +56,7 @@
 // # Serving pattern
 //
 // Run state — the worker pool, the run arenas that per-node state carves
-// from, and the outbox slabs and flat inbox arrays — lives on a reusable
+// from, and the outbox records and slabs — lives on a reusable
 // Runner. A plain run builds a transient one;
 // callers that execute many runs (sweeps, repeated requests, benchmark
 // loops) should create one Runner and pass it to every run:
@@ -151,8 +151,8 @@
 // # Fault tolerance
 //
 // A panicking Proc callback cannot take a serving process down. The
-// engine recovers panics on its own goroutines — step, route, factory,
-// and output phases alike — and returns a *ProcPanicError carrying the
+// engine recovers panics on its own goroutines — step, factory, and
+// output phases alike — and returns a *ProcPanicError carrying the
 // round, the node, the panic value, and the stack; errors.Is(err,
 // ErrProcPanic) detects the class. Which panic wins is deterministic
 // (the lowest panicking node of the earliest phase), so a panicking run

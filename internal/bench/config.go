@@ -29,7 +29,7 @@ type Config struct {
 	Reps int
 	// Runner, when set, is the reusable simulator state every *sequential*
 	// CONGEST run of the experiments executes on (congest.WithRunner): the
-	// worker pool, arenas, and flat inbox arrays are then amortized across
+	// worker pool, arenas, and outbox records are then amortized across
 	// the whole experiment sweep instead of being rebuilt per run. The
 	// caller owns it (and its Close); nil keeps each run on transient
 	// state. Batched runs never touch it — they execute on Runners checked

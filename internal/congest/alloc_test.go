@@ -31,7 +31,7 @@ const allocGraphN = 20_000
 //     by n — far below one alloc per node.
 //
 // If this test starts failing after an engine change, something in the
-// step/route/proc-construction path allocates again; see ROADMAP.md's
+// step/pull/proc-construction path allocates again; see ROADMAP.md's
 // allocation trajectory before raising a ceiling.
 func TestAllocationCeiling(t *testing.T) {
 	g := gen.ErdosRenyi(allocGraphN, 4/float64(allocGraphN), 1).G
@@ -46,10 +46,10 @@ func TestAllocationCeiling(t *testing.T) {
 
 	// The ceilings are gated at every worker count, not just the
 	// sequential engine: the parallel path's warm runs must be exactly as
-	// allocation-clean (the step phase appends into Runner-owned outbox
-	// slabs, the route phase into inbox arrays presized at layout time, and
-	// phase dispatch carries no per-run method values), so workers=4 is
-	// held to the same 32/15 marks as workers=1.
+	// allocation-clean (each step shard pulls inboxes into one warm scratch
+	// slice and appends sends into Runner-owned outbox slabs, and round
+	// dispatch carries no per-run method values), so workers=4 is held to
+	// the same 32/15 marks as workers=1.
 	for _, workers := range []int{1, 4} {
 		r := congest.NewRunner()
 		run := func(opts ...congest.Option) {

@@ -78,13 +78,13 @@ func warmRun(b *testing.B, g *graph.Graph, slab []echoProc, rounds int, opts ...
 
 // BenchmarkRunLarge drives the engine end to end on a million-node
 // sparse random graph (avg degree ≈ 4, ≈ 2·10⁶ edges): three rounds of
-// broadcast traffic, ≈ 12·10⁶ routed messages per run. workers=1 is one
-// shard stepped and routed inline; the other sub-benchmarks run the same
-// router sharded across the worker pool. Allocation counts are the headline: messages
-// are value-typed packets, routing is CSR placement into per-shard flat
-// arrays, rng streams seed in place, and procs build into one slab, so
-// allocs/op is O(1) in both the message volume and (beyond the slab and
-// the run's few backing arrays) the node count.
+// broadcast traffic, ≈ 12·10⁶ delivered messages per run. workers=1 is
+// one shard stepped inline; the other sub-benchmarks run the same step
+// phase sharded across the worker pool. Allocation counts are the
+// headline: messages are value-typed packets, each inbox is pulled into a
+// per-shard scratch slice, rng streams seed in place, and procs build
+// into one slab, so allocs/op is O(1) in both the message volume and
+// (beyond the slab and the run's few backing arrays) the node count.
 func BenchmarkRunLarge(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
 	slab := make([]echoProc, g.N())
@@ -109,7 +109,7 @@ func BenchmarkRunLarge(b *testing.B) {
 }
 
 // BenchmarkRunnerReuse is BenchmarkRunLarge on one shared Runner — the
-// serving pattern: outbox records and slabs, flat inbox arrays, arena,
+// serving pattern: outbox records and slabs, inbox scratch, arena,
 // and worker pool all amortized, so per-run setup drops to the
 // proc slab and the result.
 func BenchmarkRunnerReuse(b *testing.B) {
@@ -205,8 +205,9 @@ func BenchmarkSweepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteOnly isolates the routing phase: one round in which
-// every node broadcasts once, so step work is negligible next to the
+// BenchmarkRouteOnly isolates delivery: one round in which every node
+// broadcasts once, then one round in which every node pulls its inbox
+// inside its step and terminates, so proc work is negligible next to the
 // 2m ≈ 4·10⁶ message deliveries.
 func BenchmarkRouteOnly(b *testing.B) {
 	g := benchGraph(b, 1_000_000)
@@ -251,8 +252,8 @@ func (p *hubProc) Output() struct{} { return struct{}{} }
 
 // BenchmarkRouteTargeted pins mixed outboxes to time linear in messages:
 // a star whose hub sends one targeted message to every leaf plus one
-// broadcast. Grouping happens once per sender in the step phase, and each
-// leaf finds its group with a binary search, so ns/msg stays flat as the
+// broadcast. Grouping happens once per sender when it steps, and each
+// leaf's pull finds its group with a binary search, so ns/msg stays flat as the
 // hub's degree grows 100× — a router that rescanned the hub's outbox per
 // receiver would be quadratic and blow up at hub=100000.
 func BenchmarkRouteTargeted(b *testing.B) {

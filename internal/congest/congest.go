@@ -34,12 +34,13 @@
 //
 // # Run state
 //
-// All run-scoped state lives on a Runner: the worker pool, the per-shard
-// outbox slabs, the flat per-shard inbox arrays (sized by the shard's
-// receiver degree sum; each inbox is a contiguous view into one backing
-// array), the per-node random streams (embedded by value in NodeInfo and
-// seeded in place by rng.Init), and an Arena that procs carve their
-// neighbor caches from. A plain Run builds a transient Runner and discards
+// All run-scoped state lives on a Runner: the worker pool, the per-node
+// outbox heads and the per-shard outbox slabs (two of each, alternating by
+// round parity), one inbox scratch slice per shard, the per-node random
+// streams (embedded by value in NodeInfo and seeded in place by rng.Init),
+// and an Arena that procs carve their neighbor caches from. Nothing is
+// sized by the message volume: an inbox exists only while its node steps.
+// A plain Run builds a transient Runner and discards
 // it; serving-style callers create one Runner, pass it to every run with
 // WithRunner, and amortize all of the setup — repeated runs on the same
 // graph allocate almost nothing beyond the procs themselves. Transcripts
@@ -47,22 +48,27 @@
 //
 // # Parallel execution
 //
-// A round is two barrier-separated phases on the Runner's worker pool:
-// step (each worker steps its node range, appending broadcasts and
-// targeted sends to its own outbox slabs) and route (each worker fills its
-// own receivers' inboxes by pulling). A receiver walks its sorted neighbor
-// list and appends, per neighbor, that neighbor's broadcasts plus any
-// targeted sends addressed to it, in send order — so every inbox is in
-// exact (sender ID, send index) order by construction, transcripts are
-// bit-identical at every worker count, and each worker touches only its
-// own receivers' adjacency. Shard boundaries are cut by cumulative degree
-// (node weight deg+1, one binary search per boundary on the graph's CSR
-// offsets), so hubs don't serialize one shard; on regular graphs the cut
-// equals the node-count split. The same code runs at every worker count:
-// WithWorkers(1) is one shard stepped and routed inline, and
-// WithWorkers(0) picks adaptively by graph size. Per-shard structs carry
-// trailing cache-line padding so adjacent shards' hot fields never
-// false-share.
+// A round is one phase on the Runner's worker pool, followed by one
+// barrier: each worker steps its node range, and stepping node u first
+// pulls u's inbox from the previous round's outboxes, then calls Step,
+// which appends broadcasts and targeted sends to the worker's own outbox
+// slabs. The pull walks u's sorted neighbor list and appends, per
+// neighbor, that neighbor's broadcasts plus any targeted sends addressed
+// to u, in send order — so every inbox is in exact (sender ID, send
+// index) order by construction, and transcripts are bit-identical at
+// every worker count. Outboxes alternate between two sets by round
+// parity, so round r+1's pulls read what round r wrote while round r+1's
+// sends go to the other set. Bandwidth is accounted on the sender side,
+// where all of a node's traffic on each of its edges is in one place;
+// messages to terminated nodes are counted by those nodes' walks, and the
+// final round's traffic, which has no live receiver, is all dropped.
+// Shard boundaries are cut by cumulative degree (node weight deg+1, one
+// binary search per boundary on the graph's CSR offsets), so hubs don't
+// serialize one shard; on regular graphs the cut equals the node-count
+// split. The same code runs at every worker count: WithWorkers(1) is one
+// shard stepped inline, and WithWorkers(0) picks adaptively by graph
+// size. Per-shard structs carry trailing cache-line padding so adjacent
+// shards' hot fields never false-share.
 //
 // # Result lifetime
 //
@@ -151,7 +157,9 @@ func (ni *NodeInfo) Degree() int { return len(ni.Neighbors) }
 // called once per round with the messages delivered this round; it sends
 // messages for the next round through s and returns true when the node has
 // terminated locally (output fixed, no further messages will be sent, and no
-// further messages need to be received).
+// further messages need to be received). The in slice is the engine's
+// scratch and is valid only during the call: a proc that needs a message
+// later copies it.
 //
 // Once Step returns true the engine stops scheduling the node; messages that
 // still arrive are counted and dropped. Output may be called only after the
@@ -222,7 +230,7 @@ func WithBandwidth(b int) Option { return optionFunc(func(c *config) { c.bandwid
 // hitting the cap means a bug.
 func WithMaxRounds(r int) Option { return optionFunc(func(c *config) { c.maxRounds = r }) }
 
-// WithWorkers sets the number of goroutines stepping and routing nodes
+// WithWorkers sets the number of goroutines stepping nodes
 // (default GOMAXPROCS; 1 selects the sequential engine). WithWorkers(0)
 // selects the adaptive heuristic: the sequential engine below a node-count
 // crossover — small runs never pay the per-round dispatch barriers — and
@@ -402,19 +410,20 @@ type outPacket struct {
 	p      Packet
 }
 
-// outbox is the head of one node's traffic for the current round:
-// published by the step phase, read by the route phase, overwritten by
-// the next step. The first broadcast sits inline, so a receiver pulls the
-// common round — at most one broadcast per node — with a single 32-byte
+// outbox is the head of one node's traffic for one round: written when
+// the node steps in round r, read by its neighbors' pulls in round r+1.
+// A lone send sits inline, so a receiver pulls the common round — one
+// broadcast, or the τ-completion's one request — with a single 32-byte
 // read per neighbor; anything more lives in the node's outList.
 type outbox struct {
-	first    Packet // the first broadcast, when nbc > 0
-	nbc, ntg int32  // broadcasts and targeted sends queued this round
+	first Packet // the node's only send, when n == 1
+	n     int32  // sends queued this round, broadcasts and targeted
+	to    int32  // first's receiver when it is a targeted send; -1 for a broadcast
 }
 
-// outList is one node's full traffic for the current round, as views into
-// its step shard's slabs. Written and read only when the node's outbox
-// says it sent more than one broadcast or any targeted send.
+// outList is one node's full traffic for one round, as views into its
+// step shard's slabs. Written and read only when the node's outbox says
+// it sent more than one packet.
 type outList struct {
 	bc []Packet    // broadcasts, in send order
 	tg []outPacket // targeted sends, grouped by receiver, send order within a group
@@ -451,7 +460,7 @@ func (s *Sender) Send(to int, p Packet) {
 }
 
 // Broadcast sends p to every neighbor: one outbox entry, which each
-// neighbor pulls during routing.
+// neighbor pulls before its next Step.
 func (s *Sender) Broadcast(p Packet) {
 	if s.err != nil {
 		return

@@ -14,28 +14,27 @@ const parallelStepMin = 64
 
 // engine is the per-run, output-typed veneer over a Runner. The Runner
 // (embedded) owns everything O-independent — outbox records and slabs,
-// done flags, shard layout, flat inbox arrays, worker pool, arena — and
+// done flags, shard layout, inbox scratch, worker pool, arena — and
 // persists across runs; the engine adds the run's config, the procs, and
 // the result.
 //
-// Each round is two phases with a barrier between:
+// Each round is one phase — workers step disjoint node ranges — and one
+// barrier. Stepping node u pulls u's inbox first: u walks its sorted
+// neighbor list and collects what each neighbor sent it last round, so
+// the inbox is ordered by (sender ID, send index) by construction, not by
+// any merge. Round r writes the outbox set of parity r and reads the
+// other one, which round r-1 wrote, so the walks race with no sends. Each
+// node touches only its own proc, done flag and outbox record, and
+// appends to its shard's slabs, so shards race on nothing.
 //
-//   - step: workers step disjoint node ranges (each node touches only
-//     its own proc, inbox and outbox record, and appends to its shard's
-//     slabs, so shards race on nothing);
-//   - route: workers own disjoint contiguous *receiver* ranges, and each
-//     receiver walks its sorted neighbor list pulling what each neighbor
-//     sent it, so every inbox is written by exactly one worker and ends
-//     up ordered by (sender ID, send index) — the order follows from the
-//     sorted neighbor lists, not from any merge.
-//
-// All scratch (outbox slabs, flat inbox arrays, worker goroutines) lives
-// on the Runner and is reused across rounds and runs.
+// All scratch (outbox slabs, inbox scratch, worker goroutines) lives on
+// the Runner and is reused across rounds and runs.
 type engine[O any] struct {
 	*Runner
-	cfg    config
-	budget int
-	round  int
+	cfg      config
+	budget   int
+	round    int
+	prevMsgs int64 // messages sent in the previous round
 
 	// ctxDone is cfg.ctx.Done(), captured once: nil for a context-free
 	// run (or context.Background()), so the per-round cancellation check
@@ -46,17 +45,10 @@ type engine[O any] struct {
 	res   *Result[O]
 }
 
-// runShard implements phaseRunner: the pool's workers call back into the
-// engine with (phase, shard) pairs, so dispatching a phase allocates
+// runShard implements shardRunner: the pool's workers call back into the
+// engine with their shard index, so dispatching a round allocates
 // nothing — no per-run method values, no per-round closures.
-func (e *engine[O]) runShard(ph phase, w int) {
-	switch ph {
-	case phaseStep:
-		e.stepRange(w)
-	case phaseRoute:
-		e.routeRange(w)
-	}
-}
+func (e *engine[O]) runShard(w int) { e.stepRange(w) }
 
 func newEngine[O any](r *Runner, g *graph.Graph, factory Factory[O], cfg config) (*engine[O], error) {
 	if err := r.bind(g, cfg); err != nil {
@@ -125,13 +117,13 @@ func newEngine[O any](r *Runner, g *graph.Graph, factory Factory[O], cfg config)
 	return e, nil
 }
 
-// runPhase runs ph on every shard, inline when there is only one.
-func (e *engine[O]) runPhase(ph phase) {
+// runRound steps every shard, inline when there is only one.
+func (e *engine[O]) runRound() {
 	if len(e.steps) == 1 {
-		e.runShard(ph, 0)
+		e.runShard(0)
 		return
 	}
-	e.pool.run(e, ph, len(e.steps))
+	e.pool.run(e, len(e.steps))
 }
 
 func (e *engine[O]) run() (*Result[O], error) {
@@ -158,7 +150,7 @@ func (e *engine[O]) run() (*Result[O], error) {
 		}
 		e.round = round
 
-		e.runPhase(phaseStep)
+		e.runRound()
 		activeCount = 0
 		var roundMsgs, roundBits int64
 		var pan *ProcPanicError
@@ -178,31 +170,22 @@ func (e *engine[O]) run() (*Result[O], error) {
 		if pan != nil {
 			return nil, pan
 		}
+		// Then Sender errors, then bandwidth violations. Shards cover
+		// ascending node ranges and each records its lowest-ID error (its
+		// lowest (sender, receiver) violation), so the first one wins
+		// deterministically.
 		for w := range e.steps {
-			s := &e.steps[w]
-			if s.err != nil {
-				// Shards cover ascending node ranges and each records its
-				// lowest-ID error, so the first one wins deterministically.
-				return nil, s.err
+			if err := e.steps[w].err; err != nil {
+				return nil, err
+			}
+		}
+		for w := range e.steps {
+			if err := e.steps[w].bwErr; err != nil {
+				return nil, err
 			}
 		}
 
-		e.runPhase(phaseRoute)
-		var rerr *BandwidthError
-		for w := range e.routes {
-			s := &e.routes[w]
-			if s.pan != nil {
-				return nil, s.pan // engine-internal panic while routing; shards checked in order
-			}
-			if s.err != nil && (rerr == nil || s.err.From < rerr.From ||
-				(s.err.From == rerr.From && s.err.To < rerr.To)) {
-				rerr = s.err
-			}
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-
+		e.prevMsgs = roundMsgs
 		e.res.Messages += roundMsgs
 		e.res.TotalBits += roundBits
 		if e.cfg.roundStats {
@@ -216,12 +199,10 @@ func (e *engine[O]) run() (*Result[O], error) {
 			})
 		}
 		e.res.Rounds = round + 1
-
-		// Swap inbox views; the route shards alternate between two flat
-		// backing arrays by round parity, so the views just published in
-		// next stay valid while the other array is overwritten.
-		e.inbox, e.next = e.next, e.inbox
 	}
+	// The drain: every node is done, so all of the final round's traffic
+	// would land on terminated receivers — all of it is dropped.
+	e.res.DroppedMessages += e.prevMsgs
 	return e.finish()
 }
 
@@ -263,16 +244,12 @@ func (e *engine[O]) mergeTagStats(stats *[MaxTags]MessageStat) {
 // panics (Round = -1: the round loop is over).
 func (e *engine[O]) finish() (*Result[O], error) {
 	res := e.res
-	for w := range e.routes {
-		s := &e.routes[w]
+	for w := range e.steps {
+		s := &e.steps[w]
 		res.DroppedMessages += s.dropped
 		res.BandwidthViolations += s.violations
-		if s.maxEdgeBits > res.MaxEdgeBits {
-			res.MaxEdgeBits = s.maxEdgeBits
-		}
-	}
-	for w := range e.steps {
-		e.mergeTagStats(&e.steps[w].stats)
+		res.MaxEdgeBits = max(res.MaxEdgeBits, int(s.maxEdgeBits))
+		e.mergeTagStats(&s.stats)
 	}
 	if slab, ok := e.Runner.outSlabO.([]O); e.cfg.recycle && ok && cap(slab) >= e.n {
 		slab = slab[:cap(slab)]

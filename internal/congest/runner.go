@@ -8,8 +8,8 @@ import (
 )
 
 // Runner owns the run-scoped state of the simulator — the worker pool, the
-// proc Arena, the outbox slabs and flat inbox arrays, and the per-node
-// outbox records — and reuses all of it across Run calls. A one-shot
+// proc Arena, the outbox slabs and inbox scratch, and the per-node outbox
+// records — and reuses all of it across Run calls. A one-shot
 // congest.Run constructs and discards a transient Runner; a serving-style
 // caller that executes many runs (cmd/mdsbench, parameter sweeps, repeated
 // requests on the same graph) creates one Runner, passes it to each run
@@ -31,15 +31,15 @@ type Runner struct {
 	pool     *pool
 	poolSize int
 
-	sent   []bool    // per node: queued any message this round
-	outs   []outbox  // per-node traffic heads, valid where sent
-	lists  []outList // per-node full traffic, valid where the head says so
+	// Per-node outbox records, one set per round parity: round r writes
+	// set r&1 while its pulls read the set round r-1 wrote.
+	sent  [2][]bool    // per node: queued any message that round
+	outs  [2][]outbox  // per-node traffic heads, valid where sent
+	lists [2][]outList // per-node full traffic, valid where the head says so
+
 	done   []bool
-	inbox  [][]Incoming // per-node views into the route shards' flat arrays
-	next   [][]Incoming
 	bounds []int32 // degree-weighted shard boundaries, len workers+1
 	steps  []stepShard
-	routes []routeShard
 	arena  Arena
 
 	// Output-typed slabs, cached through any-boxes because the Runner
@@ -111,21 +111,18 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 	if r.g != g {
 		r.g = g
 		r.n = n
-		// Every node steps in round 0 and sets its sent flag before
-		// anything reads it, so reused arrays need no clearing.
-		r.sent = withLen(r.sent, n)
-		r.outs = withLen(r.outs, n)
-		r.lists = withLen(r.lists, n)
+		// Round r sets every node's sent flag in set r&1 before round r+1
+		// reads it, and round 0 reads nothing, so reused arrays need no
+		// clearing.
+		for p := range r.sent {
+			r.sent[p] = withLen(r.sent[p], n)
+			r.outs[p] = withLen(r.outs[p], n)
+			r.lists[p] = withLen(r.lists[p], n)
+		}
 		r.done = resized(r.done, n)
-		r.inbox = resized(r.inbox, n)
-		r.next = resized(r.next, n)
 		r.workers = 0 // force a shard-layout rebuild below
 	} else {
 		clear(r.done)
-		// Stale views would alias flat arrays about to be overwritten; the
-		// round-0 step must see empty inboxes.
-		clear(r.inbox)
-		clear(r.next)
 	}
 
 	workers := cfg.workers
@@ -152,27 +149,22 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 		r.bounds = shardBounds(g, workers)
 		if len(r.steps) != workers {
 			r.steps = make([]stepShard, workers)
-			r.routes = make([]routeShard, workers)
 		}
 		for w := 0; w < workers; w++ {
-			lo, hi := int(r.bounds[w]), int(r.bounds[w+1])
-			// Slabs are sized for the common round — one broadcast per node,
-			// so one inbox entry per directed edge — and kept across graphs
-			// when they are already large enough.
-			ss := &r.steps[w]
-			ss.lo, ss.hi = lo, hi
-			ss.snd.bc = withCap(ss.snd.bc, hi-lo)
-			rs := &r.routes[w]
-			rs.lo, rs.hi = lo, hi
-			degSum := g.AdjOffset(hi) - g.AdjOffset(lo)
-			rs.flatA = withCap(rs.flatA, degSum)
-			rs.flatB = withCap(rs.flatB, degSum)
+			// Broadcast slabs and the inbox scratch are sized for the common
+			// round — one broadcast per node, so at most Δ messages per
+			// inbox — and kept across graphs when already large enough.
+			s := &r.steps[w]
+			s.lo, s.hi = int(r.bounds[w]), int(r.bounds[w+1])
+			s.snd.bc = withCap(s.snd.bc, s.hi-s.lo)
+			s.prevBC = withCap(s.prevBC, s.hi-s.lo)
+			s.in = withCap(s.in, g.MaxDegree())
 		}
 	}
-	for w := range r.routes {
-		rs := &r.routes[w]
-		rs.dropped, rs.violations, rs.maxEdgeBits = 0, 0, 0
-		r.steps[w].stats = [MaxTags]MessageStat{}
+	for w := range r.steps {
+		s := &r.steps[w]
+		s.dropped, s.violations, s.maxEdgeBits = 0, 0, 0
+		s.stats = [MaxTags]MessageStat{}
 	}
 
 	if workers > 1 && (r.pool == nil || r.poolSize < workers) {

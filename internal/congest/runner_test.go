@@ -53,8 +53,8 @@ func TestRunnerAcrossGraphsAndWorkers(t *testing.T) {
 
 // TestRunnerAfterAbortedRun: an aborted run must leave the Runner
 // reusable, with the next run's transcript unaffected — both for a
-// route-phase abort (strict-mode bandwidth violation) and for a
-// step-phase abort (Sender error), which poisons different shard state.
+// bandwidth abort (strict-mode violation) and for a Sender-error abort,
+// which poison different shard state.
 func TestRunnerAfterAbortedRun(t *testing.T) {
 	g := gen.Cycle(100).G
 	r := congest.NewRunner()

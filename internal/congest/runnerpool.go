@@ -19,8 +19,8 @@ var ErrPoolClosed = errors.New("congest: RunnerPool is closed")
 // (or the cancellable GetContext), execute any number of sequential runs
 // on it, and check it back in with Put. The pool's size therefore bounds
 // the number of simulator runs in flight at once, and each checked-in
-// Runner keeps its warmed state — the graph-derived tables, flat inbox
-// arrays, arenas, and worker goroutines survive the checkout/checkin
+// Runner keeps its warmed state — the graph-derived tables, outbox
+// records, arenas, and worker goroutines survive the checkout/checkin
 // cycle, so a sweep of hundreds of runs pays the setup cost at most size
 // times.
 //

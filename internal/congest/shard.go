@@ -6,24 +6,21 @@ import (
 	"arbods/internal/graph"
 )
 
-// Shard layout. Workers own contiguous node ranges twice per round: as
-// stepping ranges in the step phase and as *receiver* ranges in the route
-// phase (each worker owns its receivers' inboxes exclusively). Both phases
-// use the same boundaries, cut by cumulative degree rather than node
-// count: a receiver's routing work is its degree (the neighbor list it
-// walks), so equal-node shards serialize on whichever shard holds the
-// hubs of a skewed-degree graph — a star's center shard does ~all of the
-// work while the others idle. Equal-degree shards keep the
-// broom/star/lower-bound families balanced, and on regular graphs they
-// degrade to exactly the node-count split.
+// Shard layout. Workers own contiguous node ranges: each steps its range
+// every round, and stepping a node includes pulling its inbox. Boundaries
+// are cut by cumulative degree rather than node count: a node's pull is
+// its degree (the neighbor list it walks), so equal-node shards serialize
+// on whichever shard holds the hubs of a skewed-degree graph — a star's
+// center shard does ~all of the work while the others idle. Equal-degree
+// shards keep the broom/star/lower-bound families balanced, and on
+// regular graphs they degrade to exactly the node-count split.
 
 // adaptiveWorkersMin is the node count at which WithWorkers(0) switches
-// from the sequential engine to GOMAXPROCS workers. Below it the two
-// per-round dispatch barriers (step, route) cost more than the
-// parallelism recovers. The crossover is a provisional estimate, set
-// where per-round work (≈ degree-sum packet copies) comfortably exceeds
-// the few-µs barrier cost; no workers=1 vs 2 sweep across graph sizes has
-// measured it yet.
+// from the sequential engine to GOMAXPROCS workers. Below it the one
+// per-round dispatch barrier costs more than the parallelism recovers.
+// The crossover is a provisional estimate, set where per-round work
+// (≈ degree-sum packet copies) comfortably exceeds the few-µs barrier
+// cost; no workers=1 vs 2 sweep across graph sizes has measured it yet.
 const adaptiveWorkersMin = 1 << 15
 
 // shardBounds cuts [0, n) into `workers` contiguous ranges of near-equal

@@ -135,22 +135,22 @@ func TestShardBoundsRegularDegradesToNodeCount(t *testing.T) {
 	}
 }
 
-// TestShardPadding pins the cache-line layout: each shard struct carries a
-// trailing linePad, so its total size is a 64-byte multiple and no cache
-// line can hold live fields of two adjacent shards in the Runner's
-// slices, at any backing-array alignment.
+// TestShardPadding pins the memory layouts the pull walk depends on. The
+// shard struct carries a trailing linePad, so its total size is a 64-byte
+// multiple and no cache line can hold live fields of two adjacent shards
+// in the Runner's slice, at any backing-array alignment. The outbox head
+// stays 32 bytes — two per cache line — because every pull reads one head
+// per sending neighbor.
 func TestShardPadding(t *testing.T) {
-	sizes := map[string]uintptr{
-		"stepShard":  unsafe.Sizeof(stepShard{}),
-		"routeShard": unsafe.Sizeof(routeShard{}),
+	size := unsafe.Sizeof(stepShard{})
+	if size%64 != 0 {
+		t.Errorf("stepShard is %d bytes — not a cache-line multiple; adjust its padding", size)
 	}
-	for name, size := range sizes {
-		if size%64 != 0 {
-			t.Errorf("%s is %d bytes — not a cache-line multiple; adjust its linePad", name, size)
-		}
-		if size < 64+unsafe.Sizeof(linePad{}) {
-			t.Errorf("%s is %d bytes — smaller than its own padding plus one line?", name, size)
-		}
+	if size < 64+unsafe.Sizeof(linePad{}) {
+		t.Errorf("stepShard is %d bytes — smaller than its own padding plus one line?", size)
+	}
+	if head := unsafe.Sizeof(outbox{}); head != 32 {
+		t.Errorf("outbox head is %d bytes, want 32", head)
 	}
 }
 
@@ -187,27 +187,47 @@ func runFlood(t *testing.T, g *graph.Graph, bits uint32, opts ...Option) (*Resul
 }
 
 // TestBandwidthErrorWorkerInvariance pins the strict-mode abort across
-// engine layouts: every worker count must report the identical *BandwidthError (the
-// lowest violating sender, then its lowest receiver).
+// engine layouts: every worker count must report the identical
+// *BandwidthError — the lowest violating sender, then its lowest
+// receiver — and it must match the error recorded from the route-phase
+// router, which found violations on the receiving side. The flood cases
+// violate on broadcasts alone, so the lowest receiver is the sender's
+// Neighbors[0]; the tail cases (tailProc) violate only on a targeted
+// edge to the sender's highest neighbor, so it is not.
 func TestBandwidthErrorWorkerInvariance(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"broom": buildBroom(t, 400, 400),
-		"star":  buildStar(t, 500),
+	flood := func(g *graph.Graph, w int) error {
+		_, err := runFlood(t, g, 1<<12, WithSeed(5), WithWorkers(w), WithBandwidth(64))
+		return err
+	}
+	tail := func(g *graph.Graph, w int) error {
+		_, err := runTail(g, WithSeed(5), WithWorkers(w), WithBandwidth(64))
+		return err
+	}
+	for _, c := range []struct {
+		name     string
+		g        *graph.Graph
+		run      func(*graph.Graph, int) error
+		notFirst bool // the violating receiver is not the sender's Neighbors[0]
+		want     BandwidthError
+	}{
+		{"flood/broom", buildBroom(t, 400, 400), flood, false, BandwidthError{Round: 0, From: 0, To: 1, Bits: 4096, Budget: 64}},
+		{"flood/star", buildStar(t, 500), flood, false, BandwidthError{Round: 0, From: 0, To: 1, Bits: 4096, Budget: 64}},
+		{"tail/star", buildStar(t, 500), tail, true, BandwidthError{Round: 0, From: 0, To: 499, Bits: 72, Budget: 64}},
+		{"tail/cycle", buildCycle(t, 300), tail, true, BandwidthError{Round: 0, From: 0, To: 299, Bits: 72, Budget: 64}},
 	} {
-		var want *BandwidthError
 		for _, w := range []int{1, 2, 4, 7} {
-			_, err := runFlood(t, g, 1<<12, WithSeed(5), WithWorkers(w), WithBandwidth(64))
+			err := c.run(c.g, w)
 			be, ok := err.(*BandwidthError)
 			if !ok {
-				t.Fatalf("%s workers=%d: got %v, want a *BandwidthError", name, w, err)
+				t.Fatalf("%s workers=%d: got %v, want a *BandwidthError", c.name, w, err)
 			}
-			if want == nil {
-				want = be
-				continue
+			if *be != c.want {
+				t.Errorf("%s workers=%d: error %#v, want %#v", c.name, w, *be, c.want)
 			}
-			if !reflect.DeepEqual(be, want) {
-				t.Errorf("%s workers=%d: error %+v differs from workers=1's %+v", name, w, be, want)
-			}
+		}
+		if first := int(c.g.Neighbors(c.want.From)[0]) == c.want.To; first == c.notFirst {
+			t.Errorf("%s: violating receiver %d is Neighbors[0]: %v, want %v — the scenario lost its teeth",
+				c.name, c.want.To, first, !c.notFirst)
 		}
 	}
 }

@@ -14,9 +14,9 @@ type stepShard struct {
 	active int   // nodes in range still running after this round
 	err    error // first Sender error in range (lowest node ID)
 
-	// cur is the node whose Step is currently executing — a plain store
-	// per node, read only by the panic recovery path so a recovered panic
-	// knows which node's callback blew up.
+	// cur is the node being stepped — a plain store per node, read only by
+	// the panic recovery path so a recovered panic knows which node's
+	// callback blew up (-1 before the first node: an engine fault).
 	cur int
 	// pan is the panic recovered from this shard's range this round, if
 	// any. The engine converts the lowest-node pan across shards into the
@@ -26,26 +26,41 @@ type stepShard struct {
 	// the Sender-error set can differ across layouts — the panic set of
 	// the surviving minimum cannot).
 	pan *ProcPanicError
+	// bwErr is the strict-mode bandwidth violation of this round with the
+	// lowest (sender, receiver) in range. Checked after pan and err.
+	bwErr *BandwidthError
 
 	snd Sender
+	// prevBC and prevTG are the slabs the Sender filled last round: the
+	// range's neighbors pull from them this round, so the Sender appends to
+	// the other pair, and the two pairs swap every round.
+	prevBC []Packet
+	prevTG []outPacket
+	// in is the inbox scratch: each node's inbox is pulled into it just
+	// before the node's Step and is dead once Step returns.
+	in []Incoming
 
 	// per-round traffic sent from this range, counted per send: a
 	// broadcast is deg(v) messages, including those to terminated nodes
 	// (their bandwidth is consumed whether or not delivery happens)
 	msgs, bits int64
 
-	// per-run accumulator, merged by finish. Tag-indexed: recording a
-	// send is two array adds, and finish aggregates by scanning MaxTags
-	// entries — no map, no hashing in the hot path.
-	stats [MaxTags]MessageStat
+	// per-run accumulators, merged by finish. stats is tag-indexed:
+	// recording a send is two array adds, and finish aggregates by
+	// scanning MaxTags entries — no map, no hashing in the hot path.
+	dropped     int64 // messages pulled by terminated receivers in range
+	violations  int64 // audit mode: edge-rounds above budget sent from range
+	maxEdgeBits int64
+	stats       [MaxTags]MessageStat
 
-	_ [16]byte // round the live fields up to a line boundary
+	_ [40]byte // round the live fields up to a line boundary
 	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
-// stepRange steps every node in shard w's range. Each node touches only
-// its own proc, inbox and outbox record, and appends only to this shard's
-// slabs, so shards are race-free.
+// stepRange steps every node in shard w's range. Each node writes only
+// its own proc, done flag and outbox record, reads only its neighbors'
+// previous-round outboxes, and appends only to this shard's slabs and
+// inbox scratch, so shards are race-free.
 //
 // A panic in a Proc.Step call (or in an injected engine fault) is
 // recovered here — on the worker goroutine that runs the shard — and
@@ -54,10 +69,9 @@ type stepShard struct {
 func (e *engine[O]) stepRange(w int) {
 	s := &e.steps[w]
 	s.active, s.msgs, s.bits = 0, 0, 0
-	// Reset the error like routeRange resets its own: a Sender error from
-	// an aborted previous run must not poison a reused Runner.
-	s.err = nil
-	s.pan = nil
+	// Reset the errors every round: one from an aborted previous run must
+	// not poison a reused Runner.
+	s.err, s.pan, s.bwErr = nil, nil, nil
 	s.cur = -1
 	defer func() {
 		if v := recover(); v != nil {
@@ -77,21 +91,31 @@ func (e *engine[O]) stepRange(w int) {
 		}
 	}
 	snd := &s.snd
-	snd.bc, snd.tg = snd.bc[:0], snd.tg[:0]
-	msgStats := e.cfg.msgStats
+	snd.bc, s.prevBC = s.prevBC[:0], snd.bc
+	snd.tg, s.prevTG = s.prevTG[:0], snd.tg
+	cur, prev := round&1, round&1^1
+	sent, outs, lists := e.sent[cur], e.outs[cur], e.lists[cur]
+	// A silent previous round (round 0 has none) left nothing to pull:
+	// skip the walks.
+	pull := e.prevMsgs > 0
+	in := s.in
 	for v := s.lo; v < s.hi; v++ {
+		s.cur = v
+		in = in[:0]
+		if pull {
+			in = e.pullInbox(in, v, prev)
+		}
 		if e.done[v] {
-			// Silence terminated nodes every round: a node's final messages
-			// are routed the round it finishes, and receivers pull from
-			// every neighbor every round.
-			e.sent[v] = false
+			// Terminated nodes stay silent, and whatever reaches them is
+			// counted and dropped.
+			sent[v] = false
+			s.dropped += int64(len(in))
 			continue
 		}
-		s.cur = v
 		snd.owner, snd.neighbors, snd.err = int32(v), e.g.Neighbors(v), nil
 		b0, t0 := len(snd.bc), len(snd.tg)
 		snd.bcStart = b0
-		if e.procs[v].Step(round, e.inbox[v], snd) {
+		if e.procs[v].Step(round, in, snd) {
 			e.done[v] = true
 		} else {
 			s.active++
@@ -100,35 +124,107 @@ func (e *engine[O]) stepRange(w int) {
 			s.err = snd.err
 		}
 		bc, tg := snd.bc[b0:], snd.tg[t0:]
-		e.sent[v] = len(bc)+len(tg) > 0
-		if !e.sent[v] {
+		n := len(bc) + len(tg)
+		sent[v] = n > 0
+		if n == 0 {
 			continue
 		}
-		ob := &e.outs[v]
-		*ob = outbox{nbc: int32(len(bc)), ntg: int32(len(tg))}
-		if len(bc) > 0 {
-			ob.first = bc[0]
+		ob := &outs[v]
+		switch {
+		case n > 1:
+			*ob = outbox{n: int32(n)}
+			lists[v] = outList{bc: bc[:len(bc):len(bc)], tg: tg[:len(tg):len(tg)]}
+		case len(bc) == 1:
+			*ob = outbox{first: bc[0], n: 1, to: -1}
+		default:
+			*ob = outbox{first: tg[0].p, n: 1, to: tg[0].to}
 		}
-		if len(bc) > 1 || len(tg) > 0 {
-			e.lists[v] = outList{bc: bc[:len(bc):len(bc)], tg: tg[:len(tg):len(tg)]}
-		}
-		s.account(bc, tg, int64(len(snd.neighbors)), msgStats)
+		e.account(s, int32(v), snd.neighbors, bc, tg)
 	}
+	s.in = in // keep a grown scratch warm
 }
 
-// account adds one node's sends to the shard's traffic totals and groups
-// its targeted sends by receiver — once, here, so the route phase finds a
-// receiver's group with a binary search instead of rescanning the whole
-// outbox per receiver. The sort is stable, so each group keeps send order.
-func (s *stepShard) account(bc []Packet, tg []outPacket, deg int64, msgStats bool) {
+// pullInbox appends u's inbox — what each neighbor sent u in the round
+// whose outboxes have parity par — to in. Neighbors come in ascending ID
+// order, so the inbox is in exact (sender ID, send index) order and Idx
+// is just the walk's loop index, at every worker count and shard layout.
+func (e *engine[O]) pullInbox(in []Incoming, u, par int) []Incoming {
+	sent, outs, lists := e.sent[par], e.outs[par], e.lists[par]
+	u32 := int32(u)
+	for i, v := range e.g.Neighbors(u) {
+		if !sent[v] {
+			continue
+		}
+		ob := &outs[v]
+		switch {
+		case ob.n > 1:
+			in = pull(in, &lists[v], v, int32(i), u32)
+		case ob.to < 0 || ob.to == u32:
+			in = append(in, Incoming{From: v, Idx: int32(i), P: ob.first})
+		}
+	}
+	return in
+}
+
+// pull appends what v sent u when v sent more than one packet: the
+// targeted sends addressed to u (grouped by receiver in the step phase)
+// interleaved with v's broadcasts back into send order. i is v's position
+// in u's neighbor list.
+func pull(dst []Incoming, l *outList, v, i, u int32) []Incoming {
+	bc := l.bc
+	lo, hi := group(l.tg, u)
+	k := 0 // next broadcast
+	for _, t := range l.tg[lo:hi] {
+		for ; k < int(t.before); k++ {
+			dst = append(dst, Incoming{From: v, Idx: i, P: bc[k]})
+		}
+		dst = append(dst, Incoming{From: v, Idx: i, P: t.p})
+	}
+	for ; k < len(bc); k++ {
+		dst = append(dst, Incoming{From: v, Idx: i, P: bc[k]})
+	}
+	return dst
+}
+
+// group returns the bounds [lo, hi) of the targeted sends in tg (grouped
+// by receiver) addressed to u.
+func group(tg []outPacket, u int32) (lo, hi int) {
+	lo, hi = 0, len(tg)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tg[m].to < u {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	hi = lo
+	for hi < len(tg) && tg[hi].to == u {
+		hi++
+	}
+	return lo, hi
+}
+
+// account adds node v's sends to the shard's traffic totals, groups its
+// targeted sends by receiver — once, here, so a receiver's pull finds its
+// group with a binary search instead of rescanning the whole outbox; the
+// sort is stable, so each group keeps send order — and does the
+// per-directed-edge bandwidth accounting. The budget applies per edge
+// (v, u), so all of v's messages to u this round share one slot: all of
+// v's broadcasts plus v's targeted group for u.
+func (e *engine[O]) account(s *stepShard, v int32, nbrs []int32, bc []Packet, tg []outPacket) {
+	deg := int64(len(nbrs))
+	msgStats := e.cfg.msgStats
+	var bcBits int64
 	for _, p := range bc {
-		b := int64(p.Bits) * deg
+		b := int64(p.Bits)
+		bcBits += b
 		s.msgs += deg
-		s.bits += b
+		s.bits += b * deg
 		if msgStats {
 			st := &s.stats[p.Tag]
 			st.Count += deg
-			st.Bits += b
+			st.Bits += b * deg
 		}
 	}
 	for i := range tg {
@@ -144,6 +240,63 @@ func (s *stepShard) account(bc []Packet, tg []outPacket, deg int64, msgStats boo
 	if len(tg) > 1 && !slices.IsSortedFunc(tg, byReceiver) {
 		slices.SortStableFunc(tg, byReceiver)
 	}
+	if deg == 0 {
+		return // a broadcast into no edges; targeted sends cannot exist
+	}
+
+	// Edges without a targeted group carry exactly the broadcasts; a
+	// group's edge carries the broadcasts plus the group. Every edge
+	// carries at least bcBits, so when that alone is over budget, every
+	// edge is, starting at the lowest neighbor.
+	budget, strict := int64(e.budget), e.cfg.mode == Congest
+	if len(bc) > 0 && bcBits > s.maxEdgeBits {
+		s.maxEdgeBits = bcBits
+	}
+	over := budget > 0 && bcBits > budget
+	if over {
+		if !strict {
+			s.violations += deg
+		} else if s.bwErr == nil {
+			lo, hi := group(tg, nbrs[0])
+			s.bwErr = e.bandwidthError(v, nbrs[0], bcBits+groupBits(tg[lo:hi]))
+		}
+	}
+	for lo := 0; lo < len(tg); {
+		u := tg[lo].to
+		hi := lo + 1
+		for hi < len(tg) && tg[hi].to == u {
+			hi++
+		}
+		sum := bcBits + groupBits(tg[lo:hi])
+		lo = hi
+		if sum > s.maxEdgeBits {
+			s.maxEdgeBits = sum
+		}
+		if over || budget == 0 || sum <= budget {
+			continue
+		}
+		if !strict {
+			s.violations++
+		} else if s.bwErr == nil {
+			s.bwErr = e.bandwidthError(v, u, sum) // groups ascend by receiver: the first is the lowest
+		}
+	}
+}
+
+// bandwidthError builds a strict-mode violation. Senders ascend within a
+// shard and each shard keeps its first, so a shard's error is its lowest
+// (From, To).
+func (e *engine[O]) bandwidthError(v, u int32, bits int64) *BandwidthError {
+	return &BandwidthError{Round: e.round, From: int(v), To: int(u), Bits: int(bits), Budget: e.budget}
+}
+
+// groupBits sums a targeted group's bit costs.
+func groupBits(tg []outPacket) int64 {
+	var sum int64
+	for i := range tg {
+		sum += int64(tg[i].p.Bits)
+	}
+	return sum
 }
 
 func byReceiver(a, b outPacket) int { return cmp.Compare(a.to, b.to) }

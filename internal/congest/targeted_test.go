@@ -24,6 +24,17 @@ type mixOut struct {
 	BadIdx int
 }
 
+// fold records an inbox into the hash, counting deliveries whose Idx does
+// not point back at their sender in nb, the receiver's neighbor list.
+func (o *mixOut) fold(nb []int32, in []Incoming) {
+	for _, m := range in {
+		if int(m.Idx) >= len(nb) || nb[m.Idx] != m.From {
+			o.BadIdx++
+		}
+		o.Hash = (o.Hash ^ uint64(m.From)<<40 ^ m.P.A) * 1099511628211
+	}
+}
+
 // mixProc interleaves targeted sends with broadcasts: every round it walks
 // its neighbors in descending order (so the step phase has to regroup its
 // targeted sends by receiver), sending to a random subset, sometimes twice
@@ -36,12 +47,7 @@ type mixProc struct {
 }
 
 func (p *mixProc) Step(round int, in []Incoming, s *Sender) bool {
-	for _, m := range in {
-		if int(m.Idx) >= len(p.ni.Neighbors) || p.ni.Neighbors[m.Idx] != m.From {
-			p.out.BadIdx++
-		}
-		p.out.Hash = (p.out.Hash ^ uint64(m.From)<<40 ^ m.P.A) * 1099511628211
-	}
+	p.out.fold(p.ni.Neighbors, in)
 	if round >= p.rounds {
 		return true
 	}
@@ -72,6 +78,39 @@ func runMix(g *graph.Graph, opts ...Option) (*Result[mixOut], error) {
 	return Run(g, func(ni NodeInfo) Proc[mixOut] {
 		p := &slab[ni.ID]
 		*p = mixProc{ni: ni, rounds: 1 + ni.ID%3}
+		return p
+	}, opts...)
+}
+
+// tailProc isolates the accounting corners of a 64-bit budget. Every
+// round each node broadcasts a 24-bit packet and, from even nodes, sends
+// a 48-bit packet to its highest neighbor, so only that targeted edge
+// crosses the budget (broadcasts ≤ budget < broadcasts + group), and a
+// node's lowest violating receiver is not its Neighbors[0] unless it has
+// a single neighbor. Node v terminates in round (v+1)%3 and still sends
+// in that round, so its last words land on neighbors that are already
+// done, and in the last round on no live receiver at all.
+type tailProc struct {
+	ni  NodeInfo
+	out mixOut
+}
+
+func (p *tailProc) Step(round int, in []Incoming, s *Sender) bool {
+	p.out.fold(p.ni.Neighbors, in)
+	s.Broadcast(mixPacket(round, 0))
+	if nb := p.ni.Neighbors; p.ni.ID%2 == 0 && len(nb) > 0 {
+		s.Send(int(nb[len(nb)-1]), Packet{Tag: mixTag, Bits: 48, A: uint64(round)<<32 | 1})
+	}
+	return round >= (p.ni.ID+1)%3
+}
+
+func (p *tailProc) Output() mixOut { return p.out }
+
+func runTail(g *graph.Graph, opts ...Option) (*Result[mixOut], error) {
+	slab := make([]tailProc, g.N())
+	return Run(g, func(ni NodeInfo) Proc[mixOut] {
+		p := &slab[ni.ID]
+		*p = tailProc{ni: ni}
 		return p
 	}, opts...)
 }
@@ -139,25 +178,33 @@ func digestMix(res *Result[mixOut]) mixDigest {
 // TestTargetedSendWorkerInvariance pins mixed broadcast/targeted traffic
 // — several messages per edge per round, terminated receivers, and both
 // budget modes — across worker counts: the full audit Result and the
-// strict-mode abort must be identical at every layout. The audit digests
-// were recorded from the earlier push router, which expanded every
-// broadcast into per-neighbor outbox entries, so they also pin pull
-// delivery to the same inbox order and accounting.
+// strict-mode abort must be identical at every layout. The mix digests
+// were recorded from the push router, which expanded every broadcast into
+// per-neighbor outbox entries; the tail digests (tailProc: edges where
+// only the targeted group crosses the budget, and last words sent to
+// terminated receivers) from the route-phase pull router, which accounted
+// bandwidth and drops on the receiving side. Both pin the step-phase pull
+// to the same inbox order and accounting.
 func TestTargetedSendWorkerInvariance(t *testing.T) {
-	golden := map[string]mixDigest{
-		"broom": {Messages: 31918, TotalBits: 766032, Violations: 1173, Dropped: 5446, MaxEdgeBits: 1224, Hash: 0x91ee6baf2dcd1887},
-		"star":  {Messages: 23406, TotalBits: 561744, Violations: 773, Dropped: 1014, MaxEdgeBits: 1320, Hash: 0xa8d50af54fa6efe8},
-		"cycle": {Messages: 2627, TotalBits: 63048, Violations: 414, Dropped: 894, MaxEdgeBits: 120, Hash: 0x7f41604e31347c35},
-	}
-	for name, g := range map[string]*graph.Graph{
-		"broom": buildBroom(t, 200, 300),
-		"star":  buildStar(t, 400),
-		"cycle": buildCycle(t, 300),
+	broom, star, cycle := buildBroom(t, 200, 300), buildStar(t, 400), buildCycle(t, 300)
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		run    func(*graph.Graph, ...Option) (*Result[mixOut], error)
+		golden mixDigest
+	}{
+		{"mix/broom", broom, runMix, mixDigest{Messages: 31918, TotalBits: 766032, Violations: 1173, Dropped: 5446, MaxEdgeBits: 1224, Hash: 0x91ee6baf2dcd1887}},
+		{"mix/star", star, runMix, mixDigest{Messages: 23406, TotalBits: 561744, Violations: 773, Dropped: 1014, MaxEdgeBits: 1320, Hash: 0xa8d50af54fa6efe8}},
+		{"mix/cycle", cycle, runMix, mixDigest{Messages: 2627, TotalBits: 63048, Violations: 414, Dropped: 894, MaxEdgeBits: 120, Hash: 0x7f41604e31347c35}},
+		{"tail/broom", broom, runTail, mixDigest{Messages: 2797, TotalBits: 79128, Violations: 500, Dropped: 1313, MaxEdgeBits: 72, Hash: 0xe1ef9b3e2372da5f}},
+		{"tail/star", star, runTail, mixDigest{Messages: 1995, TotalBits: 57456, Violations: 399, Dropped: 997, MaxEdgeBits: 72, Hash: 0x70aed51faff33f96}},
+		{"tail/cycle", cycle, runTail, mixDigest{Messages: 1500, TotalBits: 43200, Violations: 300, Dropped: 852, MaxEdgeBits: 72, Hash: 0x39cdd23b2b024c32}},
 	} {
+		name, g := c.name, c.g
 		var want *Result[mixOut]
 		var wantErr *BandwidthError
 		for _, w := range []int{1, 2, 3, 7} {
-			res, err := runMix(g, WithSeed(3), WithWorkers(w), WithBandwidth(64),
+			res, err := c.run(g, WithSeed(3), WithWorkers(w), WithBandwidth(64),
 				WithMode(CongestAudit), WithRoundStats(), WithMessageStats())
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, w, err)
@@ -171,14 +218,14 @@ func TestTargetedSendWorkerInvariance(t *testing.T) {
 				t.Fatalf("%s: violations=%d dropped=%d — the scenario lost its teeth",
 					name, res.BandwidthViolations, res.DroppedMessages)
 			}
-			_, err = runMix(g, WithSeed(3), WithWorkers(w), WithBandwidth(64))
+			_, err = c.run(g, WithSeed(3), WithWorkers(w), WithBandwidth(64))
 			be, ok := err.(*BandwidthError)
 			if !ok {
 				t.Fatalf("%s workers=%d strict: got %v, want a *BandwidthError", name, w, err)
 			}
 			if want == nil {
-				if d := digestMix(res); d != golden[name] {
-					t.Errorf("%s: digest %+v, want %+v", name, d, golden[name])
+				if d := digestMix(res); d != c.golden {
+					t.Errorf("%s: digest %#v, want %#v", name, d, c.golden)
 				}
 				want, wantErr = res, be
 				continue

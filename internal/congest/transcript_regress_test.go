@@ -245,10 +245,10 @@ func TestTranscriptWorkerInvariance(t *testing.T) {
 }
 
 // TestTranscriptRunnerReuse runs all 11 families back to back on ONE
-// shared Runner — arenas, flat inboxes, worker pool, and outbox records
+// shared Runner — arenas, inbox scratch, worker pool, and outbox records
 // recycled across runs and across the two pinned graphs — and requires
 // every transcript to match the transient-state goldens. Any state leaking
-// from one run into the next (stale inbox views, un-reset arena memory,
+// from one run into the next (stale outbox records, un-reset arena memory,
 // surviving done flags) would show up here.
 func TestTranscriptRunnerReuse(t *testing.T) {
 	r := congest.NewRunner()

@@ -161,22 +161,28 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	}
 
 	// Symmetry: every directed slot (v → u) must have a mirror slot
-	// (u → v). Lists are sorted, so each check is a binary search.
+	// (u → v). Walking v upward reaches each node u's down-slots (u → w,
+	// w < u) in exactly their sorted order, so one cursor per node
+	// suffices: each up-slot (v → u, u > v) must be mirrored by u's next
+	// unmatched down-slot, and at the end every cursor must have consumed
+	// all of its node's down-slots, stopping at the first up-slot.
+	cur := make([]int32, n)
+	copy(cur, offsets[:n])
 	for v := 0; v < n; v++ {
 		for _, u := range adj[offsets[v]:offsets[v+1]] {
-			nb := adj[offsets[u]:offsets[u+1]]
-			lo, hi := 0, len(nb)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if nb[mid] < int32(v) {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
+			if int(u) < v {
+				continue // a down-slot: its cursor checks it
 			}
-			if lo == len(nb) || nb[lo] != int32(v) {
+			c := cur[u]
+			if c == offsets[u+1] || adj[c] != int32(v) {
 				return nil, fmt.Errorf("graph: edge (%d,%d) has no mirror — adjacency not symmetric", v, u)
 			}
+			cur[u] = c + 1
+		}
+	}
+	for u, c := range cur {
+		if c < offsets[u+1] && int(adj[c]) < u {
+			return nil, fmt.Errorf("graph: edge (%d,%d) has no mirror — adjacency not symmetric", u, adj[c])
 		}
 	}
 

@@ -50,6 +50,30 @@ func fixCRC(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], sum)
 }
 
+// rawBinary assembles an unweighted blob with a valid checksum straight
+// from neighbor lists — the only way to forge an asymmetric adjacency,
+// which no Builder produces.
+func rawBinary(lists [][]int32) []byte {
+	var offs, adj []byte
+	e := 0
+	for _, l := range lists {
+		e += len(l)
+		offs = binary.LittleEndian.AppendUint32(offs, uint32(e))
+		for _, u := range l {
+			adj = binary.LittleEndian.AppendUint32(adj, uint32(u))
+		}
+	}
+	data := []byte(binaryMagic)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(lists)))
+	data = binary.LittleEndian.AppendUint64(data, uint64(e))
+	data = append(data, 0) // weight form: all weights 1
+	data = append(data, offs...)
+	data = append(data, adj...)
+	data = append(data, 0, 0, 0, 0) // checksum, filled in by fixCRC
+	fixCRC(data)
+	return data
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	graphs := map[string]*Graph{
 		"empty":      NewBuilder(0).MustBuild(),
@@ -156,6 +180,21 @@ func TestBinaryForgery(t *testing.T) {
 	mutate("bad magic", func(data []byte) {
 		data[0] = 'X'
 	})
+
+	// One-sided asymmetry: every slot but one has its mirror, so only the
+	// symmetry check for that side of the edge can catch it.
+	if _, err := DecodeBinary(bytes.NewReader(rawBinary([][]int32{{1}, {0, 2}, {1}}))); err != nil {
+		t.Fatalf("symmetric raw blob rejected: %v", err)
+	}
+	for name, lists := range map[string][][]int32{
+		"mirror missing on the lower side": {{1}, {0}, {0}},   // 2→0, but no 0→2
+		"mirror missing on the upper side": {{1, 2}, {0}, {}}, // 0→2, but no 2→0
+		"unmatched lower slot mid-list":    {{1}, {0, 2}, {0, 1}},
+	} {
+		if _, err := DecodeBinary(bytes.NewReader(rawBinary(lists))); err == nil {
+			t.Fatalf("%s: forged blob decoded successfully", name)
+		}
+	}
 
 	// Zero weight with a valid checksum (weighted encoding required).
 	wg := NewBuilder(2).AddEdge(0, 1).SetWeight(0, 5).MustBuild()

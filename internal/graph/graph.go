@@ -200,8 +200,8 @@ func (g *Graph) N() int { return len(g.weights) }
 func (g *Graph) M() int { return len(g.adj) / 2 }
 
 // DegreeSum returns Σ_v deg(v) = 2·M(), the number of directed edge slots.
-// Run-scoped allocators (the CONGEST simulator's inbox arrays and arena) use
-// it to size their backing arrays in one allocation.
+// Run-scoped allocators (the CONGEST simulator's arena) use it to size
+// their backing arrays in one allocation.
 func (g *Graph) DegreeSum() int { return len(g.adj) }
 
 // MaxDegree returns Δ, the maximum degree (0 for an empty graph).

@@ -329,10 +329,15 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 		params.r = partialIterations(params.eps, params.lambda, g.MaxDegree())
 	}
 	params.pow = newPowTable(1+params.eps, params.r+1)
+	params.delta = g.MaxDegree()
+	if params.mode == completeExtension {
+		params.extIters = extensionIterations(params.gamma, params.delta)
+		params.extPhases = extensionPhases(params.gamma, params.lambda)
+	}
 	slab := make([]proc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		pr := &slab[ni.ID]
-		pr.init(params, ni)
+		pr.init(&params, ni)
 		return pr
 	}
 	return congest.Run(g, factory, all...)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // White-box tests pinning the parameter formulas of the unified proc to the
@@ -84,6 +85,16 @@ func TestPartialFactorMatchesLemma(t *testing.T) {
 	// (2α+1)(1+ε) for the S′ side: 1/λ.
 	if math.Abs(1/lambda-float64(2*alpha+1)*(1+eps)) > 1e-9 {
 		t.Fatal("λ inversion broken")
+	}
+}
+
+// TestProcSize pins the per-node footprint of the unified proc: a run
+// holds n of them for its whole length, so at n=10⁶ every byte here is a
+// megabyte of the solve's peak memory. Shared parameters belong behind
+// proc.p, not in the proc.
+func TestProcSize(t *testing.T) {
+	if size := unsafe.Sizeof(proc{}); size > 160 {
+		t.Fatalf("proc is %d bytes, want ≤ 160", size)
 	}
 }
 

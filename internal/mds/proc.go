@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"arbods/internal/congest"
+	"arbods/internal/rng"
 )
 
 // Output is the per-node result of every algorithm in this package.
@@ -71,11 +72,16 @@ type detParams struct {
 	// experiment demonstrates.
 	noFreeze bool
 
-	// r is the Lemma 4.1 iteration count and pow the run's (1+ε)^k for
-	// every exponent a packing message can carry (k ≤ r); run fills both
-	// in once, since every node sees the same Δ.
-	r   int
-	pow *powTable
+	// The rest depends only on the globally known parameters, so run fills
+	// it in once and every proc shares it through one pointer: r is the
+	// Lemma 4.1 iteration count, pow the run's (1+ε)^k for every exponent a
+	// packing message can carry (k ≤ r), delta is Δ, and extIters and
+	// extPhases are the Lemma 4.6 schedule (extension mode only).
+	r         int
+	pow       *powTable
+	delta     int
+	extIters  int // iterations per phase: ⌈log_γ(Δ+1)⌉ + 1
+	extPhases int // phases: ⌈log_γ(1/λ)⌉
 }
 
 // powTable holds base^k for k below its length, so procs decode a packing
@@ -106,7 +112,7 @@ func (t *powTable) at(k int32) float64 {
 // stage is the proc's position in the globally synchronized schedule. All
 // nodes transition through stages in lockstep because transitions depend
 // only on the globally known parameters (n, Δ, α, ε, λ, γ).
-type stage int
+type stage uint8
 
 const (
 	stInit     stage = iota + 1 // broadcast weight
@@ -122,64 +128,63 @@ const (
 
 // proc is the unified node proc for the deterministic algorithms
 // (Theorems 3.1 and 1.1, Lemma 4.1) and the randomized ones
-// (Lemma 4.6, Theorems 1.2 and 1.3).
+// (Lemma 4.6, Theorems 1.2 and 1.3). One exists per node, so it keeps
+// only per-node state, in the narrowest types that hold it; everything
+// the nodes share lives behind p.
 type proc struct {
-	p     detParams
-	ni    congest.NodeInfo
-	delta int // Δ, globally known
+	p *detParams
 
-	// Neighbor caches, indexed by position in ni.Neighbors.
+	// Neighbor caches, indexed by position in the sorted neighbor list
+	// (len(nbrX) is the degree).
 	nbrX   []float64
-	nbrW   []int64
 	nbrDom []bool
 
+	weight int64
 	tau    int64
-	argmin int
+	rand   rng.Stream
 
 	x    float64 // current packing value
-	exp  int     // number of (1+ε) multiplications applied to x
 	x41  float64 // x frozen at the end of the Lemma 4.1 phase (certificate)
-	inS  bool
-	inSP bool // in S′
-	dom  bool
+	prob float64 // extension sampling probability
 
-	requested bool // received a requestMsg
+	id     int32
+	argmin int32 // the closed neighbor of weight τ, lower ID on ties
+	exp    int32 // number of (1+ε) multiplications applied to x
+	iter   int32 // Lemma 4.1 iteration counter
 
-	// Extension state.
-	extIters  int // iterations per phase: ⌈log_γ(Δ+1)⌉ + 1
-	extPhases int // phases: ⌈log_γ(1/λ)⌉
-	phaseIdx  int
-	iterIdx   int
-	prob      float64
-	inGamma   bool
+	// Extension position.
+	phaseIdx int32
+	iterIdx  int32
 
 	// Lemma 4.7 bookkeeping.
-	cv     int  // c_v: sampled dominators at first domination
-	cvSet  bool // c_v recorded
-	cvSelf bool // this node sampled itself while undominated last round
+	cv     int32 // c_v: sampled dominators at first domination
+	cvSet  bool  // c_v recorded
+	cvSelf bool  // this node sampled itself while undominated last round
 
-	st   stage
-	iter int // Lemma 4.1 iteration counter
+	st        stage
+	inS       bool
+	inSP      bool // in S′
+	dom       bool
+	requested bool // received a requestMsg
+	inGamma   bool
 }
 
 var _ congest.Proc[Output] = (*proc)(nil)
 
 // init constructs the proc in place (pr is a slab entry the run's factory
 // owns), carving the neighbor caches from the run's arena.
-func (pr *proc) init(p detParams, ni congest.NodeInfo) {
+func (pr *proc) init(p *detParams, ni congest.NodeInfo) {
 	deg := ni.Degree()
 	*pr = proc{
-		p:     p,
-		ni:    ni,
-		delta: ni.MaxDegree,
-		nbrX:  ni.Arena.Float64s(deg),
-		nbrW:  ni.Arena.Int64s(deg),
-		st:    stInit,
+		p:      p,
+		nbrX:   ni.Arena.Float64s(deg),
+		weight: ni.Weight,
+		rand:   ni.Rand,
+		id:     int32(ni.ID),
+		st:     stInit,
 	}
 	if p.mode == completeExtension {
 		pr.nbrDom = ni.Arena.Bools(deg)
-		pr.extIters = extensionIterations(p.gamma, pr.delta)
-		pr.extPhases = extensionPhases(p.gamma, p.lambda)
 	}
 }
 
@@ -223,7 +228,7 @@ func extensionPhases(gamma, lambda float64) int {
 
 // xValue reconstructs τ·(1+ε)^exp/(Δ+1) from a packing message.
 func (pr *proc) xValue(tau int64, exp int32) float64 {
-	return float64(tau) * pr.p.pow.at(exp) / float64(pr.delta+1)
+	return float64(tau) * pr.p.pow.at(exp) / float64(pr.p.delta+1)
 }
 
 // absorb processes an inbox, updating neighbor caches. It reports whether
@@ -237,9 +242,6 @@ func (pr *proc) absorb(in []congest.Incoming) (dominatedNow bool) {
 		case congest.TagPacking:
 			tau, exp, _ := packingFields(m.P)
 			pr.nbrX[i] = pr.xValue(tau, exp)
-		case congest.TagWeight:
-			w, _ := weightFields(m.P)
-			pr.nbrW[i] = w
 		case congest.TagJoin:
 			if pr.nbrDom != nil {
 				pr.nbrDom[i] = true
@@ -284,14 +286,13 @@ func (pr *proc) bigXUndominated() float64 {
 func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 	switch pr.st {
 	case stInit:
-		s.Broadcast(packWeight(pr.ni.Weight, int32(pr.ni.Degree())))
+		s.Broadcast(packWeight(pr.weight, int32(len(pr.nbrX))))
 		pr.st = stSetup
 		return false
 
 	case stSetup:
-		pr.absorb(in)
-		pr.computeTau()
-		pr.x = float64(pr.tau) / float64(pr.delta+1)
+		pr.computeTau(in)
+		pr.x = float64(pr.tau) / float64(pr.p.delta+1)
 		pr.x41 = pr.x
 		if pr.p.r > 0 {
 			s.Broadcast(packPacking(pr.tau, 0, 0))
@@ -327,13 +328,13 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 			// the completion request round or the extension. Self/none
 			// completions terminate everyone this round, so broadcasting
 			// would only ship messages to terminated nodes.
-			lastAndLocal := pr.iter == pr.p.r &&
+			lastAndLocal := int(pr.iter) == pr.p.r &&
 				(pr.p.mode == completeSelf || pr.p.mode == completeNone)
 			if !lastAndLocal {
-				s.Broadcast(packPacking(pr.tau, int32(pr.exp), 0))
+				s.Broadcast(packPacking(pr.tau, pr.exp, 0))
 			}
 		}
-		if pr.iter < pr.p.r {
+		if int(pr.iter) < pr.p.r {
 			pr.st = stIterA
 			return false
 		}
@@ -344,11 +345,11 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 		// completeness of the local view.
 		pr.absorb(in)
 		if !pr.dom {
-			if pr.argmin == pr.ni.ID {
+			if pr.argmin == pr.id {
 				pr.inSP = true
 				pr.dom = true
 			} else {
-				s.Send(pr.argmin, packRequest())
+				s.Send(int(pr.argmin), packRequest())
 				// The τ-neighbor joins next round, so v is dominated.
 				pr.dom = true
 			}
@@ -375,12 +376,12 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 				pr.inGamma = false
 			}
 		}
-		if pr.iterIdx == pr.extIters-1 {
+		if int(pr.iterIdx) == pr.p.extIters-1 {
 			// Last iteration of the phase samples with probability 1
 			// (the proof of Lemma 4.6 relies on it).
 			pr.prob = 1
 		}
-		if pr.inGamma && pr.ni.Rand.Bernoulli(pr.prob) {
+		if pr.inGamma && pr.rand.Bernoulli(pr.prob) {
 			if !pr.dom {
 				// First domination happens now, by its own sampling; the
 				// same-iteration sampled neighbors arrive next round.
@@ -396,7 +397,7 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 
 	case stExtB:
 		wasDom := pr.dom
-		joins := 0
+		var joins int32
 		for _, m := range in {
 			if m.P.Tag == congest.TagJoin {
 				joins++
@@ -414,16 +415,17 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 			pr.cv = joins
 			pr.cvSet = true
 		}
-		last := pr.phaseIdx == pr.extPhases-1 && pr.iterIdx == pr.extIters-1
+		phases, iters := int32(pr.p.extPhases), int32(pr.p.extIters)
+		last := pr.phaseIdx == phases-1 && pr.iterIdx == iters-1
 		if pr.dom && !wasDom && !last {
 			s.Broadcast(packDom())
 		}
 		pr.iterIdx++
-		if pr.iterIdx == pr.extIters {
+		if pr.iterIdx == iters {
 			pr.iterIdx = 0
 			pr.phaseIdx++
 		}
-		if pr.phaseIdx == pr.extPhases {
+		if pr.phaseIdx == phases {
 			pr.st = stDone
 			return true
 		}
@@ -434,21 +436,20 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 }
 
 // computeTau derives τ_v and the minimum-weight closed neighbor from the
-// weight messages absorbed during setup. Ties break toward the lower ID so
-// the algorithm is deterministic.
-func (pr *proc) computeTau() {
-	pr.tau, pr.argmin = pr.ni.Weight, pr.ni.ID
-	for i, u := range pr.ni.Neighbors {
-		w := pr.nbrW[i]
-		if w < pr.tau || (w == pr.tau && int(u) < pr.argmin) {
-			pr.tau, pr.argmin = w, int(u)
+// round-1 inbox: every neighbor's weight message, in ascending sender ID
+// order. Ties break toward the lower ID so the algorithm is deterministic.
+func (pr *proc) computeTau(in []congest.Incoming) {
+	pr.tau, pr.argmin = pr.weight, pr.id
+	for _, m := range in {
+		if w, _ := weightFields(m.P); w < pr.tau || (w == pr.tau && m.From < pr.argmin) {
+			pr.tau, pr.argmin = w, m.From
 		}
 	}
 }
 
 // threshold returns the Lemma 4.1 join threshold w_u/(1+ε).
 func (pr *proc) threshold() float64 {
-	return float64(pr.ni.Weight) / (1 + pr.p.eps)
+	return float64(pr.weight) / (1 + pr.p.eps)
 }
 
 // gammaThreshold returns the Lemma 4.6 Γ-membership threshold w_u/γ, with a
@@ -457,7 +458,7 @@ func (pr *proc) threshold() float64 {
 // with parameters like γ^t·λ = 1 that comparison lands exactly on the
 // boundary, where float rounding must not be allowed to flip it.
 func (pr *proc) gammaThreshold() float64 {
-	return float64(pr.ni.Weight) / pr.p.gamma * (1 - 1e-9)
+	return float64(pr.weight) / pr.p.gamma * (1 - 1e-9)
 }
 
 // afterPartial transitions out of the Lemma 4.1 phase. broadcastPacking is
@@ -481,7 +482,7 @@ func (pr *proc) afterPartial(s *congest.Sender, broadcastPacking bool) bool {
 		return false
 	case completeExtension:
 		if broadcastPacking {
-			s.Broadcast(packPacking(pr.tau, int32(pr.exp), 0))
+			s.Broadcast(packPacking(pr.tau, pr.exp, 0))
 		}
 		if pr.dom {
 			// The extension maintains X_u over undominated nodes only, so
@@ -509,7 +510,7 @@ func (pr *proc) beginPhase() {
 			}
 		}
 	}
-	pr.prob = 1 / float64(pr.delta+1)
+	pr.prob = 1 / float64(pr.p.delta+1)
 	pr.inGamma = !pr.inS && !pr.inSP && pr.bigXUndominated() >= pr.gammaThreshold()
 }
 
@@ -522,6 +523,6 @@ func (pr *proc) Output() Output {
 		Dominated:         pr.dom,
 		Packing:           pr.x41,
 		Tau:               pr.tau,
-		SampledDominators: pr.cv,
+		SampledDominators: int(pr.cv),
 	}
 }
