@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-json bench-compare benchmark-test alloc-gate batch-race server-race chaos-race cluster-race ci
+.PHONY: build test race vet fmt-check bench bench-json bench-compare benchmark-test alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
+# Every test under the race detector: the engine's pool and batch paths,
+# the serving, chaos and cluster suites, and the real-binary daemon tests
+# included. CI's build-test job runs the same command.
 race:
 	$(GO) test -race ./...
 
@@ -63,54 +66,5 @@ benchmark-test:
 # explicitly next to bench-compare.
 alloc-gate:
 	$(GO) test ./internal/congest/ -run TestAllocationCeiling -count=1 -v
-
-# Race-mode batch smoke: the concurrent RunnerPool/Batch paths (slot
-# determinism, aborted-job recovery, checkout under contention,
-# context-cancelled checkouts and batches) and the bench layer's
-# parallel-vs-sequential table identity plus sweep cancellation, under
-# the race detector. Runs inside `make race` too; this target exists so
-# CI (and humans) can exercise exactly the batch stack next to
-# alloc-gate.
-batch-race:
-	$(GO) test ./internal/congest/ -race -run 'TestBatch|TestRunBatch|TestRunnerPool|TestGetContext' -count=1
-	$(GO) test ./internal/bench/ -race -run 'TestParallelMatchesSequential|TestSweepCancellation' -count=1
-
-# Race-mode serving smoke: the arbods-server stack (content-addressed
-# graph cache, solve-response cache, singleflight builds, admission
-# control, deadline/disconnect cancellation, pooled solves with Detach
-# hand-off, NDJSON streaming) plus the daemon round trip and the
-# engine-side Detach/observer/context tests, under the race detector.
-# Runs inside `make race` too; this target exists so CI (and humans)
-# can exercise exactly the serving stack next to batch-race.
-server-race:
-	$(GO) test ./internal/server/ ./cmd/arbods-server/ -race -count=1
-	$(GO) test ./internal/congest/ -race -run 'TestDetach|TestRoundObserver|TestRunContext|TestGetContext' -count=1
-
-# Race-mode chaos smoke: the fault-tolerance stack under deterministic
-# injection (internal/faultinject) — proc-panic isolation and Runner
-# replacement, snapshot persistence across restart/corruption/write
-# failure, fairness and admission shedding, drain readiness, the engine's
-# own panic-recovery tests, and the SIGKILL crash-restart test on the
-# real daemon binary. Runs inside `make race` too; this target exists so
-# CI (and humans) can exercise exactly the failure paths next to
-# server-race.
-chaos-race:
-	$(GO) test ./internal/server/ -race -run 'TestSolvePanicIsolation|TestSnapshot|TestHotGraphShed|TestQueueFullShed|TestReadyzDrain' -count=1
-	$(GO) test ./internal/congest/ -race -run 'TestProcPanic|TestPanicIn|TestRunnerPoolReplacesPoisoned|TestFaultInjection' -count=1
-	$(GO) test ./internal/faultinject/ -race -count=1
-	$(GO) test ./internal/graph/ -race -run 'TestBinary' -count=1
-	$(GO) test ./cmd/arbods-server/ -race -run 'TestCrashRestart' -count=1
-
-# Race-mode cluster smoke: the resilient-serving stack — rendezvous
-# ownership and probe health (internal/cluster), the retry/backoff/
-# breaker client with receipt verification (client), the in-process
-# proxy/replication/fallback/partition tests, and the real-binary
-# SIGKILL + blackhole failover acceptance test. Runs inside `make race`
-# too; this target exists so CI (and humans) can exercise exactly the
-# failover paths next to chaos-race.
-cluster-race:
-	$(GO) test ./internal/cluster/ ./client/ -race -count=1
-	$(GO) test ./internal/server/ -race -run 'TestCluster|TestAdaptiveRetryAfter' -count=1
-	$(GO) test ./cmd/arbods-server/ -race -run 'TestClusterChaosFailover' -count=1
 
 ci: build vet fmt-check race

@@ -12,16 +12,15 @@
 // With VerifyReceipts set, every answer is re-checked locally: the
 // receipt's own checks must pass, its arithmetic must be consistent, and
 // when the response carries the dominating set (IncludeDS), the client
-// downloads the graph over the ARBCSR01 binary wire (content-hash
-// verified against the graph id) and re-proves domination, set size, and
-// set weight from scratch — answers are verified, not trusted.
+// downloads the graph over the ARBCSR01 binary wire, checks that its ID —
+// the sha256 of its ARBCSR01 bytes, computed by the same function the
+// server uses — equals the graph id, and re-proves domination, set size,
+// and set weight from scratch — answers are verified, not trusted.
 package arbodsclient
 
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/graph"
 )
 
 // Config configures a Client. Every knob has a production-safe default;
@@ -442,13 +442,10 @@ func (c *Client) markBreaker(ep *endpoint, ok bool) {
 // returns its content-hash id. Any daemon accepts an upload; the cluster
 // replicates it to the graph's owners.
 func (c *Client) Upload(ctx context.Context, g *arbods.Graph) (GraphInfo, error) {
-	var buf bytes.Buffer
-	if err := arbods.EncodeGraphBinary(&buf, g); err != nil {
-		return GraphInfo{}, err
-	}
+	blob := graph.AppendBinary(nil, g)
 	var info GraphInfo
 	err := c.withRetries(ctx, func(ctx context.Context, ep *endpoint) (bool, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.base+"/v1/graphs", bytes.NewReader(buf.Bytes()))
+		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.base+"/v1/graphs", bytes.NewReader(blob))
 		if err != nil {
 			return false, err
 		}
@@ -510,11 +507,7 @@ func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
 		if err != nil {
 			return true, fmt.Errorf("%s: decode graph: %w", ep.base, err)
 		}
-		got, err := graphID(decoded)
-		if err != nil {
-			return false, err
-		}
-		if got != id {
+		if got := graph.ID(decoded); got != id {
 			// A corrupt or wrong blob from one replica must not poison
 			// verification — try elsewhere.
 			return true, fmt.Errorf("%s: graph hash mismatch: got %s want %s", ep.base, got, id)
@@ -529,15 +522,4 @@ func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
 	c.graphs[id] = g
 	c.mu.Unlock()
 	return g, nil
-}
-
-// graphID recomputes a graph's content-hash id exactly as the server
-// does: sha256 over the canonical text encoding.
-func graphID(g *arbods.Graph) (string, error) {
-	var buf bytes.Buffer
-	if err := arbods.EncodeGraph(&buf, g); err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }

@@ -1,12 +1,14 @@
 // Command arbods-server runs the arbods HTTP/JSON daemon: a long-running
 // MDS service with content-addressed graph caching, a shared RunnerPool,
-// and verification receipts on every answer.
+// and verification receipts on every answer. A graph's id is "sha256:"
+// plus the hex SHA-256 of its ARBCSR01 encoding, whichever format it was
+// uploaded in.
 //
 //	arbods-server -addr :8080 -corpus ./graphs
 //
 // Endpoints (see internal/server and the README "Serving" section):
 //
-//	POST /v1/graphs      upload a graph (arbods text format) → cached id
+//	POST /v1/graphs      upload a graph (arbods text format or ARBCSR01) → cached id
 //	GET  /v1/graphs      list cached graphs
 //	GET  /v1/graphs/{id} metadata for one cached graph
 //	POST /v1/solve       run an algorithm, get the set + receipt
@@ -22,11 +24,12 @@
 // same way. Identical requests are answered from a response cache
 // (-max-solves entries) keyed by graph, algorithm, parameters, and seed.
 //
-// With -data-dir, every uploaded or name-built graph is snapshotted as a
-// checksummed binary CSR blob and restored on the next start, so a
+// With -data-dir, every uploaded or name-built graph is snapshotted as its
+// checksummed ARBCSR01 blob and restored on the next start, so a
 // restarted (or crashed and restarted) daemon serves the same sha256:
 // references without re-uploads; corrupt snapshots are detected, logged,
-// and rebuilt from source. -per-graph caps one graph's share of the pool
+// and rebuilt from source. A data dir written when ids hashed the text
+// encoding is rescanned and its stale blobs dropped, never served. -per-graph caps one graph's share of the pool
 // (fairness 429s), and a panicking solve answers 500 while everything
 // else keeps serving.
 //

@@ -131,11 +131,14 @@
 // cmd/arbods-server packages the serving and batch patterns as a
 // long-running HTTP/JSON service (package arbods/internal/server): graphs
 // arrive by upload, corpus file, or generator spec and are cached as
-// built CSRs under their content hash; solves are scheduled onto a shared
-// RunnerPool with admission control; results are Detach-ed off Runner
-// memory before the Runner returns to the pool; and every answer carries
-// a verification Receipt — the coverage proof, the packing feasibility,
-// and the α-bound ratio check, recomputed from the graph and the run.
+// built CSRs under their ID, "sha256:" plus the hex SHA-256 of the
+// graph's ARBCSR01 bytes (its one canonical byte form, so a text upload,
+// a binary upload and a spec build of one graph share an ID); solves are
+// scheduled onto a shared RunnerPool with admission control; results are
+// Detach-ed off Runner memory before the Runner returns to the pool; and
+// every answer carries a verification Receipt — the coverage proof, the
+// packing feasibility, and the α-bound ratio check, recomputed from the
+// graph and the run.
 // Receipts are deterministic per (graph, algorithm, parameters, seed):
 // repeating a request returns byte-identical receipt JSON — which is
 // what lets the server answer repeat requests from a response-level
@@ -163,17 +166,18 @@
 // request, never the pool.
 //
 // Graphs survive process death: EncodeGraphBinary / DecodeGraphBinary
-// implement the checksummed binary CSR snapshot format ("ARBCSR01",
-// little-endian, CRC-32C trailer) the server's -data-dir persistence is
-// built on. The decoder re-validates structure — sortedness, symmetry,
-// weight ranges — so a torn or tampered snapshot fails loudly instead of
-// serving wrong answers.
+// implement the checksummed binary CSR format ("ARBCSR01", little-endian,
+// CRC-32C trailer) that graph IDs hash and the server's -data-dir
+// persistence is built on. The decoder re-validates structure —
+// sortedness, symmetry, weight ranges — and accepts only the one
+// canonical encoding of each graph, so a torn or tampered snapshot fails
+// loudly instead of serving wrong answers.
 //
 // WithFaultInjection threads a deterministic failure registry
 // (internal/faultinject) into a run for chaos testing: seeded, named
 // failpoints fire a panic, an error, or a delay at an exact round, so
 // the failure paths above are pinned by ordinary reproducible tests
-// (`make chaos-race`) rather than by races. A nil registry is the
+// (run under the race detector by `make race`) rather than by races. A nil registry is the
 // production state and costs one comparison per seam.
 //
 // # Resilient client

@@ -1,11 +1,13 @@
 package graph
 
 import (
-	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // The binary codec serializes a graph's CSR structure directly, so a
@@ -18,6 +20,7 @@ import (
 //	8       4     n  (uint32, node count)
 //	12      8     e  (uint64, directed slot count = len(adj) = 2m)
 //	20      1     weight form: 0 = all weights 1, 1 = explicit weights
+//	              (form 1 only when some weight is not 1)
 //	21      4n    offsets[1..n] (int32; offsets[0] = 0 is implicit)
 //	·       4e    adj (int32, concatenated sorted neighbor lists)
 //	·       8n    weights (int64; present only when form = 1)
@@ -28,7 +31,9 @@ import (
 // symmetric adjacency, weights in [1, MaxWeight] — and recomputes the
 // maximum degree rather than trusting the blob, so a corrupted or
 // hand-forged snapshot can fail the checksum or the structural checks but
-// can never produce an inconsistent Graph.
+// can never produce an inconsistent Graph. It also rejects the one
+// non-canonical layout the checks above would pass, form 1 with every
+// weight 1, so whatever decodes re-encodes to the same bytes.
 
 const (
 	binaryMagic  = "ARBCSR01"
@@ -37,50 +42,50 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeBinary writes g to w in the arbods binary CSR format.
-func EncodeBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	h := crc32.New(castagnoli)
-	mw := io.MultiWriter(bw, h)
-
+// AppendBinary appends g's ARBCSR01 encoding to dst and returns the
+// extended slice. It is the one canonical byte form of a graph: ID hashes
+// it, and the disk snapshots and the binary wire carry it.
+func AppendBinary(dst []byte, g *Graph) []byte {
 	n := g.N()
-	var hdr [binaryHeader]byte
-	copy(hdr[:8], binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(n))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(g.adj)))
+	form := byte(0)
+	size := binaryHeader + 4*n + 4*len(g.adj) + 4
 	if !g.Unweighted() {
-		hdr[20] = 1
+		form = 1
+		size += 8 * n
 	}
-	if _, err := mw.Write(hdr[:]); err != nil {
-		return err
-	}
-
-	var buf [8]byte
-	for v := 1; v <= n; v++ {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(g.offsets[v]))
-		if _, err := mw.Write(buf[:4]); err != nil {
-			return err
-		}
+	start := len(dst)
+	dst = slices.Grow(dst, size)
+	dst = append(dst, binaryMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(g.adj)))
+	dst = append(dst, form)
+	for _, o := range g.offsets[1:] {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(o))
 	}
 	for _, u := range g.adj {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(u))
-		if _, err := mw.Write(buf[:4]); err != nil {
-			return err
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(u))
 	}
-	if hdr[20] == 1 {
+	if form == 1 {
 		for _, wt := range g.weights {
-			binary.LittleEndian.PutUint64(buf[:], uint64(wt))
-			if _, err := mw.Write(buf[:]); err != nil {
-				return err
-			}
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(wt))
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[:4], h.Sum32())
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
+// EncodeBinary writes g to w in the arbods binary CSR format.
+func EncodeBinary(w io.Writer, g *Graph) error {
+	_, err := w.Write(AppendBinary(nil, g))
+	return err
+}
+
+// ID returns g's content address: "sha256:" followed by the hex SHA-256
+// of its ARBCSR01 encoding. Neighbor lists are sorted and the weight form
+// is fixed by the weights, so every graph has exactly one encoding, and
+// the same labelled graph shares an ID however it arrived.
+func ID(g *Graph) string {
+	sum := sha256.Sum256(AppendBinary(nil, g))
+	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // DecodeBinary reads a graph in the arbods binary CSR format, verifying
@@ -188,6 +193,7 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 
 	weights := make([]int64, n)
 	if form == 1 {
+		unit := true
 		for v := 0; v < n; v++ {
 			wt := int64(binary.LittleEndian.Uint64(data[pos : pos+8]))
 			pos += 8
@@ -195,6 +201,12 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: weight %d for node %d outside [1,%d]", wt, v, MaxWeight)
 			}
 			weights[v] = wt
+			unit = unit && wt == 1
+		}
+		if unit {
+			// Form 0 is the one encoding of a unit-weight graph; accepting
+			// form 1 here would give that graph a second ID.
+			return nil, fmt.Errorf("graph: weight form 1 with every weight 1 (canonical form is 0)")
 		}
 	} else {
 		for v := range weights {

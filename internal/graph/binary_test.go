@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math/rand"
 	"reflect"
@@ -84,18 +86,50 @@ func TestBinaryRoundTrip(t *testing.T) {
 		"weighted":   buildRandom(t, 200, 0.05, true, 2),
 	}
 	for name, g := range graphs {
-		data := encodeBinary(t, g)
-		got, err := DecodeBinary(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
+		got := decodeCanonical(t, name, encodeBinary(t, g))
 		if !reflect.DeepEqual(g, got) {
 			t.Fatalf("%s: round trip diverges\nwant %+v\n got %+v", name, g, got)
 		}
-		// The encoding must be deterministic: snapshots are content-compared
-		// across daemon restarts.
-		if again := encodeBinary(t, g); !bytes.Equal(data, again) {
-			t.Fatalf("%s: encoding is not deterministic", name)
+	}
+}
+
+// decodeCanonical decodes a blob the decoder must accept and checks that
+// the graph re-encodes to exactly the same bytes: every accepted blob is
+// its graph's one encoding, so it hashes to the graph's one ID.
+func decodeCanonical(t *testing.T, name string, data []byte) *Graph {
+	t.Helper()
+	g, err := DecodeBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if again := AppendBinary(nil, g); !bytes.Equal(data, again) {
+		t.Fatalf("%s: accepted %d-byte blob re-encodes to %d different bytes", name, len(data), len(again))
+	}
+	return g
+}
+
+// TestID pins the content address of an unweighted and a weighted graph.
+// The literals are sha256 over the ARBCSR01 bytes, so they also pin the
+// encoder's byte layout; a change to either moves every graph's ID and
+// needs a new snapshot index version in the server.
+func TestID(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want string
+	}{
+		{"unweighted path", NewBuilder(4).AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).MustBuild(),
+			"sha256:aa3f5e01a72d944ecddc7308ad81565fef10ee3c9add38ddb01a11a9ee3d92be"},
+		{"weighted triangle", NewBuilder(3).AddEdge(0, 1).AddEdge(1, 2).AddEdge(0, 2).SetWeight(1, 7).MustBuild(),
+			"sha256:50b618dd680fe23655c44c710b7b2a2a8ed21f10778d3b13891b3b22e57ff32a"},
+	} {
+		got := ID(c.g)
+		if got != c.want {
+			t.Errorf("%s: ID = %s, want %s", c.name, got, c.want)
+		}
+		sum := sha256.Sum256(encodeBinary(t, c.g))
+		if want := "sha256:" + hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: ID = %s, sha256 of EncodeBinary = %s", c.name, got, want)
 		}
 	}
 }
@@ -183,9 +217,7 @@ func TestBinaryForgery(t *testing.T) {
 
 	// One-sided asymmetry: every slot but one has its mirror, so only the
 	// symmetry check for that side of the edge can catch it.
-	if _, err := DecodeBinary(bytes.NewReader(rawBinary([][]int32{{1}, {0, 2}, {1}}))); err != nil {
-		t.Fatalf("symmetric raw blob rejected: %v", err)
-	}
+	decodeCanonical(t, "symmetric raw blob", rawBinary([][]int32{{1}, {0, 2}, {1}}))
 	for name, lists := range map[string][][]int32{
 		"mirror missing on the lower side": {{1}, {0}, {0}},   // 2→0, but no 0→2
 		"mirror missing on the upper side": {{1, 2}, {0}, {}}, // 0→2, but no 2→0
@@ -204,5 +236,14 @@ func TestBinaryForgery(t *testing.T) {
 	fixCRC(wdata)
 	if _, err := DecodeBinary(bytes.NewReader(wdata)); err == nil {
 		t.Fatal("zero weight decoded successfully")
+	}
+
+	// Explicit weights that are all 1 pass every structural check, but
+	// form 0 is that graph's one encoding: accepting this 57-byte blob
+	// would give the graph a second ID (it re-encodes to 41 bytes).
+	binary.LittleEndian.PutUint64(wdata[wpos:], 1)
+	fixCRC(wdata)
+	if _, err := DecodeBinary(bytes.NewReader(wdata)); err == nil {
+		t.Fatal("weight form 1 with every weight 1 decoded successfully")
 	}
 }

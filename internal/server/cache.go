@@ -1,10 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,20 +10,19 @@ import (
 
 	"arbods"
 	"arbods/internal/gen"
+	"arbods/internal/graph"
 )
 
 // graphEntry is one built graph resident in the cache: the CSR itself plus
 // the metadata a solve needs (the arboricity bound the construction
 // certifies, or the degeneracy fallback computed once at build time).
 type graphEntry struct {
-	id    string // "sha256:<hex>" over the canonical encoding
+	id    string // graph.ID: "sha256:<hex>" over the ARBCSR01 encoding
 	name  string // corpus or spec reference that produced it ("" for uploads)
 	g     *arbods.Graph
 	bound int // generator-certified α (0 = none)
 	degen int // degeneracy, the certified α fallback (computed at insert)
 	hits  int64
-
-	elem *list.Element // position in the LRU list
 }
 
 // entryView is an immutable snapshot of a cache entry, safe to read after
@@ -48,21 +43,19 @@ func (e *graphEntry) view() entryView {
 }
 
 // graphCache is the content-addressed store of built graph.Graph CSRs.
-// Keys are sha256 hashes of the canonical text encoding, so the same
-// graph uploaded twice — or reached once by upload and once by generator
-// spec — builds exactly once; repeat solve requests skip the build
-// entirely (the ~255ms that dominates a cold million-node request).
-// Secondary keys map corpus names and generator specs to their hash, so
-// by-name requests hit without re-reading or re-generating. Eviction is
-// LRU at a fixed entry capacity.
+// Keys are graph.ID — sha256 of the ARBCSR01 encoding, the one canonical
+// byte form — so the same graph uploaded twice, as text or binary, or
+// reached once by upload and once by generator spec, builds exactly once;
+// repeat solve requests skip the build entirely (the ~255ms that
+// dominates a cold million-node request). Secondary keys map corpus
+// names and generator specs to their ID, so by-name requests hit without
+// re-reading or re-generating. Eviction is LRU at a fixed entry capacity.
 type graphCache struct {
-	mu     sync.Mutex
-	cap    int
-	byID   map[string]*graphEntry
-	byName map[string]string // "corpus:x" / "spec:y" → id
-	lru    *list.List        // front = most recently used; values are *graphEntry
-	hits   int64
-	misses int64
+	mu      sync.Mutex
+	entries *lru[string, *graphEntry]
+	byName  map[string]string // "corpus:x" / "spec:y" → id
+	hits    int64
+	misses  int64
 }
 
 func newGraphCache(capacity int) *graphCache {
@@ -70,35 +63,21 @@ func newGraphCache(capacity int) *graphCache {
 		capacity = 64
 	}
 	return &graphCache{
-		cap:    capacity,
-		byID:   make(map[string]*graphEntry),
-		byName: make(map[string]string),
-		lru:    list.New(),
+		entries: newLRU[string, *graphEntry](capacity),
+		byName:  make(map[string]string),
 	}
-}
-
-// hashGraph returns the content address of g: sha256 over the canonical
-// text encoding (sorted neighbor lists, edges emitted once with u < v),
-// so isomorphic *labelled* graphs — however they arrived — share an id.
-func hashGraph(g *arbods.Graph) (string, error) {
-	var buf bytes.Buffer
-	if err := arbods.EncodeGraph(&buf, g); err != nil {
-		return "", fmt.Errorf("canonicalize: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
 // getID returns the entry under id, counting a solve-path hit or miss.
 func (c *graphCache) getID(id string) (entryView, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.byID[id]
+	e, ok := c.entries.get(id)
 	if !ok {
 		c.misses++
 		return entryView{}, false
 	}
-	c.touch(e)
+	e.hits++
 	c.hits++
 	return e.view(), true
 }
@@ -113,12 +92,12 @@ func (c *graphCache) getName(name string) (entryView, bool) {
 	if !ok {
 		return entryView{}, false
 	}
-	e, ok := c.byID[id]
+	e, ok := c.entries.get(id)
 	if !ok { // name outlived an evicted entry
 		delete(c.byName, name)
 		return entryView{}, false
 	}
-	c.touch(e)
+	e.hits++
 	c.hits++
 	return e.view(), true
 }
@@ -135,36 +114,23 @@ func (c *graphCache) insert(e *graphEntry, countMiss bool) (entryView, bool) {
 	if countMiss {
 		c.misses++
 	}
-	if old, ok := c.byID[e.id]; ok {
+	if old, ok := c.entries.get(e.id); ok {
 		if e.name != "" {
 			c.byName[e.name] = old.id
 			if old.name == "" {
 				old.name = e.name
 			}
 		}
-		c.touch(old)
+		old.hits++
 		return old.view(), true
 	}
-	e.elem = c.lru.PushFront(e)
-	c.byID[e.id] = e
 	if e.name != "" {
 		c.byName[e.name] = e.id
 	}
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		ev := back.Value.(*graphEntry)
-		c.lru.Remove(back)
-		delete(c.byID, ev.id)
-		if ev.name != "" && c.byName[ev.name] == ev.id {
-			delete(c.byName, ev.name)
-		}
+	if ev, ok := c.entries.put(e.id, e); ok && ev.name != "" && c.byName[ev.name] == ev.id {
+		delete(c.byName, ev.name)
 	}
 	return e.view(), false
-}
-
-func (c *graphCache) touch(e *graphEntry) {
-	e.hits++
-	c.lru.MoveToFront(e.elem)
 }
 
 // snapshot returns views of the resident entries, most recently used
@@ -172,9 +138,7 @@ func (c *graphCache) touch(e *graphEntry) {
 func (c *graphCache) snapshot() (entries []entryView, hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*graphEntry).view())
-	}
+	c.entries.each(func(e *graphEntry) { entries = append(entries, e.view()) })
 	return entries, c.hits, c.misses
 }
 
@@ -183,15 +147,11 @@ func (c *graphCache) snapshot() (entries []entryView, hits, misses int64) {
 var corpusName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 
 // buildEntry constructs a cache entry for a built graph under the given
-// name key, computing the degeneracy fallback once so solves never pay
-// for it.
-func buildEntry(g *arbods.Graph, name string, bound int) (*graphEntry, error) {
-	id, err := hashGraph(g)
-	if err != nil {
-		return nil, err
-	}
+// name key, computing its ID and the degeneracy fallback once so solves
+// never pay for them.
+func buildEntry(g *arbods.Graph, name string, bound int) *graphEntry {
 	_, degen := arbods.Degeneracy(g)
-	return &graphEntry{id: id, name: name, g: g, bound: bound, degen: degen}, nil
+	return &graphEntry{id: graph.ID(g), name: name, g: g, bound: bound, degen: degen}
 }
 
 // loadCorpus reads and builds a graph from the corpus directory.

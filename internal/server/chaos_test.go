@@ -10,8 +10,11 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -24,6 +27,7 @@ import (
 
 	"arbods"
 	"arbods/internal/faultinject"
+	"arbods/internal/graph"
 	"arbods/internal/server"
 )
 
@@ -239,6 +243,73 @@ func TestSnapshotCorruptRecovery(t *testing.T) {
 	}
 	if _, err := os.Stat(blob); err != nil {
 		t.Fatalf("snapshot not rewritten: %v", err)
+	}
+}
+
+// TestSnapshotTextHashUpgrade restarts on a data dir written while graph
+// IDs hashed the text encoding: a version-1 index.json (CRC intact) and a
+// valid blob named by the old ID. The old ID must never be served — the
+// index is rejected, the rescanned blob fails its content-hash check and
+// goes out as corrupt — and the re-uploaded graph serves, durably, under
+// its new ID.
+func TestSnapshotTextHashUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	g := arbods.Grid(6, 6).G
+	sum := sha256.Sum256(encodeGraph(t, g))
+	oldHex := hex.EncodeToString(sum[:])
+	oldID := "sha256:" + oldHex
+	blob := filepath.Join(dir, "graphs", oldHex+".csr")
+	var bin bytes.Buffer
+	if err := arbods.EncodeGraphBinary(&bin, g); err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		ID    string `json:"id"`
+		Degen int    `json:"degen,omitempty"`
+	}
+	rows, err := json.Marshal([]row{{ID: oldID, Degen: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	index, err := json.Marshal(map[string]any{
+		"version": 1,
+		"crc":     crc32.Checksum(rows, crc32.MakeTable(crc32.Castagnoli)),
+		"entries": json.RawMessage(rows),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(blob), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blob, bin.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), index, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, server.Config{DataDir: dir})
+	if st := serverStats(t, ts.URL); st.SnapshotsLoaded != 0 || st.Graphs != 0 {
+		t.Fatalf("old data dir restored: loaded=%d graphs=%d", st.SnapshotsLoaded, st.Graphs)
+	}
+	if code := getJSON(t, ts.URL+"/v1/graphs/"+oldID, nil); code != http.StatusNotFound {
+		t.Fatalf("old id served: status %d", code)
+	}
+	if _, err := os.Stat(blob); !os.IsNotExist(err) {
+		t.Fatalf("stale blob not removed: %v", err)
+	}
+	info := uploadGraph(t, ts.URL, g)
+	if !info.New || info.ID != graph.ID(g) {
+		t.Fatalf("re-upload: %+v, want new under %s", info, graph.ID(g))
+	}
+
+	_, ts2 := newTestServer(t, server.Config{DataDir: dir})
+	if st := serverStats(t, ts2.URL); st.SnapshotsLoaded != 1 {
+		t.Fatalf("re-uploaded graph not restored: loaded=%d", st.SnapshotsLoaded)
+	}
+	if code := getJSON(t, ts2.URL+"/v1/graphs/"+info.ID, nil); code != http.StatusOK {
+		t.Fatalf("new id not served after restart: status %d", code)
 	}
 }
 

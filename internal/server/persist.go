@@ -13,14 +13,16 @@ import (
 
 	"arbods"
 	"arbods/internal/faultinject"
+	"arbods/internal/graph"
 )
 
 // persistStore is the crash-safe on-disk mirror of the graph cache. Every
-// uploaded or name-built graph is snapshotted as a binary CSR blob under
-// <dir>/graphs/<hex>.csr (self-checksummed; see graph.EncodeBinary) plus
-// one row in <dir>/index.json, which carries the metadata the cache needs
-// to restore an entry without recomputing it (name key, certified α bound,
-// degeneracy) and its own CRC-32C over the entry rows.
+// uploaded or name-built graph is snapshotted as its self-checksummed
+// ARBCSR01 blob (see graph.EncodeBinary) under <dir>/graphs/<hex>.csr,
+// where sha256:<hex> is the graph's ID and so the hash of the file's own
+// bytes, plus one row in <dir>/index.json, which carries the metadata the
+// cache needs to restore an entry without recomputing it (name key,
+// certified α bound, degeneracy) and its own CRC-32C over the entry rows.
 //
 // Every write is atomic: temp file in the same directory, fsync, rename.
 // A crash — SIGKILL included — therefore leaves either the old file or the
@@ -62,7 +64,11 @@ type persistIndex struct {
 	Entries []persistEntry `json:"entries"`
 }
 
-const persistVersion = 1
+// persistVersion 2 names graphs by graph.ID (sha256 over ARBCSR01).
+// Version 1 data dirs named them by a hash of the text encoding: their
+// index is rejected, and each rescanned blob fails its content-hash check
+// and is dropped as corrupt, so no old ID is ever served.
+const persistVersion = 2
 
 var persistCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -168,21 +174,16 @@ func (p *persistStore) loadBlob(row persistEntry) (*graphEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, err := hashGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	if id != row.ID {
-		return nil, fmt.Errorf("content hash %s does not match snapshot id", id)
-	}
+	var e *graphEntry
 	if row.Degen < 0 {
-		e, err := buildEntry(g, "", 0)
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
+		e = buildEntry(g, "", 0)
+	} else {
+		e = &graphEntry{id: graph.ID(g), name: row.Name, g: g, bound: row.Bound, degen: row.Degen}
 	}
-	return &graphEntry{id: row.ID, name: row.Name, g: g, bound: row.Bound, degen: row.Degen}, nil
+	if e.id != row.ID {
+		return nil, fmt.Errorf("content hash %s does not match snapshot id", e.id)
+	}
+	return e, nil
 }
 
 // save snapshots one cache entry: blob first (skipped when already on

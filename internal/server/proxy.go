@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/graph"
 )
 
 // Cluster integration: with Config.Cluster set, this daemon is one
@@ -149,20 +150,16 @@ func flushingCopy(w http.ResponseWriter, src io.Reader) {
 // the owners can always recover the graph later through the peer
 // snapshot-fetch path.
 func (s *Server) replicate(e entryView) {
-	var buf bytes.Buffer
+	var blob []byte
 	for _, owner := range s.cluster.Owners(e.id) {
 		if owner == s.cluster.Self() {
 			continue
 		}
-		if buf.Len() == 0 {
-			if err := arbods.EncodeGraphBinary(&buf, e.g); err != nil {
-				s.replFails.Add(1)
-				s.logf("event=replicate_error id=%s err=%q", e.id, err.Error())
-				return
-			}
+		if blob == nil {
+			blob = graph.AppendBinary(nil, e.g)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), s.cluster.ProbeTimeout())
-		err := s.pushSnapshot(ctx, owner, buf.Bytes())
+		err := s.pushSnapshot(ctx, owner, blob)
 		cancel()
 		if err != nil {
 			s.replFails.Add(1)
@@ -255,10 +252,7 @@ func (s *Server) tryFetchSnapshot(ctx context.Context, peer, id string) (*graphE
 	if err != nil {
 		return nil, err
 	}
-	e, err := buildEntry(g, "", 0)
-	if err != nil {
-		return nil, err
-	}
+	e := buildEntry(g, "", 0)
 	if e.id != id {
 		return nil, &httpStatusError{status: http.StatusUnprocessableEntity}
 	}

@@ -3,9 +3,9 @@
 // The design mirrors the library's own serving pattern end to end:
 //
 //   - graphs arrive by upload, by name from a corpus directory, or by
-//     generator spec, and are cached as built CSRs keyed by content hash
-//     (sha256 of the canonical encoding), so repeat queries skip the
-//     build that dominates a cold request;
+//     generator spec, and are cached as built CSRs keyed by graph.ID
+//     (sha256 of the ARBCSR01 encoding, the one canonical byte form), so
+//     repeat queries skip the build that dominates a cold request;
 //   - solve requests are scheduled onto a shared congest.RunnerPool with
 //     admission control, so concurrent clients never oversubscribe the
 //     machine and every run executes on warmed, recycled Runner state;
@@ -75,6 +75,7 @@ import (
 	"arbods"
 	"arbods/internal/cluster"
 	"arbods/internal/faultinject"
+	"arbods/internal/graph"
 )
 
 // Config configures a Server.
@@ -270,10 +271,11 @@ func (e entryView) alpha() int {
 	return 1
 }
 
-// handleUpload ingests a graph in the arbods text format and caches its
-// built CSR under its content hash. Re-uploading the same graph — byte
-// variations included, since hashing happens after canonicalization — is
-// idempotent and returns the resident entry.
+// handleUpload ingests a graph in the arbods text format or as ARBCSR01
+// and caches its built CSR under graph.ID, the sha256 of its ARBCSR01
+// encoding. The ID is taken from the decoded graph, not the upload bytes,
+// so re-uploading the same graph — in either format, comments and line
+// order included — is idempotent and returns the resident entry.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Read fully before decoding: a cap hit must answer 413, not whatever
 	// parse error the truncation happens to produce.
@@ -301,12 +303,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "decode graph: %v", err)
 		return
 	}
-	e, err := buildEntry(g, "", 0)
-	if err != nil {
-		s.error(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	resident, existed := s.cache.insert(e, false)
+	resident, existed := s.cache.insert(buildEntry(g, "", 0), false)
 	if s.persist != nil && !existed {
 		// Synchronous by design: once the 200 is on the wire the graph is
 		// durable — a crash right after the response cannot lose it.
@@ -345,15 +342,11 @@ func (s *Server) handleGraphMeta(w http.ResponseWriter, r *http.Request) {
 	// rebuilds, and the cheapest way for any client to download a cached
 	// graph byte-exactly. Local cache only, never fetched recursively.
 	if strings.Contains(r.Header.Get("Accept"), binaryContentType) {
-		var buf bytes.Buffer
-		if err := arbods.EncodeGraphBinary(&buf, e.g); err != nil {
-			s.error(w, http.StatusInternalServerError, "encode graph: %v", err)
-			return
-		}
+		blob := graph.AppendBinary(nil, e.g)
 		w.Header().Set("Content-Type", binaryContentType)
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 		w.WriteHeader(http.StatusOK)
-		w.Write(buf.Bytes())
+		w.Write(blob)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, entryInfo(e))

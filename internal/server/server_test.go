@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/graph"
 	"arbods/internal/server"
 )
 
@@ -178,35 +179,45 @@ func TestUploadSolveReceiptGolden(t *testing.T) {
 
 func TestUploadDedupAndMeta(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{PoolSize: 1})
-	raw := encodeGraph(t, arbods.Star(10).G)
+	g := arbods.Star(10).G
+	raw := encodeGraph(t, g)
+	upload := func(body []byte, contentType string) server.GraphInfo {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/graphs", contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info server.GraphInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
 
-	var first server.GraphInfo
-	resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&first); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	first := upload(raw, "text/plain")
 	if !first.New {
 		t.Fatal("first upload not marked new")
 	}
+	if want := graph.ID(g); first.ID != want {
+		t.Fatalf("upload id %s, graph.ID %s", first.ID, want)
+	}
 
-	// Same graph with comments and reordered weight lines hashes the same:
-	// canonicalization runs before hashing.
-	commented := append([]byte("# a comment\n"), raw...)
-	var second server.GraphInfo
-	resp, err = http.Post(ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(commented))
-	if err != nil {
+	// The ID is taken from the decoded graph, not the upload bytes: a
+	// comment line, the ARBCSR01 encoding, and a generator spec of the
+	// same graph all resolve to it.
+	if second := upload(append([]byte("# a comment\n"), raw...), "text/plain"); second.New || second.ID != first.ID {
+		t.Fatalf("commented re-upload not deduplicated: %+v vs %+v", first, second)
+	}
+	var bin bytes.Buffer
+	if err := arbods.EncodeGraphBinary(&bin, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&second); err != nil {
-		t.Fatal(err)
+	if third := upload(bin.Bytes(), "application/x-arbods-csr"); third.New || third.ID != first.ID {
+		t.Fatalf("binary re-upload not deduplicated: %+v vs %+v", first, third)
 	}
-	resp.Body.Close()
-	if second.New || second.ID != first.ID {
-		t.Fatalf("re-upload not deduplicated: %+v vs %+v", first, second)
+	if _, out, _ := solveRaw(t, ts.URL, server.SolveRequest{Graph: "spec:star:n=10", Algorithm: "thm1.1"}); out.Graph.ID != first.ID {
+		t.Fatalf("spec build id %s, upload id %s", out.Graph.ID, first.ID)
 	}
 
 	meta, err := http.Get(ts.URL + "/v1/graphs/" + first.ID)

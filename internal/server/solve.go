@@ -195,11 +195,7 @@ func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arb
 		}
 		s.builds.Add(1)
 		builtHere = true
-		built, err := buildEntry(g, ref, bound)
-		if err != nil {
-			return entryView{}, http.StatusInternalServerError, err
-		}
-		e, _ := s.cache.insert(built, true)
+		e, _ := s.cache.insert(buildEntry(g, ref, bound), true)
 		if s.persist != nil {
 			// The leader snapshots for everyone: waiters and later requests
 			// find the graph durable as well as resident.

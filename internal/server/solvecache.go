@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 
 	"arbods"
@@ -33,49 +32,36 @@ type solveAnswer struct {
 	ds      []int
 }
 
-type solveEntry struct {
-	key    solveKey
-	answer solveAnswer
-	elem   *list.Element
-}
-
 // solveCache is the response-level LRU: solves are deterministic per
 // (graph, algorithm, parameters, seed) — randomized algorithms included,
 // since per-node streams derive from (seed, nodeID) — so a repeated
 // request can skip the engine entirely and return the byte-identical
 // receipt. Keyed by solveKey, bounded by entry count, LRU-evicted.
 type solveCache struct {
-	mu     sync.Mutex
-	cap    int
-	m      map[solveKey]*solveEntry
-	lru    *list.List // front = most recently used; values are *solveEntry
-	hits   int64
-	misses int64
+	mu      sync.Mutex
+	answers *lru[solveKey, solveAnswer]
+	hits    int64
+	misses  int64
 }
 
 func newSolveCache(capacity int) *solveCache {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &solveCache{
-		cap: capacity,
-		m:   make(map[solveKey]*solveEntry),
-		lru: list.New(),
-	}
+	return &solveCache{answers: newLRU[solveKey, solveAnswer](capacity)}
 }
 
 // get returns the cached answer for key, counting a hit or miss.
 func (c *solveCache) get(key solveKey) (solveAnswer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	a, ok := c.answers.get(key)
 	if !ok {
 		c.misses++
 		return solveAnswer{}, false
 	}
-	c.lru.MoveToFront(e.elem)
 	c.hits++
-	return e.answer, true
+	return a, true
 }
 
 // put stores an answer (first writer wins on a race; the answers are
@@ -83,19 +69,7 @@ func (c *solveCache) get(key solveKey) (solveAnswer, bool) {
 func (c *solveCache) put(key solveKey, a solveAnswer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		return
-	}
-	e := &solveEntry{key: key, answer: a}
-	e.elem = c.lru.PushFront(e)
-	c.m[key] = e
-	for c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		ev := back.Value.(*solveEntry)
-		c.lru.Remove(back)
-		delete(c.m, ev.key)
-	}
+	c.answers.put(key, a)
 }
 
 // counters returns the cumulative hit/miss counts.
