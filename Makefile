@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-json bench-compare benchmark-test alloc-gate ci
+.PHONY: build test race vet fmt-check fuzz bench bench-json bench-compare benchmark-test alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# Fuzz the solve-request contract (strict decoding, Normalize, cache
+# keys) for 10s beyond its committed seed corpus, which `go test ./...`
+# already runs.
+fuzz:
+	$(GO) test ./internal/api/ -run '^$$' -fuzz FuzzSolveRequest -fuzztime 10s
 
 # Engine-scale benchmarks (the million-node routing benchmark included).
 bench:

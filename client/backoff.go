@@ -3,21 +3,23 @@ package arbodsclient
 import (
 	"sync"
 	"time"
+
+	"arbods/internal/rng"
 )
 
-// jitterSource is the seeded stream behind full-jitter backoff: a
-// splitmix64 walk, so a fixed Config.Seed backs off identically on every
-// run — the property the backoff-bound tests pin.
+// jitterSource is the seeded stream behind full-jitter backoff: an
+// rng.Stream (SplitMix64), so a fixed Config.Seed backs off identically
+// on every run — the property the backoff-bound tests pin.
 type jitterSource struct {
-	mu    sync.Mutex
-	state uint64
+	mu sync.Mutex
+	s  *rng.Stream
 }
 
 func newJitterSource(seed uint64) *jitterSource {
 	if seed == 0 {
 		seed = 1
 	}
-	return &jitterSource{state: seed}
+	return &jitterSource{s: rng.New(seed)}
 }
 
 // uniform draws from [0, ceil); zero ceil draws zero.
@@ -26,11 +28,7 @@ func (j *jitterSource) uniform(ceil time.Duration) time.Duration {
 		return 0
 	}
 	j.mu.Lock()
-	j.state += 0x9E3779B97F4A7C15
-	z := j.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
+	z := j.s.Uint64()
 	j.mu.Unlock()
 	return time.Duration(z % uint64(ceil))
 }

@@ -16,6 +16,7 @@
 // the sha256 of its ARBCSR01 bytes, computed by the same function the
 // server uses — equals the graph id, and re-proves domination, set size,
 // and set weight from scratch — answers are verified, not trusted.
+// Solve reads one JSON answer, so it refuses Stream requests.
 package arbodsclient
 
 import (
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/api"
 	"arbods/internal/graph"
 )
 
@@ -165,45 +167,21 @@ type endpoint struct {
 	breaker *breaker
 }
 
-// SolveRequest mirrors the server's POST /v1/solve body; see the README
-// "Serving" section for field semantics.
-type SolveRequest struct {
-	Graph     string  `json:"graph"`
-	Algorithm string  `json:"algorithm,omitempty"`
-	Alpha     int     `json:"alpha,omitempty"`
-	Eps       float64 `json:"eps,omitempty"`
-	T         int     `json:"t,omitempty"`
-	K         int     `json:"k,omitempty"`
-	Seed      uint64  `json:"seed,omitempty"`
-	Mode      string  `json:"mode,omitempty"`
-	MaxRounds int     `json:"maxRounds,omitempty"`
-	IncludeDS bool    `json:"includeDS,omitempty"`
-}
+// SolveRequest and GraphInfo are the daemon's own declarations of the
+// POST /v1/solve body and the graph metadata; see the README "Serving"
+// section for field semantics.
+type (
+	SolveRequest = api.SolveRequest
+	GraphInfo    = api.GraphInfo
+)
 
-// GraphInfo mirrors the server's graph metadata.
-type GraphInfo struct {
-	ID    string `json:"id"`
-	Name  string `json:"name,omitempty"`
-	Nodes int    `json:"nodes"`
-	Edges int    `json:"edges"`
-	Alpha int    `json:"alpha"`
-	Hits  int64  `json:"hits,omitempty"`
-	New   bool   `json:"new,omitempty"`
-}
-
-// SolveResponse is one verified answer. ReceiptBytes preserves the
-// receipt exactly as the server sent it, so callers can compare replicas
-// byte for byte; Receipt is its decoded form.
+// SolveResponse is one verified answer: the server's envelope, whose
+// ReceiptBytes preserves the receipt exactly as the server sent it (so
+// callers can compare replicas byte for byte), plus Receipt, its decoded
+// form.
 type SolveResponse struct {
-	Graph        GraphInfo       `json:"graph"`
-	CacheHit     bool            `json:"cacheHit"`
-	SolveCached  bool            `json:"solveCached,omitempty"`
-	ServedBy     string          `json:"servedBy,omitempty"`
-	Proxied      bool            `json:"proxied,omitempty"`
-	Seed         uint64          `json:"seed"`
-	DS           []int           `json:"ds,omitempty"`
-	ReceiptBytes json.RawMessage `json:"receipt"`
-	Receipt      *arbods.Receipt `json:"-"`
+	api.SolveResponse
+	Receipt *arbods.Receipt `json:"-"`
 
 	// Endpoint is the base URL that answered; Attempts counts tries,
 	// first included.
@@ -229,8 +207,12 @@ func (e *APIError) Error() string {
 var ErrBudgetExhausted = errors.New("arbodsclient: retry budget exhausted")
 
 // Solve runs one solve with retries, failover, and (when configured)
-// receipt verification.
+// receipt verification. It refuses Stream: a streamed answer is NDJSON
+// round progress, which Solve cannot read as one envelope.
 func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
+	if req.Stream {
+		return nil, errors.New("arbodsclient: Stream is not supported by Solve")
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -401,13 +383,10 @@ func (c *Client) solveOnce(ctx context.Context, ep *endpoint, body []byte) (*Sol
 		}
 		return &resp, false, nil
 	}
-	api := &APIError{Status: hresp.StatusCode, Endpoint: ep.base}
-	var envelope struct {
-		Error string `json:"error"`
-		Code  string `json:"code"`
-	}
+	apiErr := &APIError{Status: hresp.StatusCode, Endpoint: ep.base}
+	var envelope api.ErrorBody
 	if json.Unmarshal(data, &envelope) == nil {
-		api.Code, api.Message = envelope.Code, envelope.Error
+		apiErr.Code, apiErr.Message = envelope.Code, envelope.Error
 	}
 	switch {
 	case hresp.StatusCode == http.StatusTooManyRequests || hresp.StatusCode == http.StatusServiceUnavailable:
@@ -417,17 +396,17 @@ func (c *Client) solveOnce(ctx context.Context, ep *endpoint, body []byte) (*Sol
 		if secs, err := strconv.Atoi(hresp.Header.Get("Retry-After")); err == nil && secs > 0 {
 			delay = time.Duration(secs) * time.Second
 		}
-		return nil, true, &retryAfterError{api: api, delay: delay}
+		return nil, true, &retryAfterError{api: apiErr, delay: delay}
 	case hresp.StatusCode >= 500:
 		c.markBreaker(ep, false)
-		return nil, true, api
+		return nil, true, apiErr
 	case hresp.StatusCode == http.StatusNotFound:
 		// Another replica may hold the graph; the endpoint is healthy.
 		c.markBreaker(ep, true)
-		return nil, true, api
+		return nil, true, apiErr
 	default:
 		c.markBreaker(ep, true)
-		return nil, false, api
+		return nil, false, apiErr
 	}
 }
 
@@ -449,7 +428,7 @@ func (c *Client) Upload(ctx context.Context, g *arbods.Graph) (GraphInfo, error)
 		if err != nil {
 			return false, err
 		}
-		hreq.Header.Set("Content-Type", "application/x-arbods-csr")
+		hreq.Header.Set("Content-Type", api.BinaryContentType)
 		hresp, err := c.hc.Do(hreq)
 		if err != nil {
 			c.markBreaker(ep, false)
@@ -487,7 +466,7 @@ func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
 		if err != nil {
 			return false, err
 		}
-		hreq.Header.Set("Accept", "application/x-arbods-csr")
+		hreq.Header.Set("Accept", api.BinaryContentType)
 		hresp, err := c.hc.Do(hreq)
 		if err != nil {
 			c.markBreaker(ep, false)

@@ -13,10 +13,16 @@
 //
 //	mdsrun -servers host1:8080,host2:8080 -algo thm1.1 -gen grid:n=900 -receipt
 //
-// Algorithms: thm3.1 (unweighted det), thm1.1 (weighted det), thm1.2
-// (weighted randomized, -t), thm1.3 (general graphs, -k), remark4.4,
-// remark4.5, tree (Observation A.1), lw (LW bucket), lrg (LRG), greedy
-// (centralized), exact.
+// Both paths build one request from the flags (internal/api.SolveRequest,
+// with the server's defaults) and print one summary built from the
+// catalog name, the graph and the receipt, byte for byte the same.
+//
+// Algorithms are the GET /v1/algorithms names, run locally through the
+// same table the server dispatches from: thm3.1 (unweighted det), thm1.1
+// (weighted det), thm1.2 (weighted randomized, -t), thm1.3 (general
+// graphs, -k), remark4.4, remark4.5, tree (Observation A.1), lw (LW
+// bucket), lrg (LRG), kw05 (Kuhn–Wattenhofer, -k). Two centralized
+// baselines run only locally: greedy and exact.
 package main
 
 import (
@@ -26,13 +32,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"strings"
-	"time"
 
 	"arbods"
 	arbodsclient "arbods/client"
+	"arbods/internal/api"
 	"arbods/internal/gen"
 )
 
@@ -70,7 +75,7 @@ func run(args []string) error {
 		alpha   = fs.Int("alpha", 0, "arboricity bound (0 = use generator bound or degeneracy)")
 		eps     = fs.Float64("eps", 0.2, "ε parameter")
 		tParam  = fs.Int("t", 2, "t parameter (thm1.2)")
-		kParam  = fs.Int("k", 2, "k parameter (thm1.3)")
+		kParam  = fs.Int("k", 2, "k parameter (thm1.3, kw05)")
 		seed    = fs.Uint64("seed", 1, "run seed")
 		printDS = fs.Bool("print-ds", false, "print the dominating set node IDs")
 		receipt = fs.Bool("receipt", false, "print the full verification receipt instead of the summary")
@@ -82,212 +87,148 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := []arbods.Option{arbods.WithSeed(*seed)}
-	if *workers > 0 {
-		opts = append(opts, arbods.WithWorkers(*workers))
+	// A zero in the request means "use the default" (api.Normalize), so
+	// an explicit zero flag would silently run something else.
+	if *eps <= 0 || *tParam < 1 || *kParam < 1 {
+		return errors.New("-eps, -t and -k must be positive")
 	}
-	if *local {
-		opts = append(opts, arbods.WithMode(arbods.Local))
-	}
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		opts = append(opts, arbods.WithContext(ctx))
-	}
-
 	g, name, bound, err := loadGraph(*genSpec, *file)
 	if err != nil {
 		return err
 	}
-	a := *alpha
-	if a == 0 {
-		a = bound
-	}
-	if a == 0 {
-		_, a = arbods.Degeneracy(g) // certified upper bound for α
-	}
-	if a == 0 {
-		a = 1
+	if *servers == "" && (*algo == "greedy" || *algo == "exact") {
+		return runBaseline(*algo, g, name, *printDS)
 	}
 
+	req := api.SolveRequest{
+		Algorithm: *algo, Alpha: *alpha, Eps: *eps, T: *tParam, K: *kParam,
+		Seed: *seed, IncludeDS: *printDS,
+	}
+	if *local {
+		req.Mode = "local"
+	}
+	// The α default is the server's rule, so a -servers run solves the
+	// request a local run would.
+	degen := 0
+	if bound == 0 && req.Alpha == 0 {
+		_, degen = arbods.Degeneracy(g)
+	}
+	api.Normalize(&req, api.DefaultAlpha(bound, degen))
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+
+	var rec *arbods.Receipt
+	var ds []int
 	if *servers != "" {
-		return runRemote(remoteConfig{
-			endpoints: strings.Split(*servers, ","),
-			algo:      *algo, alpha: a, eps: *eps, t: *tParam, k: *kParam,
-			seed: *seed, local: *local, timeout: *timeout,
-			printDS: *printDS, receipt: *receipt,
-		}, g, name)
-	}
-
-	s := summary{
-		Algorithm: *algo, Graph: name,
-		Nodes: g.N(), Edges: g.M(), MaxDegree: g.MaxDegree(),
-	}
-	var rep *arbods.Report
-	switch *algo {
-	case "thm3.1":
-		rep, err = arbods.UnweightedDeterministic(g, a, *eps, opts...)
-	case "thm1.1":
-		rep, err = arbods.WeightedDeterministic(g, a, *eps, opts...)
-	case "thm1.2":
-		rep, err = arbods.WeightedRandomized(g, a, *tParam, opts...)
-	case "thm1.3":
-		rep, err = arbods.GeneralGraphs(g, *kParam, opts...)
-	case "remark4.4":
-		rep, err = arbods.UnknownDelta(g, a, *eps, opts...)
-	case "remark4.5":
-		rep, err = arbods.UnknownAlpha(g, *eps, opts...)
-	case "tree":
-		rep, err = arbods.TreeThreeApprox(g, opts...)
-	case "lw":
-		rep, err = arbods.LWBucketDeterministic(g, opts...)
-	case "lrg":
-		rep, err = arbods.LRGRandomized(g, opts...)
-	case "greedy":
-		res := arbods.GreedyCentralized(g)
-		return emitBaseline(&s, g, res, *printDS)
-	case "exact":
-		res, err := arbods.ExactSmall(g)
-		if err != nil {
-			return err
-		}
-		return emitBaseline(&s, g, res, *printDS)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
+		rec, ds, err = solveRemote(ctx, strings.Split(*servers, ","), g, req)
+	} else {
+		rec, ds, err = solveLocal(ctx, g, req, *workers)
 	}
 	if err != nil {
 		return err
 	}
-	if *algo != "thm1.3" {
-		s.Alpha = a
-	}
-	s.DSSize = len(rep.DS)
-	s.DSWeight = rep.DSWeight
-	s.Rounds = rep.Rounds()
-	s.Messages = rep.Messages()
-	s.TotalBits = rep.Result.TotalBits
-	s.PackingSum = rep.PackingSum
-	// Baselines produce no packing; CertifiedRatio is +Inf there, which
-	// JSON cannot represent — report it only when finite.
-	if ratio := rep.CertifiedRatio(); !math.IsInf(ratio, 0) {
-		s.CertifiedRatio = ratio
-	}
-	s.GuaranteeFactor = rep.Factor
-	// Verification goes through the one shared path (BuildReceipt) that
-	// the server and bench harness use too.
-	rec := arbods.BuildReceipt(g, rep)
-	s.Certified = rec.OK
+	var out any = newSummary(req.Algorithm, name, g, rec)
 	if *receipt {
-		if err := emitJSON(rec); err != nil {
-			return err
-		}
-	} else if err := emit(&s); err != nil {
-		return err
+		out = rec
 	}
-	if *printDS {
-		return json.NewEncoder(os.Stdout).Encode(rep.DS)
-	}
-	return nil
+	return emit(out, ds, *printDS)
 }
 
-// remoteConfig carries the flags relevant to a -servers run.
-type remoteConfig struct {
-	endpoints        []string
-	algo             string
-	alpha, t, k      int
-	eps              float64
-	seed             uint64
-	local            bool
-	timeout          time.Duration
-	printDS, receipt bool
+// newSummary is the one summary both paths print, built from the catalog
+// name the run was asked for, the graph, and the receipt certifying it.
+func newSummary(algo, name string, g *arbods.Graph, rec *arbods.Receipt) summary {
+	return summary{
+		Algorithm: algo, Graph: name,
+		Nodes: rec.Nodes, Edges: rec.Edges, MaxDegree: g.MaxDegree(),
+		Alpha:  rec.Alpha,
+		DSSize: rec.SetSize, DSWeight: rec.SetWeight,
+		Rounds: rec.Rounds, Messages: rec.Messages, TotalBits: rec.TotalBits,
+		PackingSum: rec.PackingSum, CertifiedRatio: rec.CertifiedRatio,
+		GuaranteeFactor: rec.Factor, Certified: rec.OK,
+	}
 }
 
-// runRemote executes the solve on an arbods-server cluster through the
-// resilient client: the graph uploads over the binary wire, the solve
+// solveLocal runs the request in-process through the same algorithm table
+// the server dispatches from, and verifies it through BuildReceipt, the
+// one path the server and bench harness use too.
+func solveLocal(ctx context.Context, g *arbods.Graph, req api.SolveRequest, workers int) (*arbods.Receipt, []int, error) {
+	opts := []arbods.Option{arbods.WithContext(ctx)}
+	if workers > 0 {
+		opts = append(opts, arbods.WithWorkers(workers))
+	}
+	rep, err := api.Run(g, &req, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return arbods.BuildReceipt(g, rep), rep.DS, nil
+}
+
+// solveRemote executes the request on an arbods-server cluster through
+// the resilient client: the graph uploads over the binary wire, the solve
 // retries across endpoints with backoff and per-endpoint circuit
 // breaking, and the answer's receipt (plus the dominating set itself,
 // with -print-ds) is verified locally before anything prints.
-func runRemote(rc remoteConfig, g *arbods.Graph, name string) error {
+func solveRemote(ctx context.Context, endpoints []string, g *arbods.Graph, req api.SolveRequest) (*arbods.Receipt, []int, error) {
 	cli, err := arbodsclient.New(arbodsclient.Config{
-		Endpoints:      rc.endpoints,
+		Endpoints:      endpoints,
 		VerifyReceipts: true,
 		Logf:           log.New(os.Stderr, "mdsrun: ", 0).Printf,
 	})
 	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if rc.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rc.timeout)
-		defer cancel()
+		return nil, nil, err
 	}
 	info, err := cli.Upload(ctx, g)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	req := arbodsclient.SolveRequest{
-		Graph: info.ID, Algorithm: rc.algo, Alpha: rc.alpha, Eps: rc.eps,
-		T: rc.t, K: rc.k, Seed: rc.seed, IncludeDS: rc.printDS,
-	}
-	if rc.local {
-		req.Mode = "local"
-	}
+	req.Graph = info.ID
 	out, err := cli.Solve(ctx, req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	rec := out.Receipt
-	if rec == nil {
-		return errors.New("server answered without a receipt")
+	if out.Receipt == nil {
+		return nil, nil, errors.New("server answered without a receipt")
 	}
-	if rc.receipt {
-		if err := emitJSON(rec); err != nil {
-			return err
-		}
-	} else {
-		s := summary{
-			Algorithm: rec.Algorithm, Graph: name,
-			Nodes: rec.Nodes, Edges: rec.Edges, MaxDegree: g.MaxDegree(),
-			Alpha:  rec.Alpha,
-			DSSize: rec.SetSize, DSWeight: rec.SetWeight,
-			Rounds: rec.Rounds, Messages: rec.Messages, TotalBits: rec.TotalBits,
-			PackingSum: rec.PackingSum, CertifiedRatio: rec.CertifiedRatio,
-			GuaranteeFactor: rec.Factor, Certified: rec.OK,
-		}
-		if err := emit(&s); err != nil {
-			return err
-		}
-	}
-	if rc.printDS {
-		return json.NewEncoder(os.Stdout).Encode(out.DS)
-	}
-	return nil
+	return out.Receipt, out.DS, nil
 }
 
-func emitBaseline(s *summary, g *arbods.Graph, res arbods.BaselineResult, printDS bool) error {
-	s.DSSize = len(res.DS)
-	s.DSWeight = res.Weight
+// runBaseline runs a centralized baseline (greedy, exact): CLI-only, with
+// no rounds and no packing, so its summary certifies domination alone.
+func runBaseline(algo string, g *arbods.Graph, name string, printDS bool) error {
+	var res arbods.BaselineResult
+	if algo == "greedy" {
+		res = arbods.GreedyCentralized(g)
+	} else {
+		var err error
+		if res, err = arbods.ExactSmall(g); err != nil {
+			return err
+		}
+	}
 	set := make([]bool, g.N())
 	for _, v := range res.DS {
 		set[v] = true
 	}
-	s.Certified = len(arbods.IsDominatingSet(g, set)) == 0
-	if err := emit(s); err != nil {
-		return err
+	s := summary{
+		Algorithm: algo, Graph: name,
+		Nodes: g.N(), Edges: g.M(), MaxDegree: g.MaxDegree(),
+		DSSize: len(res.DS), DSWeight: res.Weight,
+		Certified: len(arbods.IsDominatingSet(g, set)) == 0,
 	}
-	if printDS {
-		return json.NewEncoder(os.Stdout).Encode(res.DS)
-	}
-	return nil
+	return emit(s, res.DS, printDS)
 }
 
-func emit(s *summary) error { return emitJSON(s) }
-
-func emitJSON(v any) error {
+// emit prints v as indented JSON, then, with -print-ds, the set itself.
+func emit(v any, ds []int, printDS bool) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	if err := enc.Encode(v); err != nil || !printDS {
+		return err
+	}
+	return json.NewEncoder(os.Stdout).Encode(ds)
 }
 
 func loadGraph(spec, file string) (*arbods.Graph, string, int, error) {

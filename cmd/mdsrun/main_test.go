@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -120,5 +122,92 @@ func TestRunRemote(t *testing.T) {
 	err = run([]string{"-servers", ts.URL, "-algo", "greedy", "-gen", "grid:r=3,c=3"})
 	if err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
 		t.Fatalf("remote greedy: err = %v, want unknown algorithm", err)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it printed.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// daemon starts an in-process arbods-server and returns its base URL.
+func daemon(t *testing.T) string {
+	t.Helper()
+	srv, err := server.New(server.Config{PoolSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	return ts.URL
+}
+
+// TestRemoteParity pins the one-contract promise: every name the daemon
+// lists under /v1/algorithms runs locally too, and a -servers run prints
+// byte-for-byte what the local run prints — the summary and the receipt.
+func TestRemoteParity(t *testing.T) {
+	url := daemon(t)
+	resp, err := http.Get(url + "/v1/algorithms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var algos []server.AlgorithmInfo
+	err = json.NewDecoder(resp.Body).Decode(&algos)
+	resp.Body.Close()
+	if err != nil || len(algos) == 0 {
+		t.Fatalf("algorithm list: %v (%d names)", err, len(algos))
+	}
+	for _, a := range algos {
+		for _, extra := range [][]string{nil, {"-receipt"}} {
+			args := append([]string{"-algo", a.Name, "-gen", "tree:n=60", "-seed", "3"}, extra...)
+			local := captureStdout(t, func() error { return run(args) })
+			remote := captureStdout(t, func() error { return run(append([]string{"-servers", url}, args...)) })
+			if local != remote {
+				t.Errorf("%v: -servers output differs from the local run:\n--- local\n%s--- remote\n%s", args, local, remote)
+			}
+		}
+	}
+}
+
+// TestZeroParams pins that a zero or negative -eps, -t or -k is refused,
+// locally and with -servers alike: the request would read a zero as "use
+// the default" and run something the caller did not ask for.
+func TestZeroParams(t *testing.T) {
+	silenceStdout(t)
+	url := daemon(t)
+	for _, where := range [][]string{nil, {"-servers", url}} {
+		for _, args := range [][]string{
+			{"-algo", "thm1.1", "-eps", "0"},
+			{"-algo", "remark4.5", "-eps", "-0.5"},
+			{"-algo", "thm1.2", "-t", "0"},
+			{"-algo", "thm1.3", "-k", "0"},
+			{"-algo", "kw05", "-k", "0"},
+		} {
+			err := run(append(append([]string{"-gen", "tree:n=20"}, where...), args...))
+			if err == nil || !strings.Contains(err.Error(), "must be positive") {
+				t.Errorf("%v %v: err = %v, want a refusal", where, args, err)
+			}
+		}
 	}
 }

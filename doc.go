@@ -135,7 +135,7 @@
 // graph's ARBCSR01 bytes (its one canonical byte form, so a text upload,
 // a binary upload and a spec build of one graph share an ID); solves are
 // scheduled onto a shared RunnerPool with admission control; results are
-// Detach-ed off Runner memory before the Runner returns to the pool; and
+// never recycled onto Runner memory, so none can outlive its Runner; and
 // every answer carries a verification Receipt — the coverage proof, the
 // packing feasibility, and the α-bound ratio check, recomputed from the
 // graph and the run.

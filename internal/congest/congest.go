@@ -99,7 +99,6 @@ package congest
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -556,6 +555,3 @@ func RunContext[O any](ctx context.Context, g *graph.Graph, factory Factory[O], 
 	all = append(all, opts...)
 	return Run(g, factory, all...)
 }
-
-// ErrNotRun is returned by helpers that require a completed run.
-var ErrNotRun = errors.New("congest: run has not completed")

@@ -215,14 +215,6 @@ func (g *Graph) MaxDegree() int { return g.maxDeg }
 // instead of equal node count.
 func (g *Graph) AdjOffset(v int) int { return int(g.offsets[v]) }
 
-// AvgDegree returns 2m/n, or 0 for an empty graph.
-func (g *Graph) AvgDegree() float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return float64(len(g.adj)) / float64(g.N())
-}
-
 // Degree returns the degree of node v.
 func (g *Graph) Degree(v int) int {
 	return int(g.offsets[v+1] - g.offsets[v])
@@ -233,19 +225,9 @@ func (g *Graph) neighborSlice(v int) []int32 {
 }
 
 // Neighbors returns the sorted neighbor list of v as a read-only view into
-// the graph's internal storage. Callers must not modify the returned slice;
-// use AppendNeighbors to obtain an owned copy.
+// the graph's internal storage. Callers must not modify the returned slice.
 func (g *Graph) Neighbors(v int) []int32 {
 	return g.neighborSlice(v)
-}
-
-// AppendNeighbors appends the neighbors of v to dst and returns the extended
-// slice, giving callers an owned copy without forcing an allocation per call.
-func (g *Graph) AppendNeighbors(dst []int, v int) []int {
-	for _, u := range g.neighborSlice(v) {
-		dst = append(dst, int(u))
-	}
-	return dst
 }
 
 // HasEdge reports whether {u, v} is an edge, in O(log deg(u)) time.
@@ -260,13 +242,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // Weight returns the weight of node v.
 func (g *Graph) Weight(v int) int64 { return g.weights[v] }
-
-// Weights returns a copy of the weight vector.
-func (g *Graph) Weights() []int64 {
-	w := make([]int64, len(g.weights))
-	copy(w, g.weights)
-	return w
-}
 
 // TotalWeight returns the sum of all node weights.
 func (g *Graph) TotalWeight() int64 {

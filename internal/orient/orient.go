@@ -102,13 +102,6 @@ type Proc struct {
 	round    int
 }
 
-// NewProc allocates and initializes the peeling state for a node.
-func NewProc(ni congest.NodeInfo, sched Schedule, eps float64) *Proc {
-	p := &Proc{}
-	p.Init(ni, sched, eps)
-	return p
-}
-
 // Init initializes the peeling state in place (for procs embedded by value
 // or constructed in a slab), carving the layer cache from the run's arena.
 func (p *Proc) Init(ni congest.NodeInfo, sched Schedule, eps float64) {

@@ -91,7 +91,7 @@ func (h *histogram) snapshot() HistogramSnapshot {
 type latencySet struct {
 	build histogram // graph resolve on a cache miss (decode/generate + CSR build + degeneracy)
 	queue histogram // admission to Runner checkout
-	solve histogram // engine run (runAlgorithm)
+	solve histogram // engine run (api.Run)
 	total histogram // handler entry to response ready, all outcomes that produced an answer
 	shed  histogram // handler entry to a load-shedding 429 (queue overflow or per-graph cap)
 	proxy histogram // solves forwarded to an owner daemon, request to relayed response

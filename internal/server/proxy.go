@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/api"
 	"arbods/internal/graph"
 )
 
@@ -23,15 +24,10 @@ import (
 // (sha256: references). Determinism makes the failover safe: whichever
 // daemon executes, the receipt is byte-identical.
 
-const (
-	// forwardedHeader marks intra-cluster traffic: a forwarded solve is
-	// executed locally no matter who owns it (one hop, never a loop),
-	// and a replicated upload is not re-replicated.
-	forwardedHeader = "X-Arbods-Forwarded"
-	// binaryContentType is the ARBCSR01 wire type for graph upload and
-	// download — the same checksummed codec the snapshot files use.
-	binaryContentType = "application/x-arbods-csr"
-)
+// forwardedHeader marks intra-cluster traffic: a forwarded solve is
+// executed locally no matter who owns it (one hop, never a loop), and a
+// replicated upload is not re-replicated.
+const forwardedHeader = "X-Arbods-Forwarded"
 
 // proxySolve forwards the solve to the first healthy owner and relays
 // its answer, returning false when no owner could be reached (the
@@ -74,23 +70,9 @@ func (s *Server) proxySolve(w http.ResponseWriter, r *http.Request, raw []byte, 
 	return false
 }
 
-// proxiedResponse mirrors SolveResponse field for field, but keeps the
-// nested documents raw so re-encoding the envelope cannot perturb a
-// single receipt byte — the property every cross-replica identity check
-// rests on.
-type proxiedResponse struct {
-	Graph       json.RawMessage `json:"graph"`
-	CacheHit    bool            `json:"cacheHit"`
-	SolveCached bool            `json:"solveCached,omitempty"`
-	ServedBy    string          `json:"servedBy,omitempty"`
-	Proxied     bool            `json:"proxied,omitempty"`
-	Seed        uint64          `json:"seed"`
-	DS          json.RawMessage `json:"ds,omitempty"`
-	Receipt     json.RawMessage `json:"receipt,omitempty"`
-}
-
 // relayProxied copies the owner's answer to the client. Successful
-// plain responses are re-tagged proxied=true (receipt bytes untouched);
+// plain responses are re-tagged proxied=true through the shared envelope,
+// whose raw receipt keeps every receipt byte untouched;
 // streams and error statuses — including the owner's 429/503 with its
 // Retry-After hint — pass through verbatim.
 func (s *Server) relayProxied(w http.ResponseWriter, resp *http.Response, stream bool) {
@@ -111,8 +93,8 @@ func (s *Server) relayProxied(w http.ResponseWriter, resp *http.Response, stream
 		return
 	}
 	if resp.StatusCode == http.StatusOK {
-		var pr proxiedResponse
-		if json.Unmarshal(body, &pr) == nil && len(pr.Receipt) > 0 {
+		var pr api.SolveResponse
+		if json.Unmarshal(body, &pr) == nil && len(pr.ReceiptBytes) > 0 {
 			pr.Proxied = true
 			s.writeJSON(w, http.StatusOK, &pr)
 			return
@@ -176,7 +158,7 @@ func (s *Server) pushSnapshot(ctx context.Context, peer string, blob []byte) err
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", binaryContentType)
+	req.Header.Set("Content-Type", api.BinaryContentType)
 	req.Header.Set(forwardedHeader, s.cluster.Self())
 	resp, err := s.cluster.Client().Do(req)
 	if err != nil {
@@ -237,14 +219,14 @@ func (s *Server) tryFetchSnapshot(ctx context.Context, peer, id string) (*graphE
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Accept", binaryContentType)
+	req.Header.Set("Accept", api.BinaryContentType)
 	req.Header.Set(forwardedHeader, s.cluster.Self())
 	resp, err := s.cluster.Client().Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Header.Get("Content-Type"), binaryContentType) {
+	if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Header.Get("Content-Type"), api.BinaryContentType) {
 		io.Copy(io.Discard, resp.Body)
 		return nil, &httpStatusError{status: resp.StatusCode}
 	}

@@ -8,10 +8,11 @@
 //     repeat queries skip the build that dominates a cold request;
 //   - solve requests are scheduled onto a shared congest.RunnerPool with
 //     admission control, so concurrent clients never oversubscribe the
-//     machine and every run executes on warmed, recycled Runner state;
-//   - results are detached (Result.Detach) before their Runner returns to
-//     the pool, so the zero-allocation hot path never leaks Runner-owned
-//     memory into a response;
+//     machine and every run executes on warmed Runner state; results are
+//     not recycled, so no Runner-owned memory can reach a response;
+//   - the request, its cache key, the response envelopes and the
+//     algorithm table are the shared contract in internal/api, the same
+//     one arbods/client and cmd/mdsrun speak;
 //   - every answer ships with a verification receipt (arbods.Receipt):
 //     the coverage proof, the packing feasibility, and the α-bound ratio
 //     check, recomputed from the graph and the run — clients verify, they
@@ -73,6 +74,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/api"
 	"arbods/internal/cluster"
 	"arbods/internal/faultinject"
 	"arbods/internal/graph"
@@ -237,38 +239,11 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// GraphInfo describes one cached graph.
-type GraphInfo struct {
-	ID    string `json:"id"`
-	Name  string `json:"name,omitempty"`
-	Nodes int    `json:"nodes"`
-	Edges int    `json:"edges"`
-	// Alpha is the certified arboricity bound solves default to: the
-	// generator-guaranteed bound when the graph came from a spec, else
-	// the degeneracy (α ≤ degeneracy ≤ 2α−1).
-	Alpha int   `json:"alpha"`
-	Hits  int64 `json:"hits,omitempty"`
-	// New reports whether an upload inserted the graph (false = already
-	// resident under the same content hash).
-	New bool `json:"new,omitempty"`
-}
-
 func entryInfo(e entryView) GraphInfo {
 	return GraphInfo{
 		ID: e.id, Name: e.name, Nodes: e.g.N(), Edges: e.g.M(),
-		Alpha: e.alpha(), Hits: e.hits,
+		Alpha: api.DefaultAlpha(e.bound, e.degen), Hits: e.hits,
 	}
-}
-
-// alpha is the α a solve uses when the request does not pin one.
-func (e entryView) alpha() int {
-	if e.bound > 0 {
-		return e.bound
-	}
-	if e.degen > 0 {
-		return e.degen
-	}
-	return 1
 }
 
 // handleUpload ingests a graph in the arbods text format or as ARBCSR01
@@ -294,7 +269,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// snapshots use — skips the text parse entirely, and is how peers
 	// replicate uploads to each other.
 	var g *arbods.Graph
-	if strings.Contains(r.Header.Get("Content-Type"), binaryContentType) {
+	if strings.Contains(r.Header.Get("Content-Type"), api.BinaryContentType) {
 		g, err = arbods.DecodeGraphBinary(bytes.NewReader(raw))
 	} else {
 		g, err = arbods.DecodeGraph(bytes.NewReader(raw))
@@ -341,9 +316,9 @@ func (s *Server) handleGraphMeta(w http.ResponseWriter, r *http.Request) {
 	// its metadata — the snapshot-fetch path peers use for failover
 	// rebuilds, and the cheapest way for any client to download a cached
 	// graph byte-exactly. Local cache only, never fetched recursively.
-	if strings.Contains(r.Header.Get("Accept"), binaryContentType) {
+	if strings.Contains(r.Header.Get("Accept"), api.BinaryContentType) {
 		blob := graph.AppendBinary(nil, e.g)
-		w.Header().Set("Content-Type", binaryContentType)
+		w.Header().Set("Content-Type", api.BinaryContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
 		w.WriteHeader(http.StatusOK)
 		w.Write(blob)
@@ -352,15 +327,8 @@ func (s *Server) handleGraphMeta(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, entryInfo(e))
 }
 
-// AlgorithmInfo documents one servable algorithm.
-type AlgorithmInfo struct {
-	Name        string   `json:"name"`
-	Params      []string `json:"params,omitempty"`
-	Description string   `json:"description"`
-}
-
 func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, algorithmCatalog)
+	s.writeJSON(w, http.StatusOK, api.Algorithms)
 }
 
 // Stats is the /v1/stats payload. Two cache layers report separately:
@@ -530,14 +498,6 @@ func (s *Server) retryAfterHint() string {
 	return strconv.Itoa(secs)
 }
 
-// errorBody is the uniform JSON error envelope: a human-readable message
-// plus a stable machine-readable code, the same shape on every /v1/
-// handler so clients switch on code, not on message text.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
 // StatusClientClosedRequest reports a solve abandoned because the client
 // disconnected mid-request (nginx's 499; Go's net/http has no name for
 // it). The status is moot to the departed client but keeps logs and
@@ -573,7 +533,7 @@ func (s *Server) error(w http.ResponseWriter, status int, format string, args ..
 func (s *Server) errorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
 	s.logf("error %d %s: %s", status, code, msg)
-	s.writeJSON(w, status, errorBody{Error: msg, Code: code})
+	s.writeJSON(w, status, api.ErrorBody{Error: msg, Code: code})
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,117 +11,16 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/api"
 )
 
-// SolveRequest asks the server to run one algorithm on one graph.
-type SolveRequest struct {
-	// Graph references the input: "sha256:<hex>" (a previously uploaded
-	// or cached graph), "corpus:<name>" (a file from the corpus
-	// directory), or "spec:<gen-spec>" (a generator spec like
-	// "forest:n=1000,k=3").
-	Graph string `json:"graph"`
-	// Algorithm is one of the /v1/algorithms names (default "thm1.1").
-	Algorithm string `json:"algorithm,omitempty"`
-
-	// Alpha pins the arboricity bound (0 = the graph's certified
-	// default: generator bound, else degeneracy).
-	Alpha int     `json:"alpha,omitempty"`
-	Eps   float64 `json:"eps,omitempty"`  // default 0.2
-	T     int     `json:"t,omitempty"`    // thm1.2 (default 2)
-	K     int     `json:"k,omitempty"`    // thm1.3 / kw05 (default 2)
-	Seed  uint64  `json:"seed,omitempty"` // run seed (deterministic per seed)
-
-	// Mode is "congest" (default, strict bandwidth), "audit", or "local".
-	Mode      string `json:"mode,omitempty"`
-	MaxRounds int    `json:"maxRounds,omitempty"`
-
-	// IncludeDS adds the dominating set's node IDs to the response
-	// (receipts always carry the set size and weight).
-	IncludeDS bool `json:"includeDS,omitempty"`
-	// Stream switches the response to NDJSON: one line per simulated
-	// round ({"round":…,"messages":…,"bits":…,"activeNodes":…}), then a
-	// final {"result":…} line. Streamed solves bypass the solve cache —
-	// the round progress is the point, and a cached answer has none.
-	Stream bool `json:"stream,omitempty"`
-}
-
-// normalize fills the request's defaulted fields in place, against the
-// resolved graph for the α default. Solve-cache keys are built from the
-// normalized form, so "eps omitted" and "eps: 0.2" are the same request.
-func (req *SolveRequest) normalize(e entryView) {
-	if req.Algorithm == "" {
-		req.Algorithm = "thm1.1"
-	}
-	if req.Alpha == 0 {
-		req.Alpha = e.alpha()
-	}
-	if req.Eps == 0 {
-		req.Eps = 0.2
-	}
-	if req.T == 0 {
-		req.T = 2
-	}
-	if req.K == 0 {
-		req.K = 2
-	}
-	if req.Mode == "" {
-		req.Mode = "congest"
-	}
-}
-
-// key builds the solve-cache key; call after normalize.
-func (req *SolveRequest) key(graphID string) solveKey {
-	return solveKey{
-		graphID:   graphID,
-		algorithm: req.Algorithm,
-		alpha:     req.Alpha,
-		eps:       req.Eps,
-		t:         req.T,
-		k:         req.K,
-		seed:      req.Seed,
-		mode:      req.Mode,
-		maxRounds: req.MaxRounds,
-	}
-}
-
-// SolveResponse is the answer-with-proof envelope.
-type SolveResponse struct {
-	Graph GraphInfo `json:"graph"`
-	// CacheHit reports whether the graph's built CSR was already
-	// resident (the repeat-query fast path).
-	CacheHit bool `json:"cacheHit"`
-	// SolveCached reports whether the whole answer came from the solve
-	// cache — no engine run happened for this response.
-	SolveCached bool `json:"solveCached,omitempty"`
-	// ServedBy is the advertised URL of the daemon that executed (or
-	// cache-served) the solve; empty on a standalone server. Proxied
-	// marks answers that were forwarded to an owner daemon — determinism
-	// makes the distinction invisible in the receipt bytes, which is the
-	// property the cluster's failover tests pin.
-	ServedBy string `json:"servedBy,omitempty"`
-	Proxied  bool   `json:"proxied,omitempty"`
-	Seed     uint64 `json:"seed"`
-	DS       []int  `json:"ds,omitempty"`
-	// Receipt is the verification record recomputed from the graph and
-	// the run; byte-identical across repeats of the same request,
-	// whether the answer was computed or served from the solve cache.
-	Receipt *arbods.Receipt `json:"receipt"`
-}
-
-// algorithmCatalog documents the servable algorithms; names match
-// cmd/mdsrun's -algo values.
-var algorithmCatalog = []AlgorithmInfo{
-	{Name: "thm3.1", Params: []string{"alpha", "eps"}, Description: "deterministic (2α+1)(1+ε)-approx, unweighted, O(log(Δ/α)/ε) rounds"},
-	{Name: "thm1.1", Params: []string{"alpha", "eps"}, Description: "deterministic (2α+1)(1+ε)-approx, weighted, O(log(Δ/α)/ε) rounds"},
-	{Name: "thm1.2", Params: []string{"alpha", "t"}, Description: "randomized α+O(α/t)-approx in expectation, weighted, O(t·log Δ) rounds"},
-	{Name: "thm1.3", Params: []string{"k"}, Description: "randomized O(kΔ^{2/k})-approx in expectation, general graphs, O(k²) rounds"},
-	{Name: "remark4.4", Params: []string{"alpha", "eps"}, Description: "Theorem 1.1 without global knowledge of Δ"},
-	{Name: "remark4.5", Params: []string{"eps"}, Description: "Theorem 1.1 without knowledge of α (distributed H-partition estimate)"},
-	{Name: "tree", Description: "Observation A.1: one-round 3-approx on forests"},
-	{Name: "lw", Description: "Lenzen–Wattenhofer bucket greedy baseline, unweighted"},
-	{Name: "lrg", Description: "Jia–Rajaraman–Suel local randomized greedy baseline, unweighted"},
-	{Name: "kw05", Params: []string{"k"}, Description: "Kuhn–Wattenhofer fractional+rounding baseline, unweighted"},
-}
+// The solve contract lives in internal/api, shared with arbods/client and
+// cmd/mdsrun; these aliases keep the server's names for it.
+type (
+	SolveRequest  = api.SolveRequest
+	GraphInfo     = api.GraphInfo
+	AlgorithmInfo = api.AlgorithmInfo
+)
 
 // resolveGraph turns a request's graph reference into a cached entry,
 // building (and caching) it on a miss. The returned bool reports a cache
@@ -209,50 +107,6 @@ func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arb
 	return e, !builtHere, 0, nil
 }
 
-// runAlgorithm dispatches one solve on the graph with the given options;
-// the request must be normalized.
-func runAlgorithm(req *SolveRequest, e entryView, opts []arbods.Option) (*arbods.Report, error) {
-	g := e.g
-	switch req.Algorithm {
-	case "thm3.1":
-		return arbods.UnweightedDeterministic(g, req.Alpha, req.Eps, opts...)
-	case "thm1.1":
-		return arbods.WeightedDeterministic(g, req.Alpha, req.Eps, opts...)
-	case "thm1.2":
-		return arbods.WeightedRandomized(g, req.Alpha, req.T, opts...)
-	case "thm1.3":
-		return arbods.GeneralGraphs(g, req.K, opts...)
-	case "remark4.4":
-		return arbods.UnknownDelta(g, req.Alpha, req.Eps, opts...)
-	case "remark4.5":
-		return arbods.UnknownAlpha(g, req.Eps, opts...)
-	case "tree":
-		return arbods.TreeThreeApprox(g, opts...)
-	case "lw":
-		return arbods.LWBucketDeterministic(g, opts...)
-	case "lrg":
-		return arbods.LRGRandomized(g, opts...)
-	case "kw05":
-		rep, _, err := arbods.KW05(g, req.K, opts...)
-		return rep, err
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q (see GET /v1/algorithms)", req.Algorithm)
-	}
-}
-
-func modeOption(mode string) (arbods.Option, error) {
-	switch mode {
-	case "", "congest":
-		return nil, nil
-	case "audit":
-		return arbods.WithMode(arbods.CongestAudit), nil
-	case "local":
-		return arbods.WithMode(arbods.Local), nil
-	default:
-		return nil, fmt.Errorf("unknown mode %q (congest, audit, local)", mode)
-	}
-}
-
 // solveFail maps a failed solve to its response. Context deaths get
 // distinct treatment: the server's deadline answers 503 with Retry-After
 // (the work was sound, the budget was not — come back), the client's own
@@ -314,11 +168,10 @@ func truncStack(stack []byte) string {
 
 // handleSolve is the request lifecycle of one solve: decode → resolve
 // graph (cache + singleflight) → solve-cache lookup → admission → Runner
-// checkout → run under the request context (recycled, optionally
-// streaming round progress) → detach → receipt → cache → respond. Every
-// blocking stage observes ctx — the configured solve deadline plus the
-// client's disconnect — so an abandoned request frees its pool slot
-// within one simulated round.
+// checkout → run under the request context (optionally streaming round
+// progress) → receipt → cache → respond. Every blocking stage observes
+// ctx — the configured solve deadline plus the client's disconnect — so
+// an abandoned request frees its pool slot within one simulated round.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	rid := s.reqSeq.Add(1)
@@ -337,15 +190,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	var req SolveRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := api.DecodeSolveRequest(raw)
+	if err != nil {
 		s.error(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	modeOpt, err := modeOption(req.Mode)
-	if err != nil {
+	if _, err := api.Options(&req); err != nil {
 		s.error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -377,22 +227,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.lat.build.observe(time.Since(tBuild))
 	}
 
-	req.normalize(e)
-	key := req.key(e.id)
+	info := entryInfo(e)
+	api.Normalize(&req, info.Alpha)
+	key := api.Key(req, e.id)
+	resp := &api.SolveResponse{Graph: info, CacheHit: hit, ServedBy: s.cluster.Self(), Seed: req.Seed}
 	if !req.Stream {
 		if a, ok := s.scache.get(key); ok {
 			s.solves.Add(1)
-			resp := &SolveResponse{
-				Graph: entryInfo(e), CacheHit: hit, SolveCached: true,
-				ServedBy: s.cluster.Self(),
-				Seed:     req.Seed, Receipt: a.receipt,
-			}
+			resp.SolveCached, resp.ReceiptBytes = true, a.receipt
 			if req.IncludeDS {
 				resp.DS = a.ds
 			}
 			s.lat.total.observe(time.Since(t0))
 			s.logf("solve %s on %s seed=%d: cached answer (size=%d)",
-				req.Algorithm, e.id[:14], req.Seed, a.receipt.SetSize)
+				req.Algorithm, e.id[:14], req.Seed, len(a.ds))
 			s.writeJSON(w, http.StatusOK, resp)
 			return
 		}
@@ -444,19 +292,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var stream *streamWriter
 	opts := []arbods.Option{
 		arbods.WithContext(ctx),
-		arbods.WithSeed(req.Seed),
 		arbods.WithRunner(runner),
 		arbods.WithWorkers(s.pool.Workers()),
-		arbods.WithRecycledResult(),
-	}
-	if modeOpt != nil {
-		opts = append(opts, modeOpt)
 	}
 	if s.cfg.Faults != nil {
 		opts = append(opts, arbods.WithFaultInjection(s.cfg.Faults))
-	}
-	if req.MaxRounds > 0 {
-		opts = append(opts, arbods.WithMaxRounds(req.MaxRounds))
 	}
 	if req.Stream {
 		stream = newStreamWriter(w)
@@ -464,37 +304,33 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tSolve := time.Now()
-	rep, err := runAlgorithm(&req, e, opts)
+	rep, err := api.Run(e.g, &req, opts...)
 	if err != nil {
 		s.solveFail(w, stream, rid, e.id, req.Algorithm, err)
 		return
 	}
 	s.lat.solve.observe(time.Since(tSolve))
-	// Detach before the deferred Put: the recycled Result lives on
-	// Runner-owned memory that the next checkout overwrites.
-	rep = rep.Detach()
 	s.solves.Add(1)
 
 	receipt := arbods.BuildReceipt(e.g, rep)
+	receiptJSON, err := json.Marshal(receipt)
+	if err != nil {
+		s.solveFail(w, stream, rid, e.id, req.Algorithm, err)
+		return
+	}
 	if !req.Stream {
-		// Errors never land here, and the detached receipt/DS are
-		// immutable, so the cached answer is exactly the bytes a rerun
-		// would produce.
-		s.scache.put(key, solveAnswer{receipt: receipt, ds: rep.DS})
+		// Errors never land here, and the receipt bytes and DS are never
+		// written again, so the cached answer is exactly the bytes a
+		// rerun would produce.
+		s.scache.put(key, solveAnswer{receipt: receiptJSON, ds: rep.DS})
 	}
-	resp := &SolveResponse{
-		Graph:    entryInfo(e),
-		CacheHit: hit,
-		ServedBy: s.cluster.Self(),
-		Seed:     req.Seed,
-		Receipt:  receipt,
-	}
+	resp.ReceiptBytes = receiptJSON
 	if req.IncludeDS {
 		resp.DS = rep.DS
 	}
 	s.lat.total.observe(time.Since(t0))
 	s.logf("solve %s on %s n=%d seed=%d: size=%d rounds=%d ok=%v hit=%v",
-		req.Algorithm, e.id[:14], e.g.N(), req.Seed, resp.Receipt.SetSize, resp.Receipt.Rounds, resp.Receipt.OK, hit)
+		req.Algorithm, e.id[:14], e.g.N(), req.Seed, receipt.SetSize, receipt.Rounds, receipt.OK, hit)
 	if stream != nil {
 		stream.finish(resp)
 		return
@@ -550,13 +386,13 @@ func (sw *streamWriter) round(rs arbods.RoundStat) {
 // unstreamed response would have in its error envelope.
 func (sw *streamWriter) fail(err error, code string) {
 	sw.start()
-	_ = sw.enc.Encode(errorBody{Error: err.Error(), Code: code})
+	_ = sw.enc.Encode(api.ErrorBody{Error: err.Error(), Code: code})
 }
 
-func (sw *streamWriter) finish(resp *SolveResponse) {
+func (sw *streamWriter) finish(resp *api.SolveResponse) {
 	sw.start()
 	_ = sw.enc.Encode(struct {
-		Result *SolveResponse `json:"result"`
+		Result *api.SolveResponse `json:"result"`
 	}{Result: resp})
 	if sw.flusher != nil {
 		sw.flusher.Flush()
