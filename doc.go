@@ -46,12 +46,16 @@
 // fails the run on a budget violation — and reports rounds, message and
 // bit counts. A broadcast is queued once and pulled by each receiver as
 // it walks its own sorted neighbor list, so the hot path does no
-// searching, boxing, or reflection. Runs are deterministic given
-// WithSeed, independent of WithWorkers: workers own node ranges cut by
-// cumulative degree, and every inbox comes out in exact (sender ID, send
-// index) order because receivers visit their neighbors in ID order, so
-// every worker count — including WithWorkers(0), which picks adaptively by
-// graph size — produces a bit-identical transcript.
+// searching, boxing, or reflection. After a round that used at most a
+// sixteenth of the directed edges, only that round's receivers walk their
+// neighbor lists, so the many quiet rounds of Theorem 1.2 cost per message,
+// not per edge. Runs are deterministic given WithSeed, independent of
+// WithWorkers: workers own node ranges, cut by cumulative degree after a
+// busy round and by node count after a quiet one, and every inbox comes out
+// in exact (sender ID, send index) order because receivers visit their
+// neighbors in ID order, so every worker count — including WithWorkers(0),
+// which picks adaptively by graph size — produces a bit-identical
+// transcript.
 //
 // # Serving pattern
 //

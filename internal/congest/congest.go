@@ -62,13 +62,22 @@
 // where all of a node's traffic on each of its edges is in one place;
 // messages to terminated nodes are counted by those nodes' walks, and the
 // final round's traffic, which has no live receiver, is all dropped.
-// Shard boundaries are cut by cumulative degree (node weight deg+1, one
+//
+// Not every round walks every neighbor list. A round that sends at most
+// DegreeSum()/16 messages is sparse: at its barrier the coordinator marks
+// each of its receivers in a per-node bitset, reading the senders each
+// shard listed, in O(M + n/64). The next round is light: only marked nodes
+// pull, with the same walk, so the inboxes are exactly those of a full
+// walk. A dense round costs O((m+n)/W) on W workers; a light round costs
+// O(n/W) plus the serial mark pass and the marked nodes' walks. Dense
+// rounds cut shard boundaries by cumulative degree (node weight deg+1, one
 // binary search per boundary on the graph's CSR offsets), so hubs don't
 // serialize one shard; on regular graphs the cut equals the node-count
-// split. The same code runs at every worker count: WithWorkers(1) is one
-// shard stepped inline, and WithWorkers(0) picks adaptively by graph
-// size. Per-shard structs carry trailing cache-line padding so adjacent
-// shards' hot fields never false-share.
+// split. Light rounds, whose work is per node, cut by node count. The same
+// code runs at every worker count: WithWorkers(1) is one shard stepped
+// inline, and WithWorkers(0) picks adaptively by graph size. Per-shard
+// structs carry trailing cache-line padding so adjacent shards' hot fields
+// never false-share.
 //
 // # Result lifetime
 //

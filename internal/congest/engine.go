@@ -14,9 +14,9 @@ const parallelStepMin = 64
 
 // engine is the per-run, output-typed veneer over a Runner. The Runner
 // (embedded) owns everything O-independent — outbox records and slabs,
-// done flags, shard layout, inbox scratch, worker pool, arena — and
-// persists across runs; the engine adds the run's config, the procs, and
-// the result.
+// done flags, marks, both shard layouts, inbox scratch, worker pool,
+// arena — and persists across runs; the engine adds the run's config, the
+// procs, and the result.
 //
 // Each round is one phase — workers step disjoint node ranges — and one
 // barrier. Stepping node u pulls u's inbox first: u walks its sorted
@@ -27,14 +27,22 @@ const parallelStepMin = 64
 // node touches only its own proc, done flag and outbox record, and
 // appends to its shard's slabs, so shards race on nothing.
 //
-// All scratch (outbox slabs, inbox scratch, worker goroutines) lives on
-// the Runner and is reused across rounds and runs.
+// A round's cost follows the previous round's traffic. After a dense
+// round every node walks, on the degree-weighted layout. After a sparse
+// round (at most lightMax messages) the barrier runs the mark pass, which
+// sets the bit of each of that round's receivers, and the light round that
+// follows walks only at marked nodes, on the node-count layout. The bit
+// only filters which nodes run the same walk, so inboxes, accounting and
+// errors are those of a round in which every node walks.
+//
+// All scratch (outbox slabs, inbox scratch, marks, worker goroutines)
+// lives on the Runner and is reused across rounds and runs.
 type engine[O any] struct {
 	*Runner
 	cfg      config
 	budget   int
 	round    int
-	prevMsgs int64 // messages sent in the previous round
+	prevMsgs int64 // messages sent in the previous round (0 before round 0)
 
 	// ctxDone is cfg.ctx.Done(), captured once: nil for a context-free
 	// run (or context.Background()), so the per-round cancellation check
@@ -186,6 +194,9 @@ func (e *engine[O]) run() (*Result[O], error) {
 		}
 
 		e.prevMsgs = roundMsgs
+		if roundMsgs <= e.lightMax {
+			e.mark(round & 1)
+		}
 		e.res.Messages += roundMsgs
 		e.res.TotalBits += roundBits
 		if e.cfg.roundStats {

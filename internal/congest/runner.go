@@ -37,10 +37,18 @@ type Runner struct {
 	outs  [2][]outbox  // per-node traffic heads, valid where sent
 	lists [2][]outList // per-node full traffic, valid where the head says so
 
-	done   []bool
-	bounds []int32 // degree-weighted shard boundaries, len workers+1
-	steps  []stepShard
-	arena  Arena
+	done []bool
+	// marks has one bit per node: after a sparse round, the mark pass sets
+	// the bit of every receiver of that round's sends, and the light round
+	// that follows pulls at marked nodes only.
+	marks bitset
+	// lightMax is the largest message count of a sparse round.
+	lightMax int64
+	// Shard boundaries, len workers+1 each: dense rounds cut by cumulative
+	// degree, light rounds by node count (see shard.go).
+	bounds, nodeBounds []int32
+	steps              []stepShard
+	arena              Arena
 
 	// Output-typed slabs, cached through any-boxes because the Runner
 	// itself is not generic: procSlab holds the engine's []Proc[O] (always
@@ -120,10 +128,16 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 			r.lists[p] = withLen(r.lists[p], n)
 		}
 		r.done = resized(r.done, n)
+		r.marks = withLen(r.marks, (n+63)/64)
+		r.lightMax = int64(g.DegreeSum() / sparseRatio)
 		r.workers = 0 // force a shard-layout rebuild below
 	} else {
 		clear(r.done)
 	}
+	// Round 0 is light (no round precedes it), so it pulls only at marked
+	// nodes: no mark may survive from an earlier run, whose outboxes are
+	// stale.
+	clear(r.marks)
 
 	workers := cfg.workers
 	if workers == 0 {
@@ -143,22 +157,26 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 	}
 	if workers != r.workers {
 		r.workers = workers
-		// Boundaries are cut by cumulative degree (one binary search on the
-		// CSR offsets per boundary), so skewed-degree graphs don't serialize
-		// on the shard that holds the hubs; see shardBounds.
+		// Dense boundaries are cut by cumulative degree (one binary search on
+		// the CSR offsets per boundary), so skewed-degree graphs don't
+		// serialize on the shard that holds the hubs; see shardBounds.
 		r.bounds = shardBounds(g, workers)
+		r.nodeBounds = nodeBounds(n, workers)
 		if len(r.steps) != workers {
 			r.steps = make([]stepShard, workers)
 		}
 		for w := 0; w < workers; w++ {
 			// Broadcast slabs and the inbox scratch are sized for the common
 			// round — one broadcast per node, so at most Δ messages per
-			// inbox — and kept across graphs when already large enough.
+			// inbox — over the larger of the shard's two ranges, and kept
+			// across graphs when already large enough. A sender list holds
+			// at most lightMax nodes (see stepShard.senders).
 			s := &r.steps[w]
-			s.lo, s.hi = int(r.bounds[w]), int(r.bounds[w+1])
-			s.snd.bc = withCap(s.snd.bc, s.hi-s.lo)
-			s.prevBC = withCap(s.prevBC, s.hi-s.lo)
+			span := int(max(r.bounds[w+1]-r.bounds[w], r.nodeBounds[w+1]-r.nodeBounds[w]))
+			s.snd.bc = withCap(s.snd.bc, span)
+			s.prevBC = withCap(s.prevBC, span)
 			s.in = withCap(s.in, g.MaxDegree())
+			s.senders = withCap(s.senders, min(span, int(r.lightMax)))
 		}
 	}
 	for w := range r.steps {

@@ -7,13 +7,27 @@ import (
 )
 
 // Shard layout. Workers own contiguous node ranges: each steps its range
-// every round, and stepping a node includes pulling its inbox. Boundaries
-// are cut by cumulative degree rather than node count: a node's pull is
-// its degree (the neighbor list it walks), so equal-node shards serialize
-// on whichever shard holds the hubs of a skewed-degree graph — a star's
-// center shard does ~all of the work while the others idle. Equal-degree
-// shards keep the broom/star/lower-bound families balanced, and on
-// regular graphs they degrade to exactly the node-count split.
+// every round, and stepping a node includes pulling its inbox when the
+// node may have one. What a round costs depends on the round before it.
+//
+//   - After a dense round — one that sent more than DegreeSum()/sparseRatio
+//     messages — every node walks its whole neighbor list, so a node's work
+//     is its degree. Those rounds use boundaries cut by cumulative degree:
+//     equal-node shards would serialize on whichever shard holds the hubs of
+//     a skewed-degree graph (a star's center shard does ~all of the work
+//     while the others idle). On regular graphs the degree cut degrades to
+//     exactly the node-count split.
+//   - After a sparse or silent round the coordinator has marked that round's
+//     receivers, and the light round that follows pulls at marked nodes only.
+//     Its work is per node (one Step call each) plus the few marked walks,
+//     so it uses the node-count split: the degree cut would hand most nodes
+//     to the shards of the low-degree ones. Round 0 follows no round and is
+//     light.
+//
+// Both layouts are built when the graph or worker count changes. Switching
+// between them from round to round is safe because a node's outbox views
+// point into the slabs of the shard that stepped it, whichever range that
+// shard covers next.
 
 // adaptiveWorkersMin is the node count at which WithWorkers(0) switches
 // from the sequential engine to GOMAXPROCS workers. Below it the one
@@ -22,6 +36,28 @@ import (
 // (≈ degree-sum packet copies) comfortably exceeds the few-µs barrier
 // cost; no workers=1 vs 2 sweep across graph sizes has measured it yet.
 const adaptiveWorkersMin = 1 << 15
+
+// sparseRatio sets the sparse-round threshold: a round that sends M
+// messages with M·sparseRatio ≤ DegreeSum() is sparse, so the round after it
+// pulls only at the receivers the mark pass found. The mark pass is serial
+// and costs O(M): at 16 it stays under an eighth of a two-worker full walk.
+// 8, 16 and 32 were swept on the repo benchmark's two solve workloads
+// (2-vCPU host, 3–4 runs each). 32 had the slowest median on both, because
+// it sends five Theorem 1.2 rounds of 17k–25k messages (of 6·10⁵ slots)
+// down the full walk. 8 and 16 classify every Theorem 1.2 round alike and
+// differ in one round of the 10⁶-node Theorem 1.1 solve (668k of 6·10⁶
+// slots), where their times were within noise.
+const sparseRatio = 16
+
+// nodeBounds cuts [0, n) into `workers` contiguous ranges of near-equal node
+// count: the layout of light rounds.
+func nodeBounds(n, workers int) []int32 {
+	bounds := make([]int32, workers+1)
+	for k := range bounds {
+		bounds[k] = int32(k * n / workers)
+	}
+	return bounds
+}
 
 // shardBounds cuts [0, n) into `workers` contiguous ranges of near-equal
 // cumulative weight, where node v weighs deg(v)+1 (the +1 keeps zero-degree

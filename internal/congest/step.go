@@ -5,12 +5,12 @@ import (
 	"slices"
 )
 
-// stepShard is one worker's node range plus its per-round step results.
-// Its Sender owns the shard's outbox slabs: every node in range appends
-// its sends there, in node order, and the step phase publishes each
-// node's slice of them as that node's outbox.
+// stepShard is one worker's per-round step state and results; its node
+// range comes from the round's layout (see shard.go). Its Sender owns the
+// shard's outbox slabs: every node in range appends its sends there, in
+// node order, and the step phase publishes each node's slice of them as
+// that node's outbox.
 type stepShard struct {
-	lo, hi int
 	active int   // nodes in range still running after this round
 	err    error // first Sender error in range (lowest node ID)
 
@@ -44,6 +44,12 @@ type stepShard struct {
 	// broadcast is deg(v) messages, including those to terminated nodes
 	// (their bandwidth is consumed whether or not delivery happens)
 	msgs, bits int64
+	// senders lists, in node order, the nodes in range that sent a message
+	// this round, for the mark pass. Appending stops once msgs exceeds
+	// lightMax: the round is then dense and the list is not read. Each
+	// listed node sent at least one message, so the list never outgrows
+	// lightMax.
+	senders []int32
 
 	// per-run accumulators, merged by finish. stats is tag-indexed:
 	// recording a send is two array adds, and finish aggregates by
@@ -53,7 +59,7 @@ type stepShard struct {
 	maxEdgeBits int64
 	stats       [MaxTags]MessageStat
 
-	_ [40]byte // round the live fields up to a line boundary
+	_ [32]byte // round the live fields up to a line boundary
 	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
@@ -69,6 +75,7 @@ type stepShard struct {
 func (e *engine[O]) stepRange(w int) {
 	s := &e.steps[w]
 	s.active, s.msgs, s.bits = 0, 0, 0
+	s.senders = s.senders[:0]
 	// Reset the errors every round: one from an aborted previous run must
 	// not poison a reused Runner.
 	s.err, s.pan, s.bwErr = nil, nil, nil
@@ -95,14 +102,21 @@ func (e *engine[O]) stepRange(w int) {
 	snd.tg, s.prevTG = s.prevTG[:0], snd.tg
 	cur, prev := round&1, round&1^1
 	sent, outs, lists := e.sent[cur], e.outs[cur], e.lists[cur]
-	// A silent previous round (round 0 has none) left nothing to pull:
-	// skip the walks.
-	pull := e.prevMsgs > 0
+	// After a dense round every node walks its neighbor list. A light
+	// round — one after a sparse or silent round, or round 0, whose marks
+	// bind cleared — pulls only at the nodes the mark pass found to be
+	// receivers: any other node's walk would find nothing.
+	marks, lightMax := e.marks, e.lightMax
+	light := e.prevMsgs <= lightMax
+	bounds := e.bounds
+	if light {
+		bounds = e.nodeBounds
+	}
 	in := s.in
-	for v := s.lo; v < s.hi; v++ {
+	for v := int(bounds[w]); v < int(bounds[w+1]); v++ {
 		s.cur = v
 		in = in[:0]
-		if pull {
+		if !light || marks.has(v) {
 			in = e.pullInbox(in, v, prev)
 		}
 		if e.done[v] {
@@ -140,9 +154,44 @@ func (e *engine[O]) stepRange(w int) {
 			*ob = outbox{first: tg[0].p, n: 1, to: tg[0].to}
 		}
 		e.account(s, int32(v), snd.neighbors, bc, tg)
+		if len(snd.neighbors) > 0 && s.msgs <= lightMax {
+			s.senders = append(s.senders, int32(v))
+		}
 	}
 	s.in = in // keep a grown scratch warm
 }
+
+// mark sets the bit of every receiver of round par's sends — all neighbors
+// of a broadcaster, the receiver of each targeted send — after clearing
+// the previous marks. It runs on the coordinator after a sparse round,
+// when every shard's sender list is complete, and costs O(M + n/64).
+func (e *engine[O]) mark(par int) {
+	marks, outs, lists := e.marks, e.outs[par], e.lists[par]
+	clear(marks)
+	for w := range e.steps {
+		for _, v := range e.steps[w].senders {
+			ob := &outs[v]
+			switch {
+			case ob.n > 1 && len(lists[v].bc) == 0:
+				for _, t := range lists[v].tg {
+					marks.set(t.to)
+				}
+			case ob.n == 1 && ob.to >= 0:
+				marks.set(ob.to)
+			default: // a broadcast reaches every neighbor
+				for _, u := range e.g.Neighbors(int(v)) {
+					marks.set(u)
+				}
+			}
+		}
+	}
+}
+
+// bitset holds one bit per node.
+type bitset []uint64
+
+func (b bitset) set(u int32)    { b[u>>6] |= 1 << (u & 63) }
+func (b bitset) has(v int) bool { return b[v>>6]&(1<<(v&63)) != 0 }
 
 // pullInbox appends u's inbox — what each neighbor sent u in the round
 // whose outboxes have parity par — to in. Neighbors come in ascending ID

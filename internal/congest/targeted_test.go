@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"arbods/internal/gen"
 	"arbods/internal/graph"
 )
 
@@ -237,5 +238,181 @@ func TestTargetedSendWorkerInvariance(t *testing.T) {
 				t.Errorf("%s workers=%d: strict error %+v differs from workers=1's %+v", name, w, be, wantErr)
 			}
 		}
+	}
+}
+
+// sparseProc drives the light rounds: in even rounds every live node
+// broadcasts (a dense round), in odd rounds only a hashed 1/32 of the live
+// nodes speak (a sparse round on every test graph but a star whose hub
+// speaks), so the round after each odd one walks only at marked nodes, on
+// the node-count layout. A speaker sends one of four outboxes — a lone
+// broadcast, a lone targeted send, targeted sends to one receiver
+// interleaved with a broadcast, or targeted sends only — chosen by a hash
+// of its inbox so far, so a lost or extra delivery changes later traffic
+// too. From round 5 the interleaved outbox puts four packets on one edge,
+// over a 72-bit budget. Node v stops in round 4+2·(v%4) after one last
+// broadcast, so last words, and odd-round sends, reach terminated
+// receivers.
+type sparseProc struct {
+	ni  NodeInfo
+	out mixOut
+}
+
+func (p *sparseProc) Step(round int, in []Incoming, s *Sender) bool {
+	p.out.fold(p.ni.Neighbors, in)
+	nb := p.ni.Neighbors
+	if round%2 == 0 {
+		s.Broadcast(mixPacket(round, 0))
+		return round >= 4+2*(p.ni.ID%4)
+	}
+	h := p.out.Hash ^ uint64(p.ni.ID)<<32 ^ uint64(round)
+	h = (h ^ h>>30) * 0xBF58476D1CE4E5B9
+	h = (h ^ h>>27) * 0x94D049BB133111EB
+	h ^= h >> 31
+	if h>>59 != 0 || len(nb) == 0 {
+		return false
+	}
+	u, u2 := int(nb[h%uint64(len(nb))]), int(nb[(h>>20)%uint64(len(nb))])
+	switch (h >> 40) % 4 {
+	case 0:
+		s.Broadcast(mixPacket(round, 0))
+	case 1:
+		s.Send(u, mixPacket(round, 0))
+	case 2:
+		s.Send(u, mixPacket(round, 0))
+		s.Broadcast(mixPacket(round, 1))
+		s.Send(u, mixPacket(round, 2))
+		if round >= 5 {
+			s.Send(u, mixPacket(round, 3))
+		}
+	default:
+		s.Send(u2, mixPacket(round, 0))
+		s.Send(u, mixPacket(round, 1))
+		s.Send(u2, mixPacket(round, 2))
+	}
+	return false
+}
+
+func (p *sparseProc) Output() mixOut { return p.out }
+
+func runSparse(g *graph.Graph, opts ...Option) (*Result[mixOut], error) {
+	slab := make([]sparseProc, g.N())
+	return Run(g, func(ni NodeInfo) Proc[mixOut] {
+		p := &slab[ni.ID]
+		*p = sparseProc{ni: ni}
+		return p
+	}, opts...)
+}
+
+// TestSparseRoundWorkerInvariance pins the light-round path — pulls only
+// at the receivers marked after a sparse round, on the node-count layout,
+// alternating with full walks on the degree-weighted layout — across
+// worker counts: the audit Result and the strict-mode abort must be
+// identical at every layout, and equal to digests recorded from the engine
+// in which every node walked after every round with traffic. The strict
+// abort comes in round 5, after two light rounds whose deliveries chose
+// round 5's speakers.
+func TestSparseRoundWorkerInvariance(t *testing.T) {
+	ba := gen.BarabasiAlbert(2000, 3, 7).G
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		golden mixDigest
+		strict BandwidthError
+	}{
+		{"broom", buildBroom(t, 200, 300), mixDigest{Messages: 5068, TotalBits: 121632, Violations: 5, Dropped: 1339, MaxEdgeBits: 96, Hash: 0x9d09dccf6ea18f2c},
+			BandwidthError{Round: 5, From: 117, To: 116, Bits: 96, Budget: 72}},
+		{"star", buildStar(t, 400), mixDigest{Messages: 3074, TotalBits: 73776, Violations: 8, Dropped: 1144, MaxEdgeBits: 96, Hash: 0x8cc6b54557a077f0},
+			BandwidthError{Round: 5, From: 115, To: 0, Bits: 96, Budget: 72}},
+		{"cycle", buildCycle(t, 300), mixDigest{Messages: 2781, TotalBits: 66744, Violations: 4, Dropped: 768, MaxEdgeBits: 96, Hash: 0x91545290800ef91c},
+			BandwidthError{Round: 5, From: 117, To: 116, Bits: 96, Budget: 72}},
+		{"ba", ba, mixDigest{Messages: 54974, TotalBits: 1319376, Violations: 20, Dropped: 15173, MaxEdgeBits: 96, Hash: 0x2f329064e65bd170},
+			BandwidthError{Round: 5, From: 65, To: 32, Bits: 96, Budget: 72}},
+	} {
+		name, g := c.name, c.g
+		var want *Result[mixOut]
+		for _, w := range []int{1, 2, 3, 7} {
+			res, err := runSparse(g, WithSeed(3), WithWorkers(w), WithBandwidth(72),
+				WithMode(CongestAudit), WithRoundStats(), WithMessageStats())
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, w, err)
+			}
+			for v, o := range res.Outputs {
+				if o.BadIdx != 0 {
+					t.Fatalf("%s workers=%d: node %d got %d deliveries with a wrong Idx", name, w, v, o.BadIdx)
+				}
+			}
+			_, err = runSparse(g, WithSeed(3), WithWorkers(w), WithBandwidth(72))
+			be, ok := err.(*BandwidthError)
+			if !ok {
+				t.Fatalf("%s workers=%d strict: got %v, want a *BandwidthError", name, w, err)
+			}
+			if *be != c.strict {
+				t.Errorf("%s workers=%d: strict error %#v, want %#v", name, w, *be, c.strict)
+			}
+			if want != nil {
+				if !reflect.DeepEqual(res, want) {
+					t.Errorf("%s workers=%d: audit result diverges from workers=1", name, w)
+				}
+				continue
+			}
+			want = res
+			if d := digestMix(res); d != c.golden {
+				t.Errorf("%s: digest %#v, want %#v", name, d, c.golden)
+			}
+			// Teeth: marked pulls must run in several light rounds, full
+			// walks in several dense ones, and messages must be dropped.
+			var light, dense int
+			for _, st := range res.RoundStats[:len(res.RoundStats)-1] {
+				switch {
+				case st.Messages*sparseRatio > int64(g.DegreeSum()):
+					dense++
+				case st.Messages > 0:
+					light++
+				}
+			}
+			if light < 3 || dense < 3 || res.DroppedMessages == 0 || res.BandwidthViolations == 0 {
+				t.Fatalf("%s: %d light and %d dense rounds with traffic, %d dropped, %d violations — the scenario lost its teeth",
+					name, light, dense, res.DroppedMessages, res.BandwidthViolations)
+			}
+		}
+	}
+}
+
+// TestSparseRoundRunnerReuse runs sparseProc and a dense mixProc in turn on
+// one Runner: every run must equal a fresh-Runner run, so neither marks
+// nor outboxes left by the previous run may reach its round 0 or a light
+// round.
+func TestSparseRoundRunnerReuse(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 3, 7).G
+	for _, w := range []int{1, 3} {
+		opts := []Option{WithSeed(3), WithWorkers(w), WithMode(CongestAudit), WithRoundStats()}
+		freshMix, err := runMix(g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshSparse, err := runSparse(g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner()
+		reused := append(opts, WithRunner(r))
+		for i := 0; i < 2; i++ {
+			mix, err := runMix(g, reused...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(mix, freshMix) {
+				t.Errorf("workers=%d pass %d: mixProc on a reused Runner diverges from a fresh one", w, i)
+			}
+			sparse, err := runSparse(g, reused...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sparse, freshSparse) {
+				t.Errorf("workers=%d pass %d: sparseProc after mixProc on a reused Runner diverges from a fresh one", w, i)
+			}
+		}
+		r.Close()
 	}
 }

@@ -30,6 +30,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"arbods/internal/rng"
 )
 
 // Fault describes what happens when an armed failpoint fires.
@@ -68,7 +70,7 @@ type armed struct {
 type Registry struct {
 	mu    sync.Mutex
 	seed  uint64
-	state uint64 // seeded PCG-style stream for probabilistic arms
+	state rng.Stream // seeded stream for probabilistic arms
 	arms  map[string][]*armed
 	hits  map[string]int
 }
@@ -76,7 +78,7 @@ type Registry struct {
 // New returns a Registry whose probabilistic decisions derive from seed,
 // so an armed probability fires on the same Fire sequence every run.
 func New(seed uint64) *Registry {
-	return &Registry{seed: seed, state: seed*0x9E3779B97F4A7C15 + 1}
+	return &Registry{seed: seed, state: *rng.New(seed*0x9E3779B97F4A7C15 + 1)}
 }
 
 // Arm registers f at the named failpoint. Multiple faults may be armed at
@@ -173,21 +175,12 @@ func (r *Registry) FireRound(point string, round int) error {
 // chaos tests that want "fail some fraction of operations" without
 // wall-clock nondeterminism; a nil Registry always answers false.
 func (r *Registry) Chance(p float64) bool {
-	if r == nil || p <= 0 {
+	if r == nil {
 		return false
 	}
-	if p >= 1 {
-		return true
-	}
 	r.mu.Lock()
-	// splitmix64 step: full-period, seed-determined, dependency-free.
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	r.mu.Unlock()
-	return float64(z>>11)/float64(1<<53) < p
+	defer r.mu.Unlock()
+	return r.state.Bernoulli(p)
 }
 
 // ErrInjected is a convenience error for arms that only need "some

@@ -137,6 +137,23 @@ func TestChanceDeterministic(t *testing.T) {
 	}
 }
 
+// TestChancePinned pins the first answers of Chance(0.3) after New(42),
+// recorded from the Registry's own SplitMix64 copy before it drew from
+// rng.Stream: chaos tests that arm "some fraction" keep their sequences.
+func TestChancePinned(t *testing.T) {
+	r := New(42)
+	var got []byte
+	for i := 0; i < 16; i++ {
+		got = append(got, '0')
+		if r.Chance(0.3) {
+			got[i] = '1'
+		}
+	}
+	if want := "1000010001000101"; string(got) != want {
+		t.Fatalf("Chance(0.3) after New(42) answered %s, want %s", got, want)
+	}
+}
+
 // TestConcurrentFire exercises the registry under -race: concurrent Fire
 // calls against a Times-bounded arm must fire exactly Times times.
 func TestConcurrentFire(t *testing.T) {

@@ -371,7 +371,7 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 		if pr.iterIdx == 0 {
 			pr.beginPhase()
 		} else {
-			pr.prob = math.Min(pr.prob*pr.p.gamma, 1)
+			pr.prob = min(pr.prob*pr.p.gamma, 1)
 			if pr.inGamma && pr.bigXUndominated() < pr.gammaThreshold() {
 				pr.inGamma = false
 			}

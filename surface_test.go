@@ -292,6 +292,31 @@ func TestReceiptSurface(t *testing.T) {
 	}
 }
 
+// TestBuilderSurface pins NewBuilder/Builder, the documented way to build a
+// graph from scratch: a small weighted graph built with it must solve to an
+// OK receipt.
+func TestBuilderSurface(t *testing.T) {
+	var b *arbods.Builder = arbods.NewBuilder(6)
+	b.AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).AddEdge(3, 4).AddEdge(4, 5).AddEdge(5, 0).AddEdge(0, 3)
+	for v, w := range []int64{5, 1, 7, 2, 9, 3} {
+		b.SetWeight(v, w)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.N() != 6 || g.M() != 7 || g.Unweighted() {
+		t.Fatalf("built n=%d m=%d unweighted=%v, want a weighted 6-node 7-edge graph", g.N(), g.M(), g.Unweighted())
+	}
+	rep, err := arbods.WeightedDeterministic(g, 2, 0.2, arbods.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := arbods.BuildReceipt(g, rep); !rec.OK {
+		t.Fatalf("receipt of a Builder-built graph not OK: %+v", rec)
+	}
+}
+
 // TestCertifySurface exercises the certificate helpers and error paths.
 func TestCertifySurface(t *testing.T) {
 	w := arbods.ForestUnion(60, 2, 5)
