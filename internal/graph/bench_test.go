@@ -1,9 +1,13 @@
 package graph_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"strings"
 	"testing"
 
+	"arbods/internal/gen"
 	"arbods/internal/graph"
 	"arbods/internal/rng"
 )
@@ -44,5 +48,44 @@ func BenchmarkBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDecode measures upload decoding on the four serving families
+// at n=20000 with uniform weights in [1,100], each body as text and as
+// ARBCSR01, read from a bytes.Reader the way the server hands an upload
+// body to the decoder.
+func BenchmarkDecode(b *testing.B) {
+	for _, spec := range []string{"forest:n=20000,k=3", "ba:n=20000,m=3", "geom:n=20000,r=0.012", "er:n=20000,p=0.0002"} {
+		w, err := gen.Parse(spec + ",seed=1/uniform:max=100,seed=1")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var text, bin bytes.Buffer
+		if err := graph.Encode(&text, w.G); err != nil {
+			b.Fatal(err)
+		}
+		if err := graph.EncodeBinary(&bin, w.G); err != nil {
+			b.Fatal(err)
+		}
+		family, _, _ := strings.Cut(spec, ":")
+		for _, c := range []struct {
+			format string
+			body   []byte
+			decode func(io.Reader) (*graph.Graph, error)
+		}{
+			{"text", text.Bytes(), graph.Decode},
+			{"binary", bin.Bytes(), graph.DecodeBinary},
+		} {
+			b.Run(c.format+"/"+family, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(c.body)))
+				for b.Loop() {
+					if _, err := c.decode(bytes.NewReader(c.body)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -73,6 +73,13 @@ func AppendBinary(dst []byte, g *Graph) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
+// MaxBinaryNodes returns the most nodes an ARBCSR01 blob of at most size
+// bytes can describe: an edgeless unit-weight graph, 4 bytes a node past
+// the header and the checksum.
+func MaxBinaryNodes(size int64) int {
+	return int(max(0, size-binaryHeader-4) / 4)
+}
+
 // EncodeBinary writes g to w in the arbods binary CSR format.
 func EncodeBinary(w io.Writer, g *Graph) error {
 	_, err := w.Write(AppendBinary(nil, g))
@@ -93,7 +100,7 @@ func ID(g *Graph) string {
 // Graph. Any truncation, corruption, or forged structure yields an error,
 // never a malformed graph.
 func DecodeBinary(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary read: %w", err)
 	}

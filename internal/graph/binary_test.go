@@ -247,3 +247,17 @@ func TestBinaryForgery(t *testing.T) {
 		t.Fatal("weight form 1 with every weight 1 decoded successfully")
 	}
 }
+
+// FuzzDecodeBinary: DecodeBinary never panics, and every blob it accepts
+// is its graph's one encoding, so the graph's ID is the blob's hash.
+func FuzzDecodeBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := DecodeBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if again := AppendBinary(nil, g); !bytes.Equal(data, again) {
+			t.Fatalf("accepted %d-byte blob re-encodes to %d different bytes", len(data), len(again))
+		}
+	})
+}

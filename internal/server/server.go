@@ -272,7 +272,9 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Content-Type"), api.BinaryContentType) {
 		g, err = arbods.DecodeGraphBinary(bytes.NewReader(raw))
 	} else {
-		g, err = arbods.DecodeGraph(bytes.NewReader(raw))
+		// A text size line declares any node count in a few bytes; allow
+		// no more nodes than a binary upload within the cap can carry.
+		g, err = graph.DecodeText(raw, graph.MaxBinaryNodes(s.cfg.MaxUploadBytes))
 	}
 	if err != nil {
 		s.error(w, http.StatusBadRequest, "decode graph: %v", err)

@@ -242,6 +242,37 @@ func TestUploadDedupAndMeta(t *testing.T) {
 	}
 }
 
+// TestUploadNodeCap: a text body's size line may declare no more nodes
+// than an ARBCSR01 upload within MaxUploadBytes could carry, (64 MiB -
+// 25) / 4 = 16,777,209 at the default cap. A 33-byte body declaring
+// billions is a 400 naming that cap, not an allocation of tens of GB,
+// and the server goes on serving.
+func TestUploadNodeCap(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{PoolSize: 1})
+	upload := func(body []byte) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/graphs", "text/plain", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.String()
+	}
+	for _, n := range []int{3_000_000_000, 2_000_000_000} {
+		status, body := upload([]byte(fmt.Sprintf("arbods-graph v1\nn %d m 0\n", n)))
+		if status != http.StatusBadRequest || !strings.Contains(body, "limit of 16777209") {
+			t.Errorf("n=%d: status %d, body %s; want 400 naming the 16777209-node cap", n, status, body)
+		}
+	}
+	if status, body := upload(encodeGraph(t, arbods.Star(10).G)); status != http.StatusOK {
+		t.Fatalf("upload after the refusals: status %d, body %s", status, body)
+	}
+}
+
 func TestCacheHitMissCounters(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{PoolSize: 1})
 	req := server.SolveRequest{Graph: "spec:forest:n=120,k=2,seed=3", Algorithm: "thm1.1", Seed: 1}
