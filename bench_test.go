@@ -151,15 +151,3 @@ func BenchmarkExactForest(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDegeneracy measures the O(n+m) peeling on a dense-ish graph.
-func BenchmarkDegeneracy(b *testing.B) {
-	g := arbods.ErdosRenyi(20000, 0.001, 9).G
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, d := arbods.Degeneracy(g); d == 0 {
-			b.Fatal("unexpected degeneracy")
-		}
-	}
-}

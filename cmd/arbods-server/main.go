@@ -42,6 +42,12 @@
 // health and traffic section. Peer health rides /readyz probes every
 // -probe-interval with failure-count hysteresis.
 //
+// Slow clients are bounded without flags of their own: request headers
+// must arrive within 3s, a whole request within 3s plus its -max-upload
+// cap at 1 MiB/s (67s at the 64 MiB default), and an idle keep-alive
+// connection is closed after 2 minutes. Responses have no write deadline,
+// since solves run long and stream.
+//
 // SIGINT/SIGTERM first flip /readyz to 503, then drain in-flight requests
 // under -drain-timeout before the RunnerPool is released.
 package main
@@ -63,6 +69,23 @@ import (
 	"arbods/internal/cluster"
 	"arbods/internal/server"
 )
+
+// Connection limits (see the package doc). net/http lifts the read
+// deadline once a request body has been read, so it never cuts a solve.
+const (
+	readHeaderTimeout = 3 * time.Second
+	idleTimeout       = 2 * time.Minute
+	minUploadRate     = 1 << 20 // bytes per second
+)
+
+// readTimeout is the read deadline of a request under an upload cap of
+// maxUpload bytes (0 = server.DefaultMaxUploadBytes).
+func readTimeout(maxUpload int64) time.Duration {
+	if maxUpload <= 0 {
+		maxUpload = server.DefaultMaxUploadBytes
+	}
+	return readHeaderTimeout + time.Duration(maxUpload)*time.Second/minUploadRate
+}
 
 func main() {
 	if err := run(os.Args[1:], nil, nil); err != nil {
@@ -140,7 +163,12 @@ func run(args []string, stop <-chan struct{}, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout(*maxUpload),
+		IdleTimeout:       idleTimeout,
+	}
 	if logf != nil {
 		logf("listening on %s", ln.Addr())
 	}

@@ -3,7 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
@@ -97,5 +101,52 @@ func TestDaemonRoundTrip(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestSlowUploadDisconnected starts the daemon with a small upload cap and
+// sends the headers and first kilobyte of an upload that declares more,
+// then stalls. The daemon must drop the connection once the read deadline
+// derived from the cap has passed, instead of holding it open.
+func TestSlowUploadDisconnected(t *testing.T) {
+	const maxUpload = 64 << 10
+	stop := make(chan struct{})
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-quiet", "-max-upload", strconv.Itoa(maxUpload)}, stop, ready)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-done:
+		t.Fatalf("daemon exited before serving: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not start listening")
+	}
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	deadline := readTimeout(maxUpload)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/graphs HTTP/1.1\r\nHost: %s\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\r\n", addr, maxUpload)
+	if _, err := conn.Write(bytes.Repeat([]byte("#\n"), 512)); err != nil {
+		t.Fatal(err)
+	}
+	// The stalled request may get an error response before the close;
+	// either way the connection must end within the deadline.
+	conn.SetReadDeadline(start.Add(deadline + 2*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	if elapsed := time.Since(start); err != nil || elapsed < deadline-time.Second/2 {
+		t.Fatalf("stalled upload: connection ended after %v with %v, want EOF at the %v read deadline", elapsed, err, deadline)
 	}
 }

@@ -128,12 +128,16 @@ func DegreeWeights(g *Graph, factor int64, seed uint64) *Graph {
 // (Nash–Williams densities and degeneracy; α ≤ degeneracy ≤ 2α−1).
 func ArboricityBounds(g *Graph) (lo, hi int) { return arbor.Bounds(g) }
 
-// Degeneracy returns a degeneracy peeling order and the degeneracy of g.
+// Degeneracy returns a degeneracy peeling order and the degeneracy d of g.
+// The order is the bin-sort (Batagelj–Zaversnik) peel's: sorted by core
+// number, every node with at most d later neighbors. It need not be the
+// order repeated minimum-degree removal gives.
 func Degeneracy(g *Graph) (order []int, degeneracy int) { return arbor.Degeneracy(g) }
 
 // Orientation is a direction assignment for every edge.
 type Orientation = arbor.Orientation
 
-// OrientGreedy returns the degeneracy orientation of g, whose out-degree is
-// at most degeneracy(g) ≤ 2α−1 (Observation 3.5 is the α version).
+// OrientGreedy returns the degeneracy orientation of g, each edge pointing
+// to its endpoint later in Degeneracy's order, so its out-degree is at
+// most degeneracy(g) ≤ 2α−1 (Observation 3.5 is the α version).
 func OrientGreedy(g *Graph) *Orientation { return arbor.GreedyOrientation(g) }

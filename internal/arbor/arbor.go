@@ -15,123 +15,146 @@ import (
 	"arbods/internal/graph"
 )
 
-// Degeneracy computes the degeneracy d of g and a peeling order: order[i] is
-// the i-th node removed by repeatedly deleting a minimum-degree node. Every
-// node has at most d neighbors that appear later in the order.
+// Degeneracy computes the degeneracy d of g and a peeling order: the order
+// the bin-sort peel removes nodes in. It is sorted by core number, and
+// every node has at most its core number, so at most d, neighbors that
+// appear later in it. It is not, in general, the order that repeatedly
+// removing a minimum-degree node gives: the peel leaves a neighbor's
+// degree alone once it is down to the core number being peeled.
 //
 // Degeneracy brackets arboricity: α ≤ d ≤ 2α − 1, so d is the standard
 // certified upper bound for α when the generator does not already know one.
-// Runs in O(n + m) time via bucket peeling.
+// Runs in O(n + m) time.
 func Degeneracy(g *graph.Graph) (order []int, degeneracy int) {
-	n := g.N()
-	order = make([]int, 0, n)
-	if n == 0 {
-		return order, 0
+	vert, _, d := peel(g)
+	order = make([]int, len(vert))
+	for i, v := range vert {
+		order[i] = int(v)
 	}
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	// Bucket queue with lazy deletion: buckets[d] holds candidate nodes
-	// whose degree was d when appended; entries are validated at pop time
-	// (degree mismatch or already-removed means stale). Each degree
-	// decrement appends one entry, so total work is O(n + m).
-	buckets := make([][]int, maxDeg+1)
-	for v := 0; v < n; v++ {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-	}
-	removed := make([]bool, n)
-	cur := 0
-	for len(order) < n {
-		for len(buckets[cur]) == 0 {
-			cur++
-		}
-		b := buckets[cur]
-		v := b[len(b)-1]
-		buckets[cur] = b[:len(b)-1]
-		if removed[v] || deg[v] != cur {
-			continue
-		}
-		removed[v] = true
-		if deg[v] > degeneracy {
-			degeneracy = deg[v]
-		}
-		order = append(order, v)
-		for _, u32 := range g.Neighbors(v) {
-			u := int(u32)
-			if removed[u] {
-				continue
-			}
-			deg[u]--
-			buckets[deg[u]] = append(buckets[deg[u]], u)
-			if deg[u] < cur {
-				cur = deg[u]
-			}
-		}
-	}
-	return order, degeneracy
+	return order, d
 }
 
-// Orientation is an assignment of a direction to every edge of a graph.
+// peel is the Batagelj–Zaversnik bin-sort peel (V. Batagelj, M. Zaversnik,
+// "An O(m) Algorithm for Cores Decomposition of Networks", 2003) on one
+// int32 buffer. vert lists the nodes in peeling order and pos is its
+// inverse (vert[pos[v]] == v); d is the degeneracy.
+//
+// vert is kept sorted by current degree, bin[k] marking where degree k
+// starts. Peeling vert[i] moves each neighbor u of higher degree to the
+// front of its bin by one swap and shrinks the bin by one, which is
+// u's degree dropping by one. A neighbor at the peeled node's own degree
+// keeps it, so deg[v] is v's core number once v is peeled, and it bounds
+// the neighbors v has later in vert.
+func peel(g *graph.Graph) (vert, pos []int32, d int) {
+	n := g.N()
+	buf := make([]int32, 3*n+g.MaxDegree()+1)
+	deg, bin := buf[:n:n], buf[3*n:]
+	pos, vert = buf[n:2*n:2*n], buf[2*n:3*n:3*n]
+	for v := range n {
+		deg[v] = int32(g.Degree(v))
+		bin[deg[v]]++
+	}
+	start := int32(0)
+	for k, c := range bin {
+		bin[k] = start
+		start += c
+	}
+	for v := range n {
+		p := bin[deg[v]]
+		pos[v], vert[p] = p, int32(v)
+		bin[deg[v]]++
+	}
+	copy(bin[1:], bin)
+	bin[0] = 0
+	// The loop reorders vert past the node it is at, and range reads each
+	// element only when it gets there.
+	for _, v := range vert {
+		dv := deg[v]
+		for _, u := range g.Neighbors(int(v)) {
+			du := deg[u]
+			if du <= dv {
+				continue
+			}
+			pu, pw := pos[u], bin[du]
+			if w := vert[pw]; w != u {
+				vert[pu], vert[pw] = w, u
+				pos[w], pos[u] = pu, pw
+			}
+			bin[du]++
+			deg[u] = du - 1
+		}
+	}
+	if n > 0 {
+		d = int(deg[vert[n-1]])
+	}
+	return vert, pos, d
+}
+
+// Orientation is an assignment of a direction to every edge of a graph,
+// stored as a CSR: the out-neighbors of v are out[off[v]:off[v+1]].
 type Orientation struct {
-	out [][]int32
+	off []int32
+	out []int32
 }
 
 // OrientByOrder orients every edge of g from the endpoint that appears
 // earlier in order to the one that appears later. With a degeneracy peeling
 // order this yields an acyclic orientation with out-degree ≤ degeneracy.
 func OrientByOrder(g *graph.Graph, order []int) *Orientation {
-	n := g.N()
-	pos := make([]int, n)
+	pos := make([]int32, g.N())
 	for i, v := range order {
-		pos[v] = i
+		pos[v] = int32(i)
 	}
-	out := make([][]int32, n)
-	for v := 0; v < n; v++ {
+	return orient(g, pos)
+}
+
+// orient orients each edge of g toward its endpoint with the larger pos.
+// At most one direction of an edge passes, so out never outgrows M.
+func orient(g *graph.Graph, pos []int32) *Orientation {
+	off := make([]int32, g.N()+1)
+	out := make([]int32, 0, g.M())
+	for v := range g.N() {
 		for _, u := range g.Neighbors(v) {
-			if pos[v] < pos[int(u)] {
-				out[v] = append(out[v], u)
+			if pos[v] < pos[u] {
+				out = append(out, u)
 			}
 		}
+		off[v+1] = int32(len(out))
 	}
-	return &Orientation{out: out}
+	return &Orientation{off: off, out: out}
 }
 
-// GreedyOrientation returns the degeneracy-order orientation of g, which has
-// out-degree ≤ degeneracy(g) ≤ 2α(g) − 1.
+// GreedyOrientation returns the degeneracy-order orientation of g: each
+// edge points to its endpoint later in Degeneracy's order, so out-degree
+// ≤ degeneracy(g) ≤ 2α(g) − 1.
 func GreedyOrientation(g *graph.Graph) *Orientation {
-	order, _ := Degeneracy(g)
-	return OrientByOrder(g, order)
+	_, pos, _ := peel(g)
+	return orient(g, pos)
 }
+
+// n returns the number of nodes o orients.
+func (o *Orientation) n() int { return max(len(o.off)-1, 0) }
 
 // Out returns the out-neighbors of v. The slice is a read-only view.
-func (o *Orientation) Out(v int) []int32 { return o.out[v] }
+func (o *Orientation) Out(v int) []int32 { return o.out[o.off[v]:o.off[v+1]:o.off[v+1]] }
 
 // OutDegree returns the out-degree of v.
-func (o *Orientation) OutDegree(v int) int { return len(o.out[v]) }
+func (o *Orientation) OutDegree(v int) int { return int(o.off[v+1] - o.off[v]) }
 
 // MaxOutDegree returns the maximum out-degree over all nodes.
 func (o *Orientation) MaxOutDegree() int {
-	max := 0
-	for _, nb := range o.out {
-		if len(nb) > max {
-			max = len(nb)
-		}
+	k := 0
+	for v := range o.n() {
+		k = max(k, o.OutDegree(v))
 	}
-	return max
+	return k
 }
 
 // InDegrees returns the in-degree of every node.
 func (o *Orientation) InDegrees() []int {
-	in := make([]int, len(o.out))
-	for _, nb := range o.out {
-		for _, u := range nb {
-			in[u]++
-		}
+	in := make([]int, o.n())
+	for _, u := range o.out {
+		in[u]++
 	}
 	return in
 }
@@ -139,12 +162,12 @@ func (o *Orientation) InDegrees() []int {
 // Valid reports whether o orients every edge of g exactly once and nothing
 // else (i.e. it is a true orientation of g).
 func (o *Orientation) Valid(g *graph.Graph) bool {
-	if len(o.out) != g.N() {
+	if o.n() != g.N() {
 		return false
 	}
 	directed := 0
-	for v := range o.out {
-		for _, u := range o.out[v] {
+	for v := range o.n() {
+		for _, u := range o.Out(v) {
 			if !g.HasEdge(v, int(u)) {
 				return false
 			}
@@ -157,8 +180,8 @@ func (o *Orientation) Valid(g *graph.Graph) bool {
 	// Every edge directed exactly once: counts match and each directed edge
 	// is a real edge, so it remains to rule out {u,v} oriented both ways.
 	seen := make(map[[2]int32]bool, directed)
-	for v := range o.out {
-		for _, u := range o.out[v] {
+	for v := range o.n() {
+		for _, u := range o.Out(v) {
 			a, b := int32(v), u
 			if a > b {
 				a, b = b, a
@@ -182,27 +205,24 @@ func (o *Orientation) Valid(g *graph.Graph) bool {
 // forces α ≥ ⌈m_S/(n_S−1)⌉; the suffixes of the degeneracy peeling order
 // include the densest k-cores, which is where that bound is strongest.
 func Bounds(g *graph.Graph) (lo, hi int) {
-	order, degen := Degeneracy(g)
+	vert, pos, degen := peel(g)
 	hi = degen
 	if g.M() == 0 {
 		return 0, 0
 	}
 	lo = 1
 	// Walk the peeling order backwards, maintaining the induced suffix
-	// subgraph's node and edge counts.
+	// subgraph's edge count: a neighbor is in the suffix vert[i:] when
+	// its position is past i.
 	n := g.N()
-	inSuffix := make([]bool, n)
-	nodes, edges := 0, 0
+	edges := 0
 	for i := n - 1; i >= 0; i-- {
-		v := order[i]
-		inSuffix[v] = true
-		nodes++
-		for _, u := range g.Neighbors(v) {
-			if inSuffix[u] {
+		for _, u := range g.Neighbors(int(vert[i])) {
+			if pos[u] > int32(i) {
 				edges++
 			}
 		}
-		if nodes >= 2 {
+		if nodes := n - i; nodes >= 2 {
 			d := (edges + nodes - 2) / (nodes - 1) // ⌈edges/(nodes-1)⌉
 			if d > lo {
 				lo = d
@@ -222,8 +242,8 @@ func Bounds(g *graph.Graph) (lo, hi int) {
 func Pseudoforests(g *graph.Graph, o *Orientation) [][][2]int {
 	k := o.MaxOutDegree()
 	parts := make([][][2]int, k)
-	for v := range o.out {
-		for i, u := range o.out[v] {
+	for v := range o.n() {
+		for i, u := range o.Out(v) {
 			parts[i] = append(parts[i], [2]int{v, int(u)})
 		}
 	}

@@ -90,8 +90,11 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 // of its ARBCSR01 encoding. Neighbor lists are sorted and the weight form
 // is fixed by the weights, so every graph has exactly one encoding, and
 // the same labelled graph shares an ID however it arrived.
-func ID(g *Graph) string {
-	sum := sha256.Sum256(AppendBinary(nil, g))
+func ID(g *Graph) string { return blobID(AppendBinary(nil, g)) }
+
+// blobID is the content address of an ARBCSR01 blob.
+func blobID(blob []byte) string {
+	sum := sha256.Sum256(blob)
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
@@ -104,6 +107,22 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graph: binary read: %w", err)
 	}
+	return decodeBinary(data)
+}
+
+// DecodeBinaryID decodes the ARBCSR01 blob in data as DecodeBinary does,
+// reading data in place, and returns the graph with its ID. An accepted
+// blob is its graph's one encoding, so the ID is the hash of data itself
+// and equals ID(g) without encoding g again.
+func DecodeBinaryID(data []byte) (*Graph, string, error) {
+	g, err := decodeBinary(data)
+	if err != nil {
+		return nil, "", err
+	}
+	return g, blobID(data), nil
+}
+
+func decodeBinary(data []byte) (*Graph, error) {
 	if len(data) < binaryHeader+4 {
 		return nil, fmt.Errorf("graph: binary blob truncated (%d bytes)", len(data))
 	}

@@ -249,15 +249,23 @@ func TestBinaryForgery(t *testing.T) {
 }
 
 // FuzzDecodeBinary: DecodeBinary never panics, and every blob it accepts
-// is its graph's one encoding, so the graph's ID is the blob's hash.
+// is its graph's one encoding, so the graph's ID is the blob's hash: the
+// ID DecodeBinaryID returns is ID of the decoded graph.
 func FuzzDecodeBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := DecodeBinary(bytes.NewReader(data))
+		gi, id, errID := DecodeBinaryID(data)
+		if (err == nil) != (errID == nil) {
+			t.Fatalf("DecodeBinary error %v, DecodeBinaryID error %v", err, errID)
+		}
 		if err != nil {
 			return
 		}
 		if again := AppendBinary(nil, g); !bytes.Equal(data, again) {
 			t.Fatalf("accepted %d-byte blob re-encodes to %d different bytes", len(data), len(again))
+		}
+		if want := ID(gi); id != want {
+			t.Fatalf("DecodeBinaryID = %s, ID of its graph = %s", id, want)
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 
 	"arbods"
 	"arbods/internal/gen"
-	"arbods/internal/graph"
 )
 
 // graphEntry is one built graph resident in the cache: the CSR itself plus
@@ -146,12 +145,12 @@ func (c *graphCache) snapshot() (entries []entryView, hits, misses int64) {
 // no separators, no traversal, nothing hidden.
 var corpusName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 
-// buildEntry constructs a cache entry for a built graph under the given
-// name key, computing its ID and the degeneracy fallback once so solves
-// never pay for them.
-func buildEntry(g *arbods.Graph, name string, bound int) *graphEntry {
+// buildEntry constructs the cache entry for a built graph whose graph.ID
+// is id under the given name key, computing the degeneracy fallback once
+// so solves never pay for it.
+func buildEntry(g *arbods.Graph, id, name string, bound int) *graphEntry {
 	_, degen := arbods.Degeneracy(g)
-	return &graphEntry{id: graph.ID(g), name: name, g: g, bound: bound, degen: degen}
+	return &graphEntry{id: id, name: name, g: g, bound: bound, degen: degen}
 }
 
 // loadCorpus reads and builds a graph from the corpus directory.

@@ -167,6 +167,88 @@ func TestSolvePanicIsolation(t *testing.T) {
 	}
 }
 
+// TestBuildPanicReleasesRef arms one panic in a graph build while four
+// requests race on the cold reference, so the others wait on the build
+// that panics. Every request it fails answers 500 with code build_panic
+// and one structured log record, and the reference is released: the next
+// request builds and solves instead of waiting on a build that will never
+// finish. Each request carries a deadline, so a wedged reference fails
+// the test instead of hanging it.
+func TestBuildPanicReleasesRef(t *testing.T) {
+	const panicMsg = "chaos: injected build panic"
+	reg := faultinject.New(1)
+	reg.Arm("server.build", faultinject.Fault{Round: -1, Delay: 100 * time.Millisecond, Panic: panicMsg})
+	logf, logs := captureLog()
+	_, ts := newTestServer(t, server.Config{PoolSize: 1, Faults: reg, Logf: logf})
+
+	body, err := json.Marshal(server.SolveRequest{Graph: "spec:path:n=10", Algorithm: "thm1.1", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Timeout: 2 * time.Second}
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	solve := func() answer {
+		resp, err := client.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return answer{err: err}
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		return answer{resp.StatusCode, out, err}
+	}
+
+	var (
+		wg      sync.WaitGroup
+		answers [4]answer
+	)
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i] = solve()
+		}()
+	}
+	wg.Wait()
+	panicked, solved := 0, 0
+	for i, a := range answers {
+		switch {
+		case a.err != nil:
+			t.Fatalf("request %d: %v", i, a.err)
+		case a.status == http.StatusInternalServerError:
+			msg, code := errBody(t, a.body)
+			if code != "build_panic" || !strings.Contains(msg, panicMsg) {
+				t.Fatalf("request %d: code %q, msg %q", i, code, msg)
+			}
+			panicked++
+		case a.status == http.StatusOK:
+			solved++ // arrived after the panicking build had ended
+		default:
+			t.Fatalf("request %d: status %d: %s", i, a.status, a.body)
+		}
+	}
+	rec := logs()
+	if panicked == 0 {
+		t.Fatalf("no request saw the panicking build; log:\n%s", rec)
+	}
+	if n := strings.Count(rec, "event=build_panic"); n != panicked || strings.Count(rec, panicMsg) != panicked {
+		t.Fatalf("%d requests failed but %d build_panic records, want one each:\n%s", panicked, n, rec)
+	}
+	if !strings.Contains(rec, "stack=") {
+		t.Fatalf("build panic record carries no stack:\n%s", rec)
+	}
+
+	if a := solve(); a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("solve after the panic: status %d, err %v: %s", a.status, a.err, a.body)
+	}
+	if st := serverStats(t, ts.URL); st.Builds != 1 || st.Solves != int64(solved+1) {
+		t.Fatalf("stats after recovery: builds=%d solves=%d, want 1 and %d", st.Builds, st.Solves, solved+1)
+	}
+}
+
 // TestSnapshotPersistRestart is the in-process half of the crash-safety
 // story (cmd/arbods-server's crash test covers the SIGKILL half): a second
 // server on the same DataDir serves the first server's upload from its

@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"runtime/debug"
 	"sync"
 )
 
@@ -31,9 +34,22 @@ type flightCall struct {
 	err    error
 }
 
+// buildPanicError is a build that panicked. The leader recovers it as
+// its result, so the key is released and the waiters woken like after any
+// failed build, and the next request for the reference builds afresh.
+type buildPanicError struct {
+	value any
+	stack []byte
+}
+
+func (e *buildPanicError) Error() string {
+	return fmt.Sprintf("graph build panicked: %v", e.value)
+}
+
 // do runs fn once per key across concurrent callers. The second return
 // reports leadership — true when this caller executed fn — which is what
-// the builds counter keys off.
+// the builds counter keys off. A panic in fn is every caller's
+// *buildPanicError with status 500.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (entryView, int, error)) (entryView, int, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -56,10 +72,20 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (entryView, 
 	g.m[key] = c
 	g.mu.Unlock()
 
-	c.view, c.status, c.err = fn()
+	c.run(fn)
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(c.done)
 	return c.view, c.status, c.err, true
+}
+
+// run calls fn and stores its result, or a *buildPanicError if it panics.
+func (c *flightCall) run(fn func() (entryView, int, error)) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.status, c.err = http.StatusInternalServerError, &buildPanicError{value: v, stack: debug.Stack()}
+		}
+	}()
+	c.view, c.status, c.err = fn()
 }

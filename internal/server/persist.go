@@ -165,25 +165,21 @@ func (p *persistStore) scanBlobs() []persistEntry {
 // entry. Degen < 0 marks a rescanned row whose metadata must be
 // recomputed.
 func (p *persistStore) loadBlob(row persistEntry) (*graphEntry, error) {
-	f, err := os.Open(p.blobPath(row.ID))
+	data, err := os.ReadFile(p.blobPath(row.ID))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	g, err := arbods.DecodeGraphBinary(f)
+	g, id, err := graph.DecodeBinaryID(data)
 	if err != nil {
 		return nil, err
 	}
-	var e *graphEntry
+	if id != row.ID {
+		return nil, fmt.Errorf("content hash %s does not match snapshot id", id)
+	}
 	if row.Degen < 0 {
-		e = buildEntry(g, "", 0)
-	} else {
-		e = &graphEntry{id: graph.ID(g), name: row.Name, g: g, bound: row.Bound, degen: row.Degen}
+		return buildEntry(g, id, "", 0), nil
 	}
-	if e.id != row.ID {
-		return nil, fmt.Errorf("content hash %s does not match snapshot id", e.id)
-	}
-	return e, nil
+	return &graphEntry{id: id, name: row.Name, g: g, bound: row.Bound, degen: row.Degen}, nil
 }
 
 // save snapshots one cache entry: blob first (skipped when already on

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"arbods"
 	"arbods/internal/api"
 	"arbods/internal/graph"
 )
@@ -230,13 +229,16 @@ func (s *Server) tryFetchSnapshot(ctx context.Context, peer, id string) (*graphE
 		io.Copy(io.Discard, resp.Body)
 		return nil, &httpStatusError{status: resp.StatusCode}
 	}
-	g, err := arbods.DecodeGraphBinary(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength, s.cfg.MaxUploadBytes)
 	if err != nil {
 		return nil, err
 	}
-	e := buildEntry(g, "", 0)
-	if e.id != id {
+	g, got, err := graph.DecodeBinaryID(data)
+	if err != nil {
+		return nil, err
+	}
+	if got != id {
 		return nil, &httpStatusError{status: http.StatusUnprocessableEntity}
 	}
-	return e, nil
+	return buildEntry(g, id, "", 0), nil
 }

@@ -37,7 +37,8 @@
 //     code "proc_panic" and one structured log record (request id, graph,
 //     round, node, truncated stack), and the poisoned Runner is swapped
 //     for a fresh one at checkin — every other in-flight solve finishes
-//     untouched;
+//     untouched; a panicking graph build answers 500 with code
+//     "build_panic" and releases its reference for the next request;
 //   - with Config.DataDir set, every uploaded or name-built graph is
 //     mirrored to disk as a checksummed binary CSR snapshot (atomic
 //     temp+rename writes, so a SIGKILL cannot tear them) and restored at
@@ -61,11 +62,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -90,7 +89,8 @@ type Config struct {
 	// MaxInflight bounds admitted-but-waiting solves before the server
 	// answers 429 (0 = 4×PoolSize).
 	MaxInflight int
-	// MaxUploadBytes bounds the graph upload body (0 = 64 MiB).
+	// MaxUploadBytes bounds the graph upload body (0 =
+	// DefaultMaxUploadBytes).
 	MaxUploadBytes int64
 	// MaxCachedGraphs bounds resident built graphs, LRU-evicted (0 = 64).
 	MaxCachedGraphs int
@@ -131,6 +131,9 @@ type Config struct {
 	// Logf receives one line per request outcome (nil = silent).
 	Logf func(format string, args ...any)
 }
+
+// DefaultMaxUploadBytes is the upload cap of a Config that sets none.
+const DefaultMaxUploadBytes = 64 << 20
 
 // Server is the arbods-server HTTP handler plus the shared state behind
 // it: the content-addressed graph cache and the RunnerPool all solves
@@ -173,7 +176,7 @@ type Server struct {
 // silently serving without durability.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxUploadBytes <= 0 {
-		cfg.MaxUploadBytes = 64 << 20
+		cfg.MaxUploadBytes = DefaultMaxUploadBytes
 	}
 	pool := arbods.NewRunnerPool(cfg.PoolSize)
 	if cfg.MaxInflight <= 0 {
@@ -248,13 +251,15 @@ func entryInfo(e entryView) GraphInfo {
 
 // handleUpload ingests a graph in the arbods text format or as ARBCSR01
 // and caches its built CSR under graph.ID, the sha256 of its ARBCSR01
-// encoding. The ID is taken from the decoded graph, not the upload bytes,
-// so re-uploading the same graph — in either format, comments and line
-// order included — is idempotent and returns the resident entry.
+// encoding. An ARBCSR01 body is that encoding, since the decoder accepts
+// only canonical blobs, so its ID is the hash of the body; a text body's
+// ID is taken from the decoded graph. Re-uploading the same graph — in
+// either format, comments and line order included — is idempotent and
+// returns the resident entry.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Read fully before decoding: a cap hit must answer 413, not whatever
 	// parse error the truncation happens to produce.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	raw, err := readBody(r.Body, r.ContentLength, s.cfg.MaxUploadBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -268,19 +273,25 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// ARBCSR01 binary codec — the same checksummed encoding the disk
 	// snapshots use — skips the text parse entirely, and is how peers
 	// replicate uploads to each other.
-	var g *arbods.Graph
+	var (
+		g  *arbods.Graph
+		id string
+	)
 	if strings.Contains(r.Header.Get("Content-Type"), api.BinaryContentType) {
-		g, err = arbods.DecodeGraphBinary(bytes.NewReader(raw))
+		g, id, err = graph.DecodeBinaryID(raw)
 	} else {
 		// A text size line declares any node count in a few bytes; allow
 		// no more nodes than a binary upload within the cap can carry.
 		g, err = graph.DecodeText(raw, graph.MaxBinaryNodes(s.cfg.MaxUploadBytes))
+		if err == nil {
+			id = graph.ID(g)
+		}
 	}
 	if err != nil {
 		s.error(w, http.StatusBadRequest, "decode graph: %v", err)
 		return
 	}
-	resident, existed := s.cache.insert(buildEntry(g, "", 0), false)
+	resident, existed := s.cache.insert(buildEntry(g, id, "", 0), false)
 	if s.persist != nil && !existed {
 		// Synchronous by design: once the 200 is on the wire the graph is
 		// durable — a crash right after the response cannot lose it.

@@ -12,6 +12,7 @@ import (
 
 	"arbods"
 	"arbods/internal/api"
+	"arbods/internal/graph"
 )
 
 // The solve contract lives in internal/api, shared with arbods/client and
@@ -93,7 +94,7 @@ func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arb
 		}
 		s.builds.Add(1)
 		builtHere = true
-		e, _ := s.cache.insert(buildEntry(g, ref, bound), true)
+		e, _ := s.cache.insert(buildEntry(g, graph.ID(g), ref, bound), true)
 		if s.persist != nil {
 			// The leader snapshots for everyone: waiters and later requests
 			// find the graph durable as well as resident.
@@ -216,11 +217,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	tBuild := time.Now()
 	e, hit, status, err := s.resolveGraph(ctx, req.Graph)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		var bp *buildPanicError
+		switch {
+		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			s.solveFail(w, nil, rid, req.Graph, req.Algorithm, err)
-			return
+		case errors.As(err, &bp):
+			// One structured record, like a proc panic's; the stack stays in
+			// the log, out of the response.
+			s.logf("event=build_panic req=%d graph=%s value=%q stack=%q",
+				rid, req.Graph, fmt.Sprint(bp.value), truncStack(bp.stack))
+			s.writeJSON(w, http.StatusInternalServerError, api.ErrorBody{Error: err.Error(), Code: "build_panic"})
+		default:
+			s.error(w, status, "%v", err)
 		}
-		s.error(w, status, "%v", err)
 		return
 	}
 	if !hit {
