@@ -45,20 +45,22 @@ bench-json:
 	$(GO) run ./cmd/mdsbench -scale small -seed 1 -format json
 
 # Compare two committed engine-benchmark records (benchstat format). The
-# defaults pin pulling every inbox after every round with traffic against
-# light rounds, which after a sparse round pull only at its receivers and
-# shard by node count (BenchmarkRunSparse is new in the second record);
-# override with BENCH_OLD=/BENCH_NEW= to compare other points on the
-# trajectory (the older BENCH_*_engine_* records are also committed).
+# defaults pin light rounds, with per-node traffic lists and targeted slabs
+# grown by append, against heads that locate multi-send traffic in the
+# shard slabs and targeted slabs that grow in one step (B/op is the
+# headline); override with BENCH_OLD=/BENCH_NEW= to compare other points
+# on the trajectory (the older BENCH_*_engine_* records are also
+# committed). A record that holds a parent and a change run tells them
+# apart by its tree key, so columns split by file and tree.
 # Note each record's numcpu/gomaxprocs header before reading workers>1
 # rows as a scaling curve — single-core records measure dispatch
 # overhead, not scaling. Uses benchstat when available (CI installs it); falls
 # back to printing both records side by side offline.
-BENCH_OLD ?= BENCH_2026-10-16_engine_pr13.txt
-BENCH_NEW ?= BENCH_2026-10-17_engine_pr19.txt
+BENCH_OLD ?= BENCH_2026-10-17_engine_pr19.txt
+BENCH_NEW ?= BENCH_2026-10-18_engine_pr22.txt
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(BENCH_OLD) $(BENCH_NEW); \
+		benchstat -col .file,tree $(BENCH_OLD) $(BENCH_NEW); \
 	else \
 		echo "benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest);"; \
 		echo "raw records:"; \
@@ -73,10 +75,11 @@ benchmark-test:
 
 # Allocation-regression gate: a mid-size run must stay within the
 # testing.AllocsPerRun ceilings of TestAllocationCeiling (O(1) allocs on a
-# reused Runner; far below one-per-node transient). Runs inside the normal
-# test suite too; this target exists so CI (and humans) can exercise it
-# explicitly next to bench-compare.
+# reused Runner; far below one-per-node transient), and a transient
+# broadcast-then-request run within TestMemoryCeiling's 200 bytes per
+# node. Both run inside the normal test suite too; this target exists so
+# CI (and humans) can exercise them explicitly next to bench-compare.
 alloc-gate:
-	$(GO) test ./internal/congest/ -run TestAllocationCeiling -count=1 -v
+	$(GO) test ./internal/congest/ -run 'TestAllocationCeiling|TestMemoryCeiling' -count=1 -v
 
 ci: build vet fmt-check race

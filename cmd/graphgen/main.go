@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"arbods"
+	"arbods/internal/arbor"
 	"arbods/internal/gen"
 )
 
@@ -58,6 +59,5 @@ func effectiveBound(w gen.Result) int {
 	if w.ArboricityBound > 0 {
 		return w.ArboricityBound
 	}
-	_, d := arbods.Degeneracy(w.G)
-	return d
+	return arbor.DegeneracyOf(w.G)
 }

@@ -38,6 +38,7 @@ import (
 	"arbods"
 	arbodsclient "arbods/client"
 	"arbods/internal/api"
+	"arbods/internal/arbor"
 	"arbods/internal/gen"
 )
 
@@ -111,7 +112,7 @@ func run(args []string) error {
 	// request a local run would.
 	degen := 0
 	if bound == 0 && req.Alpha == 0 {
-		_, degen = arbods.Degeneracy(g)
+		degen = arbor.DegeneracyOf(g)
 	}
 	api.Normalize(&req, api.DefaultAlpha(bound, degen))
 	ctx := context.Background()

@@ -34,6 +34,13 @@ func Degeneracy(g *graph.Graph) (order []int, degeneracy int) {
 	return order, d
 }
 
+// DegeneracyOf returns the degeneracy d of g alone: Degeneracy's d without
+// the n-entry order, for callers that need only the bound.
+func DegeneracyOf(g *graph.Graph) int {
+	_, _, d := peel(g)
+	return d
+}
+
 // peel is the Batagelj–Zaversnik bin-sort peel (V. Batagelj, M. Zaversnik,
 // "An O(m) Algorithm for Cores Decomposition of Networks", 2003) on one
 // int32 buffer. vert lists the nodes in peeling order and pos is its

@@ -70,13 +70,16 @@ func referenceDegeneracy(g *graph.Graph) (order []int, degeneracy int) {
 	return order, degeneracy
 }
 
-// checkDegeneracy holds Degeneracy to the reference on g: the same d, an
-// order that is a permutation of the nodes in which every node has at
-// most d later neighbors, and Bounds with lo ≤ hi = d.
+// checkDegeneracy holds Degeneracy to the reference on g: the same d, also
+// from DegeneracyOf, an order that is a permutation of the nodes in which
+// every node has at most d later neighbors, and Bounds with lo ≤ hi = d.
 func checkDegeneracy(g *graph.Graph) error {
 	order, d := arbor.Degeneracy(g)
 	if _, want := referenceDegeneracy(g); d != want {
 		return fmt.Errorf("degeneracy %d, reference %d", d, want)
+	}
+	if only := arbor.DegeneracyOf(g); only != d {
+		return fmt.Errorf("DegeneracyOf %d, Degeneracy %d", only, d)
 	}
 	if len(order) != g.N() {
 		return fmt.Errorf("order has %d nodes, graph %d", len(order), g.N())
@@ -182,8 +185,8 @@ func TestDegeneracyMatchesReference(t *testing.T) {
 	})
 }
 
-// BenchmarkDegeneracy times the peel every upload pays, on the four
-// serving families at n=20000 with uniform weights: the graphs
+// BenchmarkDegeneracy times the peel every upload pays (DegeneracyOf), on
+// the four serving families at n=20000 with uniform weights: the graphs
 // BenchmarkDecode in internal/graph decodes.
 func BenchmarkDegeneracy(b *testing.B) {
 	for _, spec := range []string{"forest:n=20000,k=3", "ba:n=20000,m=3", "geom:n=20000,r=0.012", "er:n=20000,p=0.0002"} {
@@ -195,7 +198,7 @@ func BenchmarkDegeneracy(b *testing.B) {
 		b.Run(family, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, d := arbor.Degeneracy(w.G); d == 0 {
+				if arbor.DegeneracyOf(w.G) == 0 {
 					b.Fatal("zero degeneracy")
 				}
 			}

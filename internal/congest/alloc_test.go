@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"runtime"
 	"testing"
 
 	"arbods/internal/congest"
@@ -83,5 +84,64 @@ func TestAllocationCeiling(t *testing.T) {
 			t.Errorf("workers=%d transient run allocates %.0f times (ceiling %.0f = n/100): run setup is no longer slab-based", workers, transient, ceiling)
 		}
 		r.Close()
+	}
+}
+
+// requestProc has the message shape of a Theorem 1.1 solve at its
+// heaviest: round 0 broadcasts, round 1 sends one targeted request to the
+// node's lowest neighbor (the τ-completion), and round 2 stops.
+type requestProc struct {
+	ni  congest.NodeInfo
+	got int64
+}
+
+func (p *requestProc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
+	p.got += int64(len(in))
+	switch {
+	case round == 0:
+		s.Broadcast(packPing(int64(p.ni.ID)))
+	case round == 1 && len(p.ni.Neighbors) > 0:
+		s.Send(int(p.ni.Neighbors[0]), packPing(int64(p.ni.ID)))
+	case round >= 2:
+		return true
+	}
+	return false
+}
+
+func (p *requestProc) Output() int64 { return p.got }
+
+// TestMemoryCeiling is the byte gate beside the allocation-count gate: a
+// transient run of requestProc on a 2·10⁵-node ER graph may allocate at
+// most 200 bytes per node (runtime.MemStats.TotalAlloc). Per node, a run
+// pays its proc interface slot, two outbox heads, two sent flags, its
+// done flag and output, and the broadcast slabs' two 24-byte slots; the
+// request round adds one 32-byte targeted slot, allocated once per shard.
+// Per-node traffic lists, or a targeted slab grown in append's 1.25×
+// steps, would each take the run past the ceiling.
+func TestMemoryCeiling(t *testing.T) {
+	const n, ceiling = 200_000, 200
+	g := gen.ErdosRenyi(n, 4/float64(n), 1).G
+	slab := make([]requestProc, n)
+	factory := func(ni congest.NodeInfo) congest.Proc[int64] {
+		p := &slab[ni.ID]
+		*p = requestProc{ni: ni}
+		return p
+	}
+	for _, workers := range []int{1, 2} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := congest.Run(g, factory, congest.WithSeed(1), congest.WithWorkers(workers))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rounds != 3 || res.Messages <= int64(g.DegreeSum()) {
+			t.Fatalf("workers=%d: %d rounds, %d messages — the request round is missing", workers, res.Rounds, res.Messages)
+		}
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("workers=%d bytes allocated per node: %.0f", workers, perNode)
+		if perNode > ceiling {
+			t.Errorf("workers=%d transient run allocates %.0f bytes per node (ceiling %d): a per-node or per-message buffer crept back into the engine", workers, perNode, ceiling)
+		}
 	}
 }

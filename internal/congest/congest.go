@@ -38,8 +38,14 @@
 // outbox heads and the per-shard outbox slabs (two of each, alternating by
 // round parity), one inbox scratch slice per shard, the per-node random
 // streams (embedded by value in NodeInfo and seeded in place by rng.Init),
-// and an Arena that procs carve their neighbor caches from. Nothing is
-// sized by the message volume: an inbox exists only while its node steps.
+// and an Arena that procs carve their neighbor caches from. A head holds a
+// lone send inline; a node that sent more leaves its packets in the slabs
+// of the shard that stepped it, and its head names that shard, the offsets
+// of its broadcasts and targeted sends there, and its broadcast count, so
+// no per-node list exists. A shard's targeted slab takes the shard's node
+// span at its first growth and doubles after that, so a round in which
+// every node sends one request allocates it once. Nothing is sized by the
+// message volume: an inbox exists only while its node steps.
 // A plain Run builds a transient Runner and discards
 // it; serving-style callers create one Runner, pass it to every run with
 // WithRunner, and amortize all of the setup — repeated runs on the same
@@ -422,19 +428,28 @@ type outPacket struct {
 // the node steps in round r, read by its neighbors' pulls in round r+1.
 // A lone send sits inline, so a receiver pulls the common round — one
 // broadcast, or the τ-completion's one request — with a single 32-byte
-// read per neighbor; anything more lives in the node's outList.
+// read per neighbor. A node that sent more leaves its packets where its
+// Sender put them, in the slabs of the shard that stepped it, and its
+// head says where: spill writes it, sends reads it. The head names the
+// shard because the layout can switch between the degree cut and the
+// node-count cut from one round to the next.
 type outbox struct {
-	first Packet // the node's only send, when n == 1
-	n     int32  // sends queued this round, broadcasts and targeted
-	to    int32  // first's receiver when it is a targeted send; -1 for a broadcast
+	// first is the node's only send when n == 1. When n > 1, A and B are
+	// the offsets of its broadcasts and targeted sends in the shard's
+	// slabs and Bits is its broadcast count.
+	first Packet
+	n     int32 // sends queued this round, broadcasts and targeted
+	// to is first's receiver when it is a lone targeted send, -1 for a
+	// lone broadcast, and the index of the shard that stepped the node
+	// when n > 1.
+	to int32
 }
 
-// outList is one node's full traffic for one round, as views into its
-// step shard's slabs. Written and read only when the node's outbox says
-// it sent more than one packet.
-type outList struct {
-	bc []Packet    // broadcasts, in send order
-	tg []outPacket // targeted sends, grouped by receiver, send order within a group
+// spill returns the head of a node that queued n > 1 sends: nbc
+// broadcasts at offset bcAt of step shard w's broadcast slab, and n-nbc
+// targeted sends at offset tgAt of its targeted slab.
+func spill(w, bcAt, tgAt, nbc, n int) outbox {
+	return outbox{first: Packet{A: uint64(bcAt), B: uint64(tgAt), Bits: uint32(nbc)}, n: int32(n), to: int32(w)}
 }
 
 // Sender collects a node's outgoing packets for the current round. A
@@ -443,6 +458,7 @@ type outList struct {
 // turn, and the node's sends append to the shard's slabs.
 type Sender struct {
 	owner     int32
+	span      int32 // nodes in the shard's larger range: the targeted slab's first size
 	neighbors []int32
 	bc        []Packet    // the shard's broadcast slab, appended in node order
 	tg        []outPacket // the shard's targeted-send slab, appended in node order
@@ -464,7 +480,19 @@ func (s *Sender) Send(to int, p Packet) {
 	if err := s.validate(p); err != nil {
 		return
 	}
+	if len(s.tg) == cap(s.tg) {
+		s.growTG()
+	}
 	s.tg = append(s.tg, outPacket{to: int32(to), before: int32(len(s.bc) - s.bcStart), p: p})
+}
+
+// growTG moves a full targeted slab to one of twice its capacity, and at
+// least the shard's span, so a round in which every node of the shard
+// sends one request grows it once instead of in append's 1.25× steps.
+func (s *Sender) growTG() {
+	tg := make([]outPacket, len(s.tg), max(2*cap(s.tg), int(s.span)))
+	copy(tg, s.tg)
+	s.tg = tg
 }
 
 // Broadcast sends p to every neighbor: one outbox entry, which each

@@ -33,9 +33,8 @@ type Runner struct {
 
 	// Per-node outbox records, one set per round parity: round r writes
 	// set r&1 while its pulls read the set round r-1 wrote.
-	sent  [2][]bool    // per node: queued any message that round
-	outs  [2][]outbox  // per-node traffic heads, valid where sent
-	lists [2][]outList // per-node full traffic, valid where the head says so
+	sent [2][]bool   // per node: queued any message that round
+	outs [2][]outbox // per-node traffic heads, valid where sent
 
 	done []bool
 	// marks has one bit per node: after a sparse round, the mark pass sets
@@ -125,7 +124,6 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 		for p := range r.sent {
 			r.sent[p] = withLen(r.sent[p], n)
 			r.outs[p] = withLen(r.outs[p], n)
-			r.lists[p] = withLen(r.lists[p], n)
 		}
 		r.done = resized(r.done, n)
 		r.marks = withLen(r.marks, (n+63)/64)
@@ -169,14 +167,17 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 			// Broadcast slabs and the inbox scratch are sized for the common
 			// round — one broadcast per node, so at most Δ messages per
 			// inbox — over the larger of the shard's two ranges, and kept
-			// across graphs when already large enough. A sender list holds
-			// at most lightMax nodes (see stepShard.senders).
+			// across graphs when already large enough. Targeted slabs start
+			// empty and take the same span at their first growth. A sender
+			// list holds at most lightMax nodes (see stepShard.senders).
 			s := &r.steps[w]
-			span := int(max(r.bounds[w+1]-r.bounds[w], r.nodeBounds[w+1]-r.nodeBounds[w]))
-			s.snd.bc = withCap(s.snd.bc, span)
-			s.prevBC = withCap(s.prevBC, span)
+			span := max(r.bounds[w+1]-r.bounds[w], r.nodeBounds[w+1]-r.nodeBounds[w])
+			for p := range s.bcs {
+				s.bcs[p] = withCap(s.bcs[p], int(span))
+			}
+			s.snd.span = span
 			s.in = withCap(s.in, g.MaxDegree())
-			s.senders = withCap(s.senders, min(span, int(r.lightMax)))
+			s.senders = withCap(s.senders, min(int(span), int(r.lightMax)))
 		}
 	}
 	for w := range r.steps {

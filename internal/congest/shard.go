@@ -25,9 +25,9 @@ import (
 //     light.
 //
 // Both layouts are built when the graph or worker count changes. Switching
-// between them from round to round is safe because a node's outbox views
-// point into the slabs of the shard that stepped it, whichever range that
-// shard covers next.
+// between them from round to round is safe because a multi-send head names
+// the shard that stepped its node and offsets into that shard's slabs,
+// whichever range that shard covers next.
 
 // adaptiveWorkersMin is the node count at which WithWorkers(0) switches
 // from the sequential engine to GOMAXPROCS workers. Below it the one

@@ -138,16 +138,21 @@ func TestShardBoundsRegularDegradesToNodeCount(t *testing.T) {
 // TestShardPadding pins the memory layouts the pull walk depends on. The
 // shard struct carries a trailing linePad, so its total size is a 64-byte
 // multiple and no cache line can hold live fields of two adjacent shards
-// in the Runner's slice, at any backing-array alignment. The outbox head
-// stays 32 bytes — two per cache line — because every pull reads one head
-// per sending neighbor.
+// in the Runner's slice, at any backing-array alignment. Its slab headers,
+// which other shards' pulls read, sit a full line past the fields it
+// writes per node. The outbox head stays 32 bytes — two per cache line —
+// because every pull reads one head per sending neighbor.
 func TestShardPadding(t *testing.T) {
-	size := unsafe.Sizeof(stepShard{})
+	var s stepShard
+	size := unsafe.Sizeof(s)
 	if size%64 != 0 {
 		t.Errorf("stepShard is %d bytes — not a cache-line multiple; adjust its padding", size)
 	}
 	if size < 64+unsafe.Sizeof(linePad{}) {
 		t.Errorf("stepShard is %d bytes — smaller than its own padding plus one line?", size)
+	}
+	if gap := unsafe.Offsetof(s.bcs) - (unsafe.Offsetof(s.stats) + unsafe.Sizeof(s.stats)); gap < 64 {
+		t.Errorf("slab headers start %d bytes past the per-node fields, want a full line", gap)
 	}
 	if head := unsafe.Sizeof(outbox{}); head != 32 {
 		t.Errorf("outbox head is %d bytes, want 32", head)

@@ -6,10 +6,10 @@ import (
 )
 
 // stepShard is one worker's per-round step state and results; its node
-// range comes from the round's layout (see shard.go). Its Sender owns the
+// range comes from the round's layout (see shard.go). Its Sender fills the
 // shard's outbox slabs: every node in range appends its sends there, in
-// node order, and the step phase publishes each node's slice of them as
-// that node's outbox.
+// node order, and a node that sent more than one packet publishes where
+// its packets sit in its outbox head.
 type stepShard struct {
 	active int   // nodes in range still running after this round
 	err    error // first Sender error in range (lowest node ID)
@@ -31,11 +31,6 @@ type stepShard struct {
 	bwErr *BandwidthError
 
 	snd Sender
-	// prevBC and prevTG are the slabs the Sender filled last round: the
-	// range's neighbors pull from them this round, so the Sender appends to
-	// the other pair, and the two pairs swap every round.
-	prevBC []Packet
-	prevTG []outPacket
 	// in is the inbox scratch: each node's inbox is pulled into it just
 	// before the node's Step and is dead once Step returns.
 	in []Incoming
@@ -59,7 +54,19 @@ type stepShard struct {
 	maxEdgeBits int64
 	stats       [MaxTags]MessageStat
 
-	_ [32]byte // round the live fields up to a line boundary
+	// Every shard's pulls read the slab headers below, so a full line
+	// keeps them off the lines the fields above rewrite for every node.
+	_ linePad
+
+	// bcs and tgs are the shard's outbox slabs, one pair per round parity.
+	// Round r's Sender appends to pair r&1 and stores it back when the
+	// range is done; round r+1's pulls read it through the multi-send
+	// heads while the Sender fills the other pair, so a reader never sees
+	// a slab header its owner is rewriting.
+	bcs [2][]Packet
+	tgs [2][]outPacket
+
+	_ [48]byte // round the live fields up to a line boundary
 	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
@@ -97,11 +104,10 @@ func (e *engine[O]) stepRange(w int) {
 			return
 		}
 	}
-	snd := &s.snd
-	snd.bc, s.prevBC = s.prevBC[:0], snd.bc
-	snd.tg, s.prevTG = s.prevTG[:0], snd.tg
 	cur, prev := round&1, round&1^1
-	sent, outs, lists := e.sent[cur], e.outs[cur], e.lists[cur]
+	snd := &s.snd
+	snd.bc, snd.tg = s.bcs[cur][:0], s.tgs[cur][:0]
+	sent, outs := e.sent[cur], e.outs[cur]
 	// After a dense round every node walks its neighbor list. A light
 	// round — one after a sparse or silent round, or round 0, whose marks
 	// bind cleared — pulls only at the nodes the mark pass found to be
@@ -146,8 +152,7 @@ func (e *engine[O]) stepRange(w int) {
 		ob := &outs[v]
 		switch {
 		case n > 1:
-			*ob = outbox{n: int32(n)}
-			lists[v] = outList{bc: bc[:len(bc):len(bc)], tg: tg[:len(tg):len(tg)]}
+			*ob = spill(w, b0, t0, len(bc), n)
 		case len(bc) == 1:
 			*ob = outbox{first: bc[0], n: 1, to: -1}
 		default:
@@ -159,6 +164,15 @@ func (e *engine[O]) stepRange(w int) {
 		}
 	}
 	s.in = in // keep a grown scratch warm
+	s.bcs[cur], s.tgs[cur] = snd.bc, snd.tg
+}
+
+// sends returns the packets of a head with n > 1, which par's round wrote
+// into the slabs of the shard the head names.
+func (e *engine[O]) sends(ob *outbox, par int) ([]Packet, []outPacket) {
+	s := &e.steps[ob.to]
+	bcAt, tgAt, nbc := int(ob.first.A), int(ob.first.B), int(ob.first.Bits)
+	return s.bcs[par][bcAt : bcAt+nbc], s.tgs[par][tgAt : tgAt+int(ob.n)-nbc]
 }
 
 // mark sets the bit of every receiver of round par's sends — all neighbors
@@ -166,18 +180,19 @@ func (e *engine[O]) stepRange(w int) {
 // the previous marks. It runs on the coordinator after a sparse round,
 // when every shard's sender list is complete, and costs O(M + n/64).
 func (e *engine[O]) mark(par int) {
-	marks, outs, lists := e.marks, e.outs[par], e.lists[par]
+	marks, outs := e.marks, e.outs[par]
 	clear(marks)
 	for w := range e.steps {
 		for _, v := range e.steps[w].senders {
 			ob := &outs[v]
 			switch {
-			case ob.n > 1 && len(lists[v].bc) == 0:
-				for _, t := range lists[v].tg {
-					marks.set(t.to)
-				}
 			case ob.n == 1 && ob.to >= 0:
 				marks.set(ob.to)
+			case ob.n > 1 && ob.first.Bits == 0: // targeted sends only
+				_, tg := e.sends(ob, par)
+				for _, t := range tg {
+					marks.set(t.to)
+				}
 			default: // a broadcast reaches every neighbor
 				for _, u := range e.g.Neighbors(int(v)) {
 					marks.set(u)
@@ -198,7 +213,7 @@ func (b bitset) has(v int) bool { return b[v>>6]&(1<<(v&63)) != 0 }
 // order, so the inbox is in exact (sender ID, send index) order and Idx
 // is just the walk's loop index, at every worker count and shard layout.
 func (e *engine[O]) pullInbox(in []Incoming, u, par int) []Incoming {
-	sent, outs, lists := e.sent[par], e.outs[par], e.lists[par]
+	sent, outs := e.sent[par], e.outs[par]
 	u32 := int32(u)
 	for i, v := range e.g.Neighbors(u) {
 		if !sent[v] {
@@ -207,7 +222,8 @@ func (e *engine[O]) pullInbox(in []Incoming, u, par int) []Incoming {
 		ob := &outs[v]
 		switch {
 		case ob.n > 1:
-			in = pull(in, &lists[v], v, int32(i), u32)
+			bc, tg := e.sends(ob, par)
+			in = pull(in, bc, tg, v, int32(i), u32)
 		case ob.to < 0 || ob.to == u32:
 			in = append(in, Incoming{From: v, Idx: int32(i), P: ob.first})
 		}
@@ -216,14 +232,13 @@ func (e *engine[O]) pullInbox(in []Incoming, u, par int) []Incoming {
 }
 
 // pull appends what v sent u when v sent more than one packet: the
-// targeted sends addressed to u (grouped by receiver in the step phase)
-// interleaved with v's broadcasts back into send order. i is v's position
-// in u's neighbor list.
-func pull(dst []Incoming, l *outList, v, i, u int32) []Incoming {
-	bc := l.bc
-	lo, hi := group(l.tg, u)
+// targeted sends tg addressed to u (grouped by receiver in the step phase)
+// interleaved with v's broadcasts bc back into send order. i is v's
+// position in u's neighbor list.
+func pull(dst []Incoming, bc []Packet, tg []outPacket, v, i, u int32) []Incoming {
+	lo, hi := group(tg, u)
 	k := 0 // next broadcast
-	for _, t := range l.tg[lo:hi] {
+	for _, t := range tg[lo:hi] {
 		for ; k < int(t.before); k++ {
 			dst = append(dst, Incoming{From: v, Idx: i, P: bc[k]})
 		}

@@ -84,6 +84,18 @@ func NewReport(name string, res *congest.Result[Output], g *graph.Graph) *Report
 
 func buildReport(name string, res *congest.Result[Output], g *graph.Graph) *Report {
 	rep := &Report{Algorithm: name, Result: res, AllDominated: true}
+	// Count the members first, so DS is allocated once at its final size
+	// instead of regrown while the run's outputs are live. DS stays nil for
+	// an empty set: Detach keeps nil and empty apart.
+	members := 0
+	for _, out := range res.Outputs {
+		if out.InDS {
+			members++
+		}
+	}
+	if members > 0 {
+		rep.DS = make([]int, 0, members)
+	}
 	for v, out := range res.Outputs {
 		if out.InDS {
 			rep.DS = append(rep.DS, v)

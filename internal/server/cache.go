@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"arbods"
+	"arbods/internal/arbor"
 	"arbods/internal/gen"
 )
 
@@ -149,7 +150,7 @@ var corpusName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 // is id under the given name key, computing the degeneracy fallback once
 // so solves never pay for it.
 func buildEntry(g *arbods.Graph, id, name string, bound int) *graphEntry {
-	_, degen := arbods.Degeneracy(g)
+	degen := arbor.DegeneracyOf(g)
 	return &graphEntry{id: id, name: name, g: g, bound: bound, degen: degen}
 }
 
