@@ -82,4 +82,5 @@ benchmark-test:
 alloc-gate:
 	$(GO) test ./internal/congest/ -run 'TestAllocationCeiling|TestMemoryCeiling' -count=1 -v
 
-ci: build vet fmt-check race
+# The build-test job of ci.yml, step for step.
+ci: build vet fmt-check race benchmark-test fuzz

@@ -17,9 +17,7 @@ type NodeOutput = mds.Output
 
 // Result is the raw simulator outcome inside Report.Result: per-node
 // outputs plus the transcript statistics (rounds, messages, bits,
-// bandwidth accounting). Its Detach method deep-copies a result produced
-// under WithRecycledResult off the Runner-owned memory; see
-// WithRecycledResult for the lifetime contract.
+// bandwidth accounting).
 type Result = congest.Result[NodeOutput]
 
 // RoundStat is one round's traffic, recorded by WithRoundStats and
@@ -102,13 +100,6 @@ func NewRunner() *Runner { return congest.NewRunner() }
 // WithRunner executes the run on a reusable Runner instead of transient
 // per-run state.
 func WithRunner(r *Runner) Option { return congest.WithRunner(r) }
-
-// WithRecycledResult assembles Report.Result.Outputs (and MessageStats)
-// on Runner-owned memory, eliminating the last graph-sized per-run
-// allocations of a warm serving loop. The result's Outputs/MessageStats
-// are then valid only until the same Runner's next run — copy what must
-// outlive it. Values are identical with and without the option.
-func WithRecycledResult() Option { return congest.WithRecycledResult() }
 
 // RunnerPool is a bounded, goroutine-safe set of reusable Runners for
 // concurrent batch execution: workers Get a Runner, run on it, and Put it

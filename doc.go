@@ -73,11 +73,10 @@
 //		...
 //	}
 //
-// Repeated runs on the same graph then allocate O(1) memory regardless of
-// n and message volume, and results are identical to transient runs.
-// Adding WithRecycledResult assembles Report.Result.Outputs on
-// Runner-owned memory too (valid until that Runner's next run), removing
-// the last graph-sized per-run allocation.
+// Repeated runs then allocate a constant number of times, whatever n and
+// the message volume (the Report and its per-node outputs), and results
+// are identical to transient runs. A Report is ordinary heap memory: it
+// stays valid after the Runner's next run.
 //
 // # Batch pattern
 //
@@ -109,12 +108,6 @@
 // RunnerPool (sized to the concurrent request budget) and create a Batch
 // per request wave with RunnerPool.Batch.
 //
-// A recycled Result lives on Runner-owned memory and is valid only until
-// that Runner's next run; to keep one past that point — to return it from
-// a request handler, say — call Result.Detach (or Report.Detach), which
-// deep-copies it onto ordinary heap memory in one pass. Detach is opt-in
-// precisely so the recycled hot path stays allocation-free.
-//
 // # Cancellation
 //
 // Every run can carry a context: pass WithContext(ctx) as an option (or
@@ -138,11 +131,10 @@
 // built CSRs under their ID, "sha256:" plus the hex SHA-256 of the
 // graph's ARBCSR01 bytes (its one canonical byte form, so a text upload,
 // a binary upload and a spec build of one graph share an ID); solves are
-// scheduled onto a shared RunnerPool with admission control; results are
-// never recycled onto Runner memory, so none can outlive its Runner; and
-// every answer carries a verification Receipt — the coverage proof, the
-// packing feasibility, and the α-bound ratio check, recomputed from the
-// graph and the run.
+// scheduled onto a shared RunnerPool with admission control; and every
+// answer carries a verification Receipt — the coverage proof, the packing
+// feasibility, and the α-bound ratio check, recomputed from the graph and
+// the run.
 // Receipts are deterministic per (graph, algorithm, parameters, seed):
 // repeating a request returns byte-identical receipt JSON — which is
 // what lets the server answer repeat requests from a response-level

@@ -62,17 +62,30 @@ func TestTableRendering(t *testing.T) {
 	}
 	tb.AddRow("1", "x,y") // comma forces CSV quoting
 	tb.AddRow("2")        // short row gets padded
+	tb.AddRow("|S|", "z") // a pipe must not split its markdown cell
 	md := tb.Markdown()
 	if !strings.Contains(md, "| a") || !strings.Contains(md, "a note") {
 		t.Fatalf("markdown malformed:\n%s", md)
 	}
+	for _, line := range strings.Split(md, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		// Every table line has the same width and three unescaped pipes.
+		if n := strings.Count(line, "|") - strings.Count(line, `\|`); n != 3 || len(line) != len("| a     | b   |") {
+			t.Fatalf("markdown line %q: %d cell separators, want 3, and width %d, want %d:\n%s", line, n, len(line), len("| a     | b   |"), md)
+		}
+	}
+	if !strings.Contains(md, `| \|S\| | z   |`) {
+		t.Fatalf("pipe cell not escaped:\n%s", md)
+	}
 	csv := tb.CSV()
-	if !strings.Contains(csv, `"x,y"`) {
+	if !strings.Contains(csv, `"x,y"`) || !strings.Contains(csv, "\n|S|,z\n") {
 		t.Fatalf("csv quoting broken:\n%s", csv)
 	}
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv has %d lines, want 3", len(lines))
+	if len(lines) != 4 {
+		t.Fatalf("csv has %d lines, want 4", len(lines))
 	}
 }
 

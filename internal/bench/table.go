@@ -49,21 +49,22 @@ func (t *Table) Markdown() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)
 	fmt.Fprintf(&sb, "*Reproduces: %s*\n\n", t.PaperRef)
+	// A raw | would end its cell early (|DS|, |S| on H), so cells print
+	// it escaped and are sized by their escaped text.
+	esc := func(c string) string { return strings.ReplaceAll(c, "|", `\|`) }
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = len(esc(c))
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(esc(c)))
 		}
 	}
 	writeRow := func(cells []string) {
 		sb.WriteString("|")
 		for i, c := range cells {
-			fmt.Fprintf(&sb, " %-*s |", widths[i], c)
+			fmt.Fprintf(&sb, " %-*s |", widths[i], esc(c))
 		}
 		sb.WriteString("\n")
 	}

@@ -15,18 +15,14 @@ import (
 const allocGraphN = 20_000
 
 // TestAllocationCeiling is the allocation-regression gate (wired into CI
-// next to `make bench-compare` via `make alloc-gate`). It asserts three
+// next to `make bench-compare` via `make alloc-gate`). It asserts two
 // ceilings with testing.AllocsPerRun:
 //
 //   - a run on a reused Runner must stay O(1) in n: the proc slab and the
-//     proc interface slice are recycled, so only the Outputs slice and
-//     the run's constant-size bookkeeping (options, engine, result
-//     header) remain. The ceiling (32) tolerates runtime noise but not a
-//     per-node make slipping back in.
-//   - the same run under WithRecycledResult must stay at or below 15
-//     allocs — the PR 4 warm-Runner mark, now with the procs slab and
-//     Outputs assembly recycled too: every remaining allocation is
-//     constant-sized, none scales with n or the message volume.
+//     proc interface slice are reused, so only the Outputs slice and the
+//     run's constant-size bookkeeping (options, engine, result header)
+//     remain — 8 allocations. The ceiling (15) tolerates runtime noise
+//     but not a per-node or per-message make slipping back in.
 //   - a transient run (no Runner) additionally pays the run-scoped
 //     buffers, but still nothing per message and only O(1) slices sized
 //     by n — far below one alloc per node.
@@ -50,7 +46,7 @@ func TestAllocationCeiling(t *testing.T) {
 	// allocation-clean (each step shard pulls inboxes into one warm scratch
 	// slice and appends sends into Runner-owned outbox slabs, and round
 	// dispatch carries no per-run method values), so workers=4 is held to
-	// the same 32/15 marks as workers=1.
+	// the same marks as workers=1.
 	for _, workers := range []int{1, 4} {
 		r := congest.NewRunner()
 		run := func(opts ...congest.Option) {
@@ -67,15 +63,8 @@ func TestAllocationCeiling(t *testing.T) {
 		run(congest.WithRunner(r)) // warm the Runner's buffers once
 		reused := testing.AllocsPerRun(3, func() { run(congest.WithRunner(r)) })
 		t.Logf("workers=%d allocs/run on a warm Runner: %.0f", workers, reused)
-		if reused > 32 {
-			t.Errorf("workers=%d reused-Runner run allocates %.0f times (ceiling 32): per-node or per-message allocation crept back into the engine", workers, reused)
-		}
-
-		run(congest.WithRunner(r), congest.WithRecycledResult())
-		recycled := testing.AllocsPerRun(3, func() { run(congest.WithRunner(r), congest.WithRecycledResult()) })
-		t.Logf("workers=%d allocs/run on a warm Runner with recycled results: %.0f", workers, recycled)
-		if recycled > 15 {
-			t.Errorf("workers=%d recycled-result run allocates %.0f times (ceiling 15, the PR 4 warm mark): procs/Outputs reuse regressed", workers, recycled)
+		if reused > 15 {
+			t.Errorf("workers=%d reused-Runner run allocates %.0f times (ceiling 15): per-node or per-message allocation crept back into the engine", workers, reused)
 		}
 
 		transient := testing.AllocsPerRun(3, func() { run() })

@@ -85,18 +85,6 @@
 // structs carry trailing cache-line padding so adjacent shards' hot fields
 // never false-share.
 //
-// # Result lifetime
-//
-// A plain run's Result is ordinary heap memory with no strings attached.
-// Under WithRecycledResult the Result's Outputs and MessageStats instead
-// live on Runner-owned slabs and are valid only until the same Runner's
-// next run — the zero-allocation serving contract. Result.Detach is the
-// escape hatch: it deep-copies the Result onto ordinary heap memory, so a
-// caller (a server handler, a sweep that accumulates results) keeps the
-// recycled hot path and detaches exactly the results that must outlive
-// the next run. Detach is opt-in and costs one graph-sized copy; the hot
-// path itself never pays for it.
-//
 // # Batch execution
 //
 // A Runner serves one run at a time, so sweeps of independent runs —
@@ -221,7 +209,6 @@ type config struct {
 	msgStats   bool
 	roundObs   func(RoundStat)       // per-round progress hook (nil = none)
 	runner     *Runner               // nil = transient per-run state
-	recycle    bool                  // Result.Outputs/MessageStats on runner-owned memory
 	ctx        context.Context       // run cancellation; nil = never canceled
 	faults     *faultinject.Registry // nil = no fault injection (production)
 }
@@ -310,22 +297,6 @@ func WithRoundObserver(fn func(RoundStat)) Option {
 	return optionFunc(func(c *config) { c.roundObs = fn })
 }
 
-// recycledResult is a singleton so the hot serving loop pays no closure
-// allocation for the option.
-var recycledResult Option = optionFunc(func(c *config) { c.recycle = true })
-
-// WithRecycledResult assembles Result.Outputs (and Result.MessageStats,
-// when recorded) on memory owned by the run's Runner instead of freshly
-// allocated memory: the last graph-sized per-run allocations disappear,
-// so a warm serving loop runs in O(1) allocations total. The trade is the
-// arena lifetime contract extended to the Result: Outputs and
-// MessageStats are valid only until the same Runner's next run, so a
-// caller that keeps results across runs must copy what it needs first.
-// Values (not the backing memory) are bit-identical with and without this
-// option. It has no effect worth paying for on transient runs — the
-// recycled slabs die with the transient Runner.
-func WithRecycledResult() Option { return recycledResult }
-
 // RoundStat is the traffic of one round.
 type RoundStat struct {
 	Round       int
@@ -364,42 +335,6 @@ type Result[O any] struct {
 type MessageStat struct {
 	Count int64
 	Bits  int64
-}
-
-// Detach returns a copy of the Result whose Outputs, RoundStats, and
-// MessageStats live on ordinary heap memory, severing every tie to
-// Runner-owned slabs. It is the safe hand-off for results produced under
-// WithRecycledResult: a detached Result stays valid after the Runner's
-// next run (and after the Runner is closed), so a serving loop can run
-// recycled for the zero-allocation hot path and Detach only the results
-// that must outlive the loop iteration.
-//
-// The copy is deep with respect to the Result's own backing memory;
-// output *elements* are copied by value, so an Output type that itself
-// holds references into run-scoped memory (e.g. arena-carved slices)
-// stays tied to the Runner. Every Output in this library's public surface
-// is scalar-only, so detached reports are fully independent. Detaching a
-// Result from a non-recycled run is harmless — just an ordinary copy.
-func (r *Result[O]) Detach() *Result[O] {
-	if r == nil {
-		return nil
-	}
-	cp := *r
-	if r.Outputs != nil {
-		cp.Outputs = make([]O, len(r.Outputs))
-		copy(cp.Outputs, r.Outputs)
-	}
-	if r.RoundStats != nil {
-		cp.RoundStats = make([]RoundStat, len(r.RoundStats))
-		copy(cp.RoundStats, r.RoundStats)
-	}
-	if r.MessageStats != nil {
-		cp.MessageStats = make(map[string]MessageStat, len(r.MessageStats))
-		for k, v := range r.MessageStats {
-			cp.MessageStats[k] = v
-		}
-	}
-	return &cp
 }
 
 // BandwidthError reports a CONGEST bandwidth violation in Strict mode.

@@ -218,7 +218,7 @@ func (e *engine[O]) run() (*Result[O], error) {
 }
 
 // mergeTagStats folds one shard's per-tag accumulators into the result,
-// lazily creating the MessageStats map (Runner-owned under recycle).
+// lazily creating the MessageStats map.
 func (e *engine[O]) mergeTagStats(stats *[MaxTags]MessageStat) {
 	res := e.res
 	for t := range stats {
@@ -227,18 +227,7 @@ func (e *engine[O]) mergeTagStats(stats *[MaxTags]MessageStat) {
 			continue
 		}
 		if res.MessageStats == nil {
-			if e.cfg.recycle {
-				// Runner-owned map, cleared at reuse time rather than
-				// per run: the previous Result's view stays intact
-				// until the Runner actually runs again.
-				if e.Runner.msgStats == nil {
-					e.Runner.msgStats = make(map[string]MessageStat, MaxTags)
-				}
-				clear(e.Runner.msgStats)
-				res.MessageStats = e.Runner.msgStats
-			} else {
-				res.MessageStats = make(map[string]MessageStat, 4)
-			}
+			res.MessageStats = make(map[string]MessageStat, 4)
 		}
 		// One name lookup per *tag* per shard; the per-send work in
 		// the step phase is two array adds.
@@ -262,16 +251,7 @@ func (e *engine[O]) finish() (*Result[O], error) {
 		res.MaxEdgeBits = max(res.MaxEdgeBits, int(s.maxEdgeBits))
 		e.mergeTagStats(&s.stats)
 	}
-	if slab, ok := e.Runner.outSlabO.([]O); e.cfg.recycle && ok && cap(slab) >= e.n {
-		slab = slab[:cap(slab)]
-		clear(slab[e.n:]) // [0, n) is overwritten by the Output loop below
-		res.Outputs = slab[:e.n]
-	} else {
-		res.Outputs = make([]O, e.n)
-		if e.cfg.recycle {
-			e.Runner.outSlabO = res.Outputs
-		}
-	}
+	res.Outputs = make([]O, e.n)
 	var perr *ProcPanicError
 	func() {
 		cur := -1

@@ -49,16 +49,11 @@ type Runner struct {
 	steps              []stepShard
 	arena              Arena
 
-	// Output-typed slabs, cached through any-boxes because the Runner
-	// itself is not generic: procSlab holds the engine's []Proc[O] (always
-	// reused — procs never escape the run), outSlabO the []O behind
-	// Result.Outputs and msgStats the Result.MessageStats map (both reused
-	// only under WithRecycledResult, which trades Result immortality for
-	// zero graph-sized allocations; see the option's contract). A run with
-	// a different output type simply rebuilds the boxes.
+	// procSlab holds the engine's []Proc[O], cached through an any-box
+	// because the Runner itself is not generic. It is reused by every run
+	// (procs never escape the run); a run with a different output type
+	// simply rebuilds the box.
 	procSlab any
-	outSlabO any
-	msgStats map[string]MessageStat
 
 	running  bool
 	poisoned bool

@@ -274,9 +274,12 @@ func BarabasiAlbert(n, attach int, seed uint64) Result {
 	}
 	r := rng.New(seed)
 	b := graph.NewBuilder(n)
+	// No node has more than n earlier neighbors, so an attach above n
+	// sizes no buffer further.
+	room := min(attach, n)
 	// endpoints holds every edge endpoint once; sampling uniformly from it
 	// is sampling proportional to degree.
-	endpoints := make([]int, 0, 2*n*attach)
+	endpoints := make([]int, 0, 2*n*room)
 	start := attach + 1
 	if start > n {
 		start = n
@@ -288,8 +291,8 @@ func BarabasiAlbert(n, attach int, seed uint64) Result {
 			endpoints = append(endpoints, u, v)
 		}
 	}
-	chosen := make(map[int]bool, attach)
-	picked := make([]int, 0, attach)
+	chosen := make(map[int]bool, room)
+	picked := make([]int, 0, room)
 	for v := start; v < n; v++ {
 		for k := range chosen {
 			delete(chosen, k)

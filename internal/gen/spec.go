@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -37,192 +38,239 @@ import (
 //	forest:n=100,k=3/uniform:max=100,seed=7
 //	grid:r=10,c=10/exp:scale=50,seed=7
 //	ba:n=200,m=3/degree:factor=5
+//
+// Parse checks every argument before any generator runs and reports the
+// first bad one by name. Sizes are integers in [0, math.MaxInt32]; cycle
+// needs n ≥ 3 and torus r, c ≥ 3 (smaller ones are not simple graphs);
+// hypercube takes d in [0, 30]; er and bipartite take p in [0, 1], geom
+// r ≥ 0; and no family may have more than math.MaxInt32 nodes, the ID
+// space graph.DecodeText enforces too. A weight spec may not produce a
+// weight above graph.MaxWeight; low values are clamped as the assigners
+// document.
 func Parse(spec string) (Result, error) {
 	graphSpec, weightSpec, hasWeights := strings.Cut(spec, "/")
-	fam, args, err := splitSpec(graphSpec)
+	build, err := parseGraph(graphSpec)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := buildGraph(fam, args)
-	if err != nil {
-		return Result{}, err
-	}
+	var weigh func(*graph.Graph) (*graph.Graph, error)
 	if hasWeights {
-		wg, err := applyWeights(res.G, weightSpec)
-		if err != nil {
+		if weigh, err = parseWeights(weightSpec); err != nil {
 			return Result{}, err
 		}
-		res.G = wg
+	}
+	res := build()
+	if hasWeights {
+		if res.G, err = weigh(res.G); err != nil {
+			return Result{}, err
+		}
 		res.Name += "/" + weightSpec
 	}
 	return res, nil
 }
 
-func splitSpec(s string) (family string, args map[string]string, err error) {
+func splitSpec(s string) (*specArgs, error) {
 	family, rest, _ := strings.Cut(strings.TrimSpace(s), ":")
 	family = strings.TrimSpace(family)
 	if family == "" {
-		return "", nil, fmt.Errorf("gen: empty spec")
+		return nil, fmt.Errorf("gen: empty spec")
 	}
-	args = make(map[string]string)
+	a := &specArgs{family: family, kv: make(map[string]string)}
 	if rest == "" {
-		return family, args, nil
+		return a, nil
 	}
 	for _, kv := range strings.Split(rest, ",") {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
-			return "", nil, fmt.Errorf("gen: bad argument %q in spec %q", kv, s)
+			return nil, fmt.Errorf("gen: bad argument %q in spec %q", kv, s)
 		}
-		args[strings.TrimSpace(k)] = strings.TrimSpace(v)
+		a.kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
 	}
-	return family, args, nil
+	return a, nil
 }
 
-type specArgs map[string]string
-
-func (a specArgs) intOr(key string, def int) (int, error) {
-	v, ok := a[key]
-	if !ok {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("gen: argument %s=%q is not an integer", key, v)
-	}
-	return n, nil
+// specArgs reads one spec's key=value arguments. It keeps the first bad
+// argument as err and hands out the default in its place, so a family
+// reads all its parameters and checks err once.
+type specArgs struct {
+	family string
+	kv     map[string]string
+	err    error
 }
 
-func (a specArgs) floatOr(key string, def float64) (float64, error) {
-	v, ok := a[key]
+func (a *specArgs) fail(format string, v ...any) {
+	if a.err == nil {
+		a.err = fmt.Errorf("gen: %s: %s", a.family, fmt.Sprintf(format, v...))
+	}
+}
+
+// intIn returns the integer argument key, or def when it is absent; the
+// argument must lie in [lo, hi].
+func (a *specArgs) intIn(key string, def, lo, hi int64) int64 {
+	v, ok := a.kv[key]
 	if !ok {
-		return def, nil
+		return def
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	switch {
+	case err != nil:
+		a.fail("argument %s=%q is not an integer", key, v)
+	case n < lo:
+		a.fail("%s=%d is below its minimum %d", key, n, lo)
+	case n > hi:
+		a.fail("%s=%d is above its maximum %d", key, n, hi)
+	default:
+		return n
+	}
+	return def
+}
+
+// size returns a size argument: an integer in [0, math.MaxInt32].
+func (a *specArgs) size(key string, def int) int {
+	return int(a.intIn(key, int64(def), 0, math.MaxInt32))
+}
+
+// floatIn returns the float argument key, or def when it is absent; the
+// argument must lie in [lo, hi] (NaN never does).
+func (a *specArgs) floatIn(key string, def, lo, hi float64) float64 {
+	v, ok := a.kv[key]
+	if !ok {
+		return def
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("gen: argument %s=%q is not a number", key, v)
+	switch {
+	case err != nil:
+		a.fail("argument %s=%q is not a number", key, v)
+	case !(f >= lo && f <= hi):
+		a.fail("%s=%g is outside [%g, %g]", key, f, lo, hi)
+	default:
+		return f
 	}
-	return f, nil
+	return def
 }
 
-func (a specArgs) seedOr(def uint64) (uint64, error) {
-	v, ok := a["seed"]
+func (a *specArgs) seed() uint64 {
+	v, ok := a.kv["seed"]
 	if !ok {
-		return def, nil
+		return 1
 	}
 	u, err := strconv.ParseUint(v, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("gen: seed %q is not an unsigned integer", v)
+		a.fail("seed %q is not an unsigned integer", v)
 	}
-	return u, nil
+	return u
 }
 
-func buildGraph(family string, m map[string]string) (Result, error) {
-	a := specArgs(m)
-	var firstErr error
-	geti := func(k string, def int) int {
-		v, err := a.intOr(k, def)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return v
-	}
-	seed, err := a.seedOr(1)
+// parseGraph checks a graph spec and returns the generator call it names;
+// nothing is generated before the call.
+func parseGraph(spec string) (func() Result, error) {
+	a, err := splitSpec(spec)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	res, err := buildGraphInner(family, a, geti, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	return res, nil
-}
-
-func buildGraphInner(family string, a specArgs, geti func(string, int) int, seed uint64) (Result, error) {
-	switch family {
+	seed := a.seed()
+	var build func() Result
+	nodes := int64(0) // node count, checked when a product or sum of sizes
+	switch a.family {
 	case "path":
-		return Path(geti("n", 100)), nil
+		n := a.size("n", 100)
+		build = func() Result { return Path(n) }
 	case "cycle":
-		return Cycle(geti("n", 100)), nil
+		n := int(a.intIn("n", 100, 3, math.MaxInt32))
+		build = func() Result { return Cycle(n) }
 	case "star":
-		return Star(geti("n", 100)), nil
+		n := a.size("n", 100)
+		build = func() Result { return Star(n) }
 	case "complete":
-		return Complete(geti("n", 20)), nil
+		n := a.size("n", 20)
+		build = func() Result { return Complete(n) }
 	case "tree":
-		return RandomTree(geti("n", 100), seed), nil
+		n := a.size("n", 100)
+		build = func() Result { return RandomTree(n, seed) }
 	case "ktree":
-		return BalancedTree(geti("k", 2), geti("d", 5)), nil
+		k, d := a.size("k", 2), a.size("d", 5)
+		nodes = int64(d) + 1
+		if k > 1 { // 1 + k + … + k^d, stopping once past the cap
+			nodes = 1
+			for i, level := 0, int64(1); i < d && nodes <= math.MaxInt32; i++ {
+				level *= int64(k)
+				nodes += level
+			}
+		}
+		build = func() Result { return BalancedTree(k, d) }
 	case "caterpillar":
-		return Caterpillar(geti("s", 10), geti("l", 3)), nil
+		s, l := a.size("s", 10), a.size("l", 3)
+		nodes = int64(s) * (1 + int64(l))
+		build = func() Result { return Caterpillar(s, l) }
 	case "broom":
-		return Broom(geti("p", 50), geti("l", 100)), nil
+		p, l := a.size("p", 50), a.size("l", 100)
+		nodes = int64(max(p, 1)) + int64(l)
+		build = func() Result { return Broom(p, l) }
 	case "forest":
-		return ForestUnion(geti("n", 100), geti("k", 2), seed), nil
+		n, k := a.size("n", 100), a.size("k", 2)
+		build = func() Result { return ForestUnion(n, k, seed) }
 	case "grid":
-		return Grid(geti("r", 10), geti("c", 10)), nil
+		r, c := a.size("r", 10), a.size("c", 10)
+		nodes = int64(r) * int64(c)
+		build = func() Result { return Grid(r, c) }
 	case "torus":
-		return Torus(geti("r", 10), geti("c", 10)), nil
+		r, c := int(a.intIn("r", 10, 3, math.MaxInt32)), int(a.intIn("c", 10, 3, math.MaxInt32))
+		nodes = int64(r) * int64(c)
+		build = func() Result { return Torus(r, c) }
 	case "hypercube":
-		return Hypercube(geti("d", 6)), nil
+		d := int(a.intIn("d", 6, 0, 30))
+		build = func() Result { return Hypercube(d) }
 	case "er":
-		p, err := a.floatOr("p", 0.05)
-		if err != nil {
-			return Result{}, err
-		}
-		return ErdosRenyi(geti("n", 100), p, seed), nil
+		n, p := a.size("n", 100), a.floatIn("p", 0.05, 0, 1)
+		build = func() Result { return ErdosRenyi(n, p, seed) }
 	case "ba":
-		return BarabasiAlbert(geti("n", 100), geti("m", 3), seed), nil
+		n, m := a.size("n", 100), a.size("m", 3)
+		build = func() Result { return BarabasiAlbert(n, m, seed) }
 	case "bipartite":
-		p, err := a.floatOr("p", 0.1)
-		if err != nil {
-			return Result{}, err
-		}
-		return RandomBipartite(geti("a", 50), geti("b", 50), p, seed), nil
+		l, r, p := a.size("a", 50), a.size("b", 50), a.floatIn("p", 0.1, 0, 1)
+		nodes = int64(l) + int64(r)
+		build = func() Result { return RandomBipartite(l, r, p, seed) }
 	case "geom":
-		r, err := a.floatOr("r", 0.1)
-		if err != nil {
-			return Result{}, err
-		}
-		return Geometric(geti("n", 100), r, seed), nil
+		n, r := a.size("n", 100), a.floatIn("r", 0.1, 0, math.Inf(1))
+		build = func() Result { return Geometric(n, r, seed) }
 	default:
-		return Result{}, fmt.Errorf("gen: unknown graph family %q", family)
+		return nil, fmt.Errorf("gen: unknown graph family %q", a.family)
 	}
+	if nodes > math.MaxInt32 {
+		a.fail("%d nodes exceed the %d-node ID space", nodes, math.MaxInt32)
+	}
+	return build, a.err
 }
 
-func applyWeights(g *graph.Graph, spec string) (*graph.Graph, error) {
-	fam, m, err := splitSpec(spec)
+// parseWeights checks a weight spec and returns the assigner it names.
+// The degree family's largest weight depends on the graph, so its
+// assigner checks it against graph.MaxWeight before assigning.
+func parseWeights(spec string) (func(*graph.Graph) (*graph.Graph, error), error) {
+	a, err := splitSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	a := specArgs(m)
-	seed, err := a.seedOr(1)
-	if err != nil {
-		return nil, err
-	}
-	switch fam {
+	seed := a.seed()
+	var weigh func(*graph.Graph) (*graph.Graph, error)
+	switch a.family {
 	case "unit":
-		return g, nil
+		weigh = func(g *graph.Graph) (*graph.Graph, error) { return g, nil }
 	case "uniform":
-		max, err := a.intOr("max", 100)
-		if err != nil {
-			return nil, err
-		}
-		return UniformWeights(g, int64(max), seed), nil
+		top := a.intIn("max", 100, math.MinInt64, graph.MaxWeight)
+		weigh = func(g *graph.Graph) (*graph.Graph, error) { return UniformWeights(g, top, seed), nil }
 	case "exp":
-		scale, err := a.floatOr("scale", 50)
-		if err != nil {
-			return nil, err
-		}
-		return ExponentialWeights(g, scale, seed), nil
+		scale := a.floatIn("scale", 50, math.Inf(-1), math.Inf(1))
+		weigh = func(g *graph.Graph) (*graph.Graph, error) { return ExponentialWeights(g, scale, seed), nil }
 	case "degree":
-		f, err := a.intOr("factor", 5)
-		if err != nil {
-			return nil, err
+		f := a.intIn("factor", 5, math.MinInt64, graph.MaxWeight-1)
+		weigh = func(g *graph.Graph) (*graph.Graph, error) {
+			if d := int64(g.MaxDegree()); d > 0 && f > (graph.MaxWeight-1)/d {
+				return nil, fmt.Errorf("gen: degree: factor=%d puts weights above %d at degree %d", f, graph.MaxWeight, d)
+			}
+			return DegreeWeights(g, f, seed), nil
 		}
-		return DegreeWeights(g, int64(f), seed), nil
 	default:
-		return nil, fmt.Errorf("gen: unknown weight family %q", fam)
+		return nil, fmt.Errorf("gen: unknown weight family %q", a.family)
 	}
+	return weigh, a.err
 }

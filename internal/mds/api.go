@@ -54,21 +54,6 @@ func (r *Report) CertifiedRatio() float64 {
 	return float64(r.DSWeight) / r.PackingSum
 }
 
-// Detach returns a copy of the Report whose Result and DS live on
-// ordinary heap memory, independent of any Runner-owned slabs (see
-// congest.Result.Detach). It is the safe hand-off for reports produced
-// under congest.WithRecycledResult: the detached Report stays valid after
-// the Runner's next run. The original Report is not modified.
-func (r *Report) Detach() *Report {
-	cp := *r
-	cp.Result = r.Result.Detach()
-	if r.DS != nil {
-		cp.DS = make([]int, len(r.DS))
-		copy(cp.DS, r.DS)
-	}
-	return &cp
-}
-
 // Rounds returns the number of simulated rounds.
 func (r *Report) Rounds() int { return r.Result.Rounds }
 
@@ -86,7 +71,7 @@ func buildReport(name string, res *congest.Result[Output], g *graph.Graph) *Repo
 	rep := &Report{Algorithm: name, Result: res, AllDominated: true}
 	// Count the members first, so DS is allocated once at its final size
 	// instead of regrown while the run's outputs are live. DS stays nil for
-	// an empty set: Detach keeps nil and empty apart.
+	// an empty set.
 	members := 0
 	for _, out := range res.Outputs {
 		if out.InDS {

@@ -37,13 +37,6 @@ func Init(seed uint64, node int) Stream {
 	return s
 }
 
-// ForNode is Init returning a heap-allocated stream, for callers that want
-// a shared mutable handle.
-func ForNode(seed uint64, node int) *Stream {
-	s := Init(seed, node)
-	return &s
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Stream) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
@@ -102,17 +95,11 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	s.PermInto(p)
-	return p
-}
-
-// PermInto fills dst with a pseudo-random permutation of [0, len(dst)),
-// consuming exactly the same stream values as Perm(len(dst)). It exists so
-// call sites that permute repeatedly (generators, the lower-bound stub
-// matcher) can reuse one scratch buffer instead of allocating per call.
+// PermInto fills dst with a pseudo-random permutation of [0, len(dst))
+// (a Fisher–Yates shuffle, one Intn per position above 0). It fills a
+// caller's buffer so call sites that permute repeatedly (generators, the
+// lower-bound stub matcher) reuse one scratch slice instead of allocating
+// per call.
 func (s *Stream) PermInto(dst []int) {
 	for i := range dst {
 		dst[i] = i

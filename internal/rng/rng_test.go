@@ -31,7 +31,8 @@ func TestDeterminism(t *testing.T) {
 func TestForNodeIndependence(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for node := 0; node < 1000; node++ {
-		v := rng.ForNode(7, node).Uint64()
+		s := rng.Init(7, node)
+		v := s.Uint64()
 		if seen[v] {
 			t.Fatalf("node streams collided at node %d", node)
 		}
@@ -101,10 +102,8 @@ func TestBernoulli(t *testing.T) {
 func TestPermIsPermutation(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw % 100)
-		p := rng.New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
+		p := make([]int, n)
+		rng.New(seed).PermInto(p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

@@ -8,8 +8,7 @@
 //     repeat queries skip the build that dominates a cold request;
 //   - solve requests are scheduled onto a shared congest.RunnerPool with
 //     admission control, so concurrent clients never oversubscribe the
-//     machine and every run executes on warmed Runner state; results are
-//     not recycled, so no Runner-owned memory can reach a response;
+//     machine and every run executes on warmed Runner state;
 //   - the request, its cache key, the response envelopes and the
 //     algorithm table are the shared contract in internal/api, the same
 //     one arbods/client and cmd/mdsrun speak;

@@ -490,6 +490,7 @@ func TestSolveErrors(t *testing.T) {
 		{"bare ref", server.SolveRequest{Graph: "nope"}, http.StatusBadRequest, "bad_request"},
 		{"unknown id", server.SolveRequest{Graph: "sha256:" + strings.Repeat("0", 64)}, http.StatusNotFound, "not_found"},
 		{"bad spec", server.SolveRequest{Graph: "spec:warp:n=1"}, http.StatusBadRequest, "bad_request"},
+		{"negative size", server.SolveRequest{Graph: "spec:path:n=-5"}, http.StatusBadRequest, "bad_request"},
 		{"unknown algorithm", server.SolveRequest{Graph: "spec:path:n=10", Algorithm: "thm9.9"}, http.StatusBadRequest, "run_failed"},
 		{"bad mode", server.SolveRequest{Graph: "spec:path:n=10", Mode: "quantum"}, http.StatusBadRequest, "bad_request"},
 		{"invalid params", server.SolveRequest{Graph: "spec:path:n=10", Algorithm: "thm1.1", Eps: 7}, http.StatusBadRequest, "run_failed"},

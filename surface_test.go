@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"arbods"
@@ -119,7 +120,6 @@ func TestOptionSurface(t *testing.T) {
 		arbods.WithKnownMaxDegree(),
 		arbods.WithKnownArboricity(2),
 		arbods.WithRunner(r),
-		arbods.WithRecycledResult(),
 	}
 	rep, err := arbods.WeightedDeterministic(w.G, 2, 0.25, opts...)
 	if err != nil {
@@ -132,19 +132,18 @@ func TestOptionSurface(t *testing.T) {
 		t.Fatal("stats options not honored")
 	}
 
-	// Detach severs the recycled result from the Runner: values must be
-	// stable across the Runner's next run.
-	det := rep.Detach()
-	wantW := det.DSWeight
-	wantOut := det.Result.Outputs[0]
+	// A report is ordinary heap memory: it must be unchanged by the
+	// Runner's next run.
+	wantW := rep.DSWeight
+	wantOut := slices.Clone(rep.Result.Outputs)
 	if _, err := arbods.WeightedDeterministic(w.G, 2, 0.25,
-		arbods.WithSeed(99), arbods.WithRunner(r), arbods.WithRecycledResult()); err != nil {
+		arbods.WithSeed(99), arbods.WithRunner(r)); err != nil {
 		t.Fatal(err)
 	}
-	if det.DSWeight != wantW || det.Result.Outputs[0] != wantOut {
-		t.Fatal("detached report changed under the Runner's next run")
+	if rep.DSWeight != wantW || !slices.Equal(rep.Result.Outputs, wantOut) {
+		t.Fatal("report changed under the Runner's next run")
 	}
-	var _ *arbods.Result = det.Result // the root Result alias is the report's type
+	var _ *arbods.Result = rep.Result // the root Result alias is the report's type
 }
 
 // countProc is a minimal custom proc driven through the root facade: each
@@ -271,15 +270,19 @@ func TestReceiptSurface(t *testing.T) {
 		}
 	}
 
-	// A sabotaged report fails with the same typed error Certify reports.
-	bad := rep.Detach()
+	// A sabotaged copy of the report fails with the same typed error
+	// Certify reports.
+	res := *rep.Result
+	res.Outputs = slices.Clone(res.Outputs)
+	bad := *rep
+	bad.Result = &res
 	for v := range bad.Result.Outputs {
 		if bad.Result.Outputs[v].InDS {
 			bad.Result.Outputs[v].InDS = false
 			break
 		}
 	}
-	brec := arbods.BuildReceipt(w.G, bad)
+	brec := arbods.BuildReceipt(w.G, &bad)
 	if brec.OK || brec.Err() == nil {
 		t.Fatal("sabotaged report's receipt OK")
 	}
@@ -287,7 +290,7 @@ func TestReceiptSurface(t *testing.T) {
 	if !errors.As(brec.Err(), &ce) || ce.Stage != "domination" {
 		t.Fatalf("want domination CertError, got %v", brec.Err())
 	}
-	if (arbods.Certify(w.G, bad) == nil) != brec.OK {
+	if (arbods.Certify(w.G, &bad) == nil) != brec.OK {
 		t.Fatal("Certify and BuildReceipt disagree")
 	}
 }
