@@ -45,10 +45,10 @@ bench-json:
 	$(GO) run ./cmd/mdsbench -scale small -seed 1 -format json
 
 # Compare two committed engine-benchmark records (benchstat format). The
-# defaults pin light rounds, with per-node traffic lists and targeted slabs
-# grown by append, against heads that locate multi-send traffic in the
-# shard slabs and targeted slabs that grow in one step (B/op is the
-# headline); override with BENCH_OLD=/BENCH_NEW= to compare other points
+# defaults pin heads that locate multi-send traffic in the shard slabs
+# (pr22) against lone sends kept in their heads alone and an arena whose
+# first blocks the graph's DegreeSum() sizes (pr24); B/op is the
+# headline. Override with BENCH_OLD=/BENCH_NEW= to compare other points
 # on the trajectory (the older BENCH_*_engine_* records are also
 # committed). A record that holds a parent and a change run tells them
 # apart by its tree key, so columns split by file and tree.
@@ -56,8 +56,8 @@ bench-json:
 # rows as a scaling curve — single-core records measure dispatch
 # overhead, not scaling. Uses benchstat when available (CI installs it); falls
 # back to printing both records side by side offline.
-BENCH_OLD ?= BENCH_2026-10-17_engine_pr19.txt
-BENCH_NEW ?= BENCH_2026-10-18_engine_pr22.txt
+BENCH_OLD ?= BENCH_2026-10-18_engine_pr22.txt
+BENCH_NEW ?= BENCH_2026-10-18_engine_pr24.txt
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat -col .file,tree $(BENCH_OLD) $(BENCH_NEW); \
@@ -75,12 +75,15 @@ benchmark-test:
 
 # Allocation-regression gate: a mid-size run must stay within the
 # testing.AllocsPerRun ceilings of TestAllocationCeiling (O(1) allocs on a
-# reused Runner; far below one-per-node transient), and a transient
-# broadcast-then-request run within TestMemoryCeiling's 200 bytes per
-# node. Both run inside the normal test suite too; this target exists so
-# CI (and humans) can exercise them explicitly next to bench-compare.
+# reused Runner; far below one-per-node transient), a transient
+# broadcast-then-request run within TestMemoryCeiling's 120 bytes per
+# node, and a transient Theorem 1.1 solve of a 2·10⁵-node forest within
+# TestSolveMemoryCeiling's 320 bytes per node. All three run inside the
+# normal test suite too; this target exists so CI (and humans) can
+# exercise them explicitly next to bench-compare.
 alloc-gate:
 	$(GO) test ./internal/congest/ -run 'TestAllocationCeiling|TestMemoryCeiling' -count=1 -v
+	$(GO) test ./internal/mds/ -run 'TestSolveMemoryCeiling' -count=1 -v
 
 # The build-test job of ci.yml, step for step.
 ci: build vet fmt-check race benchmark-test fuzz

@@ -101,14 +101,15 @@ func (p *requestProc) Output() int64 { return p.got }
 
 // TestMemoryCeiling is the byte gate beside the allocation-count gate: a
 // transient run of requestProc on a 2·10⁵-node ER graph may allocate at
-// most 200 bytes per node (runtime.MemStats.TotalAlloc). Per node, a run
+// most 120 bytes per node (runtime.MemStats.TotalAlloc). Per node, a run
 // pays its proc interface slot, two outbox heads, two sent flags, its
-// done flag and output, and the broadcast slabs' two 24-byte slots; the
-// request round adds one 32-byte targeted slot, allocated once per shard.
-// Per-node traffic lists, or a targeted slab grown in append's 1.25×
-// steps, would each take the run past the ceiling.
+// done flag and output: about 92 bytes. Every send of this run is a
+// node's only send of its round, so it lives in the node's head alone and
+// no outbox slab grows. Per-node traffic lists, or a slab that kept a
+// second copy of each lone broadcast or request, would each take the run
+// past the ceiling.
 func TestMemoryCeiling(t *testing.T) {
-	const n, ceiling = 200_000, 200
+	const n, ceiling = 200_000, 120
 	g := gen.ErdosRenyi(n, 4/float64(n), 1).G
 	slab := make([]requestProc, n)
 	factory := func(ni congest.NodeInfo) congest.Proc[int64] {

@@ -1,11 +1,13 @@
 package congest
 
-// Arena is a run-scoped typed-slab allocator. A run allocates a handful of
-// large backing blocks (sized, in practice, by n and the 2m directed edge
-// slots of the graph) and carves per-node slices out of them, so the
+// Arena is a run-scoped typed-slab allocator. A run carves per-node
+// slices out of a few large backing blocks per element type, so the
 // per-node `make` calls that used to dominate a run's allocation count —
 // one neighbor cache per node per algorithm — collapse into a few block
-// allocations that a reused Runner amortizes across runs.
+// allocations that a reused Runner amortizes across runs. Every carve in
+// the repo is degree-sized, so each type's first block holds the bound
+// graph's DegreeSum() elements: a proc that carves one cache of its degree
+// fills it exactly, with no slack.
 //
 // Procs reach the arena through NodeInfo.Arena and must carve only while
 // their Factory runs (the engine constructs procs sequentially before
@@ -16,6 +18,7 @@ package congest
 // make, so procs built outside an engine run (tests, direct construction)
 // keep working.
 type Arena struct {
+	first int // elements in each type's first block: the bound graph's DegreeSum()
 	f64   slab[float64]
 	i64   slab[int64]
 	i32   slab[int32]
@@ -28,7 +31,7 @@ func (a *Arena) Float64s(n int) []float64 {
 	if a == nil {
 		return make([]float64, n)
 	}
-	return a.f64.alloc(n)
+	return a.f64.alloc(n, a.first)
 }
 
 // Int64s carves a zeroed []int64 of length and capacity n.
@@ -36,7 +39,7 @@ func (a *Arena) Int64s(n int) []int64 {
 	if a == nil {
 		return make([]int64, n)
 	}
-	return a.i64.alloc(n)
+	return a.i64.alloc(n, a.first)
 }
 
 // Int32s carves a zeroed []int32 of length and capacity n.
@@ -44,7 +47,7 @@ func (a *Arena) Int32s(n int) []int32 {
 	if a == nil {
 		return make([]int32, n)
 	}
-	return a.i32.alloc(n)
+	return a.i32.alloc(n, a.first)
 }
 
 // Ints carves a zeroed []int of length and capacity n.
@@ -52,7 +55,7 @@ func (a *Arena) Ints(n int) []int {
 	if a == nil {
 		return make([]int, n)
 	}
-	return a.ints.alloc(n)
+	return a.ints.alloc(n, a.first)
 }
 
 // Bools carves a zeroed []bool of length and capacity n.
@@ -60,11 +63,13 @@ func (a *Arena) Bools(n int) []bool {
 	if a == nil {
 		return make([]bool, n)
 	}
-	return a.bools.alloc(n)
+	return a.bools.alloc(n, a.first)
 }
 
-// Reset recycles every block for the next run: carve cursors rewind and the
-// used memory is re-zeroed, so the next run's carves see zero values again.
+// Reset recycles every block for the next run: carve cursors rewind and
+// the carved memory is re-zeroed, so the next run's carves see zero values
+// again. Only what was carved is cleared, so a Runner whose blocks were
+// sized by a large graph does not clear them whole before each small run.
 // The caller (the Runner) must guarantee no slice carved before the Reset
 // is still in use.
 func (a *Arena) Reset() {
@@ -75,51 +80,42 @@ func (a *Arena) Reset() {
 	a.bools.reset()
 }
 
-// slab is one element type's block list. Blocks are retained across resets
-// and grow geometrically, so a warmed-up slab allocates nothing.
+// slab is one element type's block list. A block's length is its carved
+// prefix and its capacity its size. Blocks are retained across resets, so
+// a warmed-up slab allocates nothing.
 type slab[T any] struct {
 	blocks [][]T
 	bi     int // block currently being carved
-	off    int // carve offset within blocks[bi]
 }
 
-// minSlabBlock is the smallest block a slab allocates; tiny runs shouldn't
-// fragment into one block per carve.
-const minSlabBlock = 1024
-
-func (s *slab[T]) alloc(n int) []T {
+// alloc carves n elements, from a new block of at least first elements
+// when none is left with room. Later blocks double, so the block count
+// stays logarithmic in the volume carved whatever the procs request.
+func (s *slab[T]) alloc(n, first int) []T {
 	if n == 0 {
 		return nil
 	}
-	for s.bi < len(s.blocks) {
-		if b := s.blocks[s.bi]; s.off+n <= len(b) {
-			out := b[s.off : s.off+n : s.off+n]
-			s.off += n
-			return out
+	for ; s.bi < len(s.blocks); s.bi++ {
+		if b := s.blocks[s.bi]; len(b)+n <= cap(b) {
+			s.blocks[s.bi] = b[:len(b)+n]
+			return b[len(b) : len(b)+n : len(b)+n]
 		}
-		s.bi++
-		s.off = 0
 	}
-	size := minSlabBlock
-	if len(s.blocks) > 0 {
-		// Geometric growth keeps the block count logarithmic in the total
-		// carved volume, whatever mix of sizes the procs request.
-		size = 2 * len(s.blocks[len(s.blocks)-1])
+	size := first
+	if k := len(s.blocks); k > 0 {
+		size = max(size, 2*cap(s.blocks[k-1]))
 	}
-	if size < n {
-		size = n
-	}
-	s.blocks = append(s.blocks, make([]T, size))
-	s.off = n
-	return s.blocks[s.bi][0:n:n]
+	b := make([]T, n, max(size, n))
+	s.blocks = append(s.blocks, b)
+	return b[:n:n]
 }
 
+// reset re-zeroes each block's carved prefix and empties it. The capacity
+// past it was never handed out, so it is still zero.
 func (s *slab[T]) reset() {
-	// Re-zero every block that was touched (blocks past bi were never
-	// carved this cycle). Fresh blocks come zeroed from make, so alloc can
-	// hand out slices without a per-carve clear.
-	for i := 0; i <= s.bi && i < len(s.blocks); i++ {
-		clear(s.blocks[i])
+	for i, b := range s.blocks {
+		clear(b)
+		s.blocks[i] = b[:0]
 	}
-	s.bi, s.off = 0, 0
+	s.bi = 0
 }

@@ -38,14 +38,16 @@
 // outbox heads and the per-shard outbox slabs (two of each, alternating by
 // round parity), one inbox scratch slice per shard, the per-node random
 // streams (embedded by value in NodeInfo and seeded in place by rng.Init),
-// and an Arena that procs carve their neighbor caches from. A head holds a
-// lone send inline; a node that sent more leaves its packets in the slabs
+// and an Arena that procs carve their neighbor caches from, whose first
+// block of each type holds the graph's DegreeSum() elements. A lone send
+// lives only in its node's head: the step phase drops it from the slab it
+// was appended to. A node that sent more leaves its packets in the slabs
 // of the shard that stepped it, and its head names that shard, the offsets
 // of its broadcasts and targeted sends there, and its broadcast count, so
-// no per-node list exists. A shard's targeted slab takes the shard's node
-// span at its first growth and doubles after that, so a round in which
-// every node sends one request allocates it once. Nothing is sized by the
-// message volume: an inbox exists only while its node steps.
+// no per-node list exists. The slabs grow by append and hold multi-send
+// traffic only, so a round in which every node sends one packet leaves
+// them empty. Nothing is sized by the message volume: an inbox exists only
+// while its node steps.
 // A plain Run builds a transient Runner and discards
 // it; serving-style callers create one Runner, pass it to every run with
 // WithRunner, and amortize all of the setup — repeated runs on the same
@@ -361,13 +363,14 @@ type outPacket struct {
 
 // outbox is the head of one node's traffic for one round: written when
 // the node steps in round r, read by its neighbors' pulls in round r+1.
-// A lone send sits inline, so a receiver pulls the common round — one
-// broadcast, or the τ-completion's one request — with a single 32-byte
-// read per neighbor. A node that sent more leaves its packets where its
-// Sender put them, in the slabs of the shard that stepped it, and its
-// head says where: spill writes it, sends reads it. The head names the
-// shard because the layout can switch between the degree cut and the
-// node-count cut from one round to the next.
+// A lone send lives only here, inline: the step phase drops it from the
+// slab it was appended to, so the common round — one broadcast, or the
+// τ-completion's one request — takes no slab space, and a receiver pulls
+// it with a single 32-byte read per neighbor. A node that sent more leaves
+// its packets where its Sender put them, in the slabs of the shard that
+// stepped it, and its head says where: spill writes it, sends reads it.
+// The head names the shard because the layout can switch between the
+// degree cut and the node-count cut from one round to the next.
 type outbox struct {
 	// first is the node's only send when n == 1. When n > 1, A and B are
 	// the offsets of its broadcasts and targeted sends in the shard's
@@ -390,10 +393,10 @@ func spill(w, bcAt, tgAt, nbc, n int) outbox {
 // Sender collects a node's outgoing packets for the current round. A
 // broadcast is queued once, whatever the degree; receivers pull it. One
 // Sender serves a whole step shard: the engine points it at each node in
-// turn, and the node's sends append to the shard's slabs.
+// turn, and the node's sends append to the shard's slabs, which grow by
+// append and keep their capacity across rounds and runs.
 type Sender struct {
 	owner     int32
-	span      int32 // nodes in the shard's larger range: the targeted slab's first size
 	neighbors []int32
 	bc        []Packet    // the shard's broadcast slab, appended in node order
 	tg        []outPacket // the shard's targeted-send slab, appended in node order
@@ -415,19 +418,7 @@ func (s *Sender) Send(to int, p Packet) {
 	if err := s.validate(p); err != nil {
 		return
 	}
-	if len(s.tg) == cap(s.tg) {
-		s.growTG()
-	}
 	s.tg = append(s.tg, outPacket{to: int32(to), before: int32(len(s.bc) - s.bcStart), p: p})
-}
-
-// growTG moves a full targeted slab to one of twice its capacity, and at
-// least the shard's span, so a round in which every node of the shard
-// sends one request grows it once instead of in append's 1.25× steps.
-func (s *Sender) growTG() {
-	tg := make([]outPacket, len(s.tg), max(2*cap(s.tg), int(s.span)))
-	copy(tg, s.tg)
-	s.tg = tg
 }
 
 // Broadcast sends p to every neighbor: one outbox entry, which each

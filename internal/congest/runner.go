@@ -123,6 +123,7 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 		r.done = resized(r.done, n)
 		r.marks = withLen(r.marks, (n+63)/64)
 		r.lightMax = int64(g.DegreeSum() / sparseRatio)
+		r.arena.first = g.DegreeSum()
 		r.workers = 0 // force a shard-layout rebuild below
 	} else {
 		clear(r.done)
@@ -159,18 +160,13 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 			r.steps = make([]stepShard, workers)
 		}
 		for w := 0; w < workers; w++ {
-			// Broadcast slabs and the inbox scratch are sized for the common
-			// round — one broadcast per node, so at most Δ messages per
-			// inbox — over the larger of the shard's two ranges, and kept
-			// across graphs when already large enough. Targeted slabs start
-			// empty and take the same span at their first growth. A sender
-			// list holds at most lightMax nodes (see stepShard.senders).
+			// The inbox scratch holds the common round — one broadcast per
+			// neighbor, so at most Δ messages. A sender list holds at most
+			// lightMax nodes of the larger of the shard's two ranges (see
+			// stepShard.senders). The outbox slabs start empty: lone sends
+			// never reach them (see outbox).
 			s := &r.steps[w]
 			span := max(r.bounds[w+1]-r.bounds[w], r.nodeBounds[w+1]-r.nodeBounds[w])
-			for p := range s.bcs {
-				s.bcs[p] = withCap(s.bcs[p], int(span))
-			}
-			s.snd.span = span
 			s.in = withCap(s.in, g.MaxDegree())
 			s.senders = withCap(s.senders, min(int(span), int(r.lightMax)))
 		}

@@ -8,8 +8,9 @@ import (
 // stepShard is one worker's per-round step state and results; its node
 // range comes from the round's layout (see shard.go). Its Sender fills the
 // shard's outbox slabs: every node in range appends its sends there, in
-// node order, and a node that sent more than one packet publishes where
-// its packets sit in its outbox head.
+// node order. A node's lone send moves into its outbox head and leaves the
+// slab, so the slabs hold only the traffic of nodes that sent more than
+// one packet, and those nodes' heads say where it sits.
 type stepShard struct {
 	active int   // nodes in range still running after this round
 	err    error // first Sender error in range (lowest node ID)
@@ -149,14 +150,18 @@ func (e *engine[O]) stepRange(w int) {
 		if n == 0 {
 			continue
 		}
+		// A lone send moves into the head, and the slab drops its copy:
+		// bc and tg stay readable until the next node's Step appends.
 		ob := &outs[v]
 		switch {
 		case n > 1:
 			*ob = spill(w, b0, t0, len(bc), n)
 		case len(bc) == 1:
 			*ob = outbox{first: bc[0], n: 1, to: -1}
+			snd.bc = snd.bc[:b0]
 		default:
 			*ob = outbox{first: tg[0].p, n: 1, to: tg[0].to}
+			snd.tg = snd.tg[:t0]
 		}
 		e.account(s, int32(v), snd.neighbors, bc, tg)
 		if len(snd.neighbors) > 0 && s.msgs <= lightMax {

@@ -1,11 +1,13 @@
 package gen_test
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"arbods/internal/arbor"
 	"arbods/internal/gen"
+	"arbods/internal/graph"
 )
 
 func TestDeterministicFamilies(t *testing.T) {
@@ -147,6 +149,16 @@ func TestWeightAssigners(t *testing.T) {
 	for v := 0; v < e.N(); v++ {
 		if e.Weight(v) < 1 {
 			t.Fatalf("exponential weight %d < 1", e.Weight(v))
+		}
+	}
+	// A scale whose products pass 2⁶³ saturates at MaxWeight; it must not
+	// wrap around to weight 1.
+	for _, scale := range []float64{1e300, math.Inf(1)} {
+		e := gen.ExponentialWeights(base, scale, 3)
+		for v := 0; v < e.N(); v++ {
+			if w := e.Weight(v); w != graph.MaxWeight {
+				t.Fatalf("scale=%g: exponential weight %d, want MaxWeight %d", scale, w, graph.MaxWeight)
+			}
 		}
 	}
 	d := gen.DegreeWeights(base, 2, 0)

@@ -30,7 +30,7 @@ func UniformWeights(g *graph.Graph, max int64, seed uint64) *graph.Graph {
 // minima clearly — the regime where the τ-completion step of Theorem 1.1
 // differs most from the unweighted algorithm.
 func ExponentialWeights(g *graph.Graph, scale float64, seed uint64) *graph.Graph {
-	if scale < 1 {
+	if !(scale >= 1) { // NaN too
 		scale = 1
 	}
 	r := rng.New(seed)
@@ -40,14 +40,10 @@ func ExponentialWeights(g *graph.Graph, scale float64, seed uint64) *graph.Graph
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		x := int64(math.Round(-scale * math.Log(u)))
-		if x < 0 {
-			x = 0
-		}
-		if x > graph.MaxWeight-1 {
-			x = graph.MaxWeight - 1
-		}
-		w[v] = x + 1
+		// Clamp before converting: past 2⁶³ (an infinite or huge scale)
+		// the int64 conversion would wrap instead of saturating.
+		x := min(math.Round(-scale*math.Log(u)), float64(graph.MaxWeight-1))
+		w[v] = int64(max(x, 0)) + 1
 	}
 	return mustSetWeights(g, w)
 }

@@ -309,7 +309,8 @@ func GeneralGraphs(g *graph.Graph, k int, opts ...congest.Option) (*Report, erro
 // run wires a detParams proc into the simulator with the globally known
 // parameters the paper assumes (Δ, and α when relevant). Procs are
 // constructed in place in one slab — a single allocation for all n nodes —
-// with their neighbor caches carved from the run's arena.
+// with their neighbor caches carved from the run's arena; an extension run
+// adds one more slab for the nodes' extension state.
 func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*congest.Result[Output], error) {
 	all := make([]congest.Option, 0, len(opts)+2)
 	all = append(all, opts...)
@@ -330,6 +331,7 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 	if params.mode == completeExtension {
 		params.extIters = extensionIterations(params.gamma, params.delta)
 		params.extPhases = extensionPhases(params.gamma, params.lambda)
+		params.ext = make([]extState, g.N())
 	}
 	slab := make([]proc, g.N())
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {

@@ -82,6 +82,10 @@ type detParams struct {
 	delta     int
 	extIters  int // iterations per phase: ⌈log_γ(Δ+1)⌉ + 1
 	extPhases int // phases: ⌈log_γ(1/λ)⌉
+
+	// ext is the per-node extension state, indexed by node ID: nil unless
+	// mode == completeExtension (see extState).
+	ext []extState
 }
 
 // powTable holds base^k for k below its length, so procs decode a packing
@@ -134,23 +138,36 @@ const (
 type proc struct {
 	p *detParams
 
-	// Neighbor caches, indexed by position in the sorted neighbor list
-	// (len(nbrX) is the degree).
-	nbrX   []float64
-	nbrDom []bool
+	// nbrX is the packing-value cache, indexed by position in the sorted
+	// neighbor list (len(nbrX) is the degree).
+	nbrX []float64
 
 	weight int64
 	tau    int64
-	rand   rng.Stream
 
-	x    float64 // current packing value
-	x41  float64 // x frozen at the end of the Lemma 4.1 phase (certificate)
-	prob float64 // extension sampling probability
+	x   float64 // current packing value
+	x41 float64 // x frozen at the end of the Lemma 4.1 phase (certificate)
 
 	id     int32
 	argmin int32 // the closed neighbor of weight τ, lower ID on ties
 	exp    int32 // number of (1+ε) multiplications applied to x
 	iter   int32 // Lemma 4.1 iteration counter
+
+	st        stage
+	inS       bool
+	inSP      bool // in S′
+	dom       bool
+	requested bool // received a requestMsg
+}
+
+// extState is a node's Lemma 4.6 extension state (Theorems 1.2 and 1.3).
+// run allocates one per node, in detParams.ext, only in extension mode,
+// so the procs of the deterministic algorithms do not carry it.
+type extState struct {
+	// nbrDom caches which neighbors are dominated, indexed like nbrX.
+	nbrDom []bool
+	rand   rng.Stream
+	prob   float64 // sampling probability
 
 	// Extension position.
 	phaseIdx int32
@@ -161,12 +178,7 @@ type proc struct {
 	cvSet  bool  // c_v recorded
 	cvSelf bool  // this node sampled itself while undominated last round
 
-	st        stage
-	inS       bool
-	inSP      bool // in S′
-	dom       bool
-	requested bool // received a requestMsg
-	inGamma   bool
+	inGamma bool
 }
 
 var _ congest.Proc[Output] = (*proc)(nil)
@@ -179,13 +191,20 @@ func (pr *proc) init(p *detParams, ni congest.NodeInfo) {
 		p:      p,
 		nbrX:   ni.Arena.Float64s(deg),
 		weight: ni.Weight,
-		rand:   ni.Rand,
 		id:     int32(ni.ID),
 		st:     stInit,
 	}
-	if p.mode == completeExtension {
-		pr.nbrDom = ni.Arena.Bools(deg)
+	if p.ext != nil {
+		p.ext[ni.ID] = extState{nbrDom: ni.Arena.Bools(deg), rand: ni.Rand}
 	}
+}
+
+// ext returns the node's extension state, nil outside extension mode.
+func (pr *proc) ext() *extState {
+	if pr.p.ext == nil {
+		return nil
+	}
+	return &pr.p.ext[pr.id]
 }
 
 // partialIterations returns the Lemma 4.1 iteration count r: the integer
@@ -236,6 +255,10 @@ func (pr *proc) xValue(tau int64, exp int32) float64 {
 // position in the neighbor caches comes precomputed with each packet
 // (Incoming.Idx), so there is no per-message search.
 func (pr *proc) absorb(in []congest.Incoming) (dominatedNow bool) {
+	var nbrDom []bool
+	if e := pr.ext(); e != nil {
+		nbrDom = e.nbrDom
+	}
 	for _, m := range in {
 		i := m.Idx
 		switch m.P.Tag {
@@ -243,13 +266,13 @@ func (pr *proc) absorb(in []congest.Incoming) (dominatedNow bool) {
 			tau, exp, _ := packingFields(m.P)
 			pr.nbrX[i] = pr.xValue(tau, exp)
 		case congest.TagJoin:
-			if pr.nbrDom != nil {
-				pr.nbrDom[i] = true
+			if nbrDom != nil {
+				nbrDom[i] = true
 			}
 			dominatedNow = true
 		case congest.TagDom:
-			if pr.nbrDom != nil {
-				pr.nbrDom[i] = true
+			if nbrDom != nil {
+				nbrDom[i] = true
 			}
 		case congest.TagRequest:
 			pr.requested = true
@@ -269,13 +292,13 @@ func (pr *proc) bigX() float64 {
 
 // bigXUndominated returns X_u restricted to undominated closed neighbors
 // (the Lemma 4.6 quantity).
-func (pr *proc) bigXUndominated() float64 {
+func (pr *proc) bigXUndominated(e *extState) float64 {
 	var sum float64
 	if !pr.dom {
 		sum = pr.x
 	}
 	for i, xv := range pr.nbrX {
-		if !pr.nbrDom[i] {
+		if !e.nbrDom[i] {
 			sum += xv
 		}
 	}
@@ -368,34 +391,36 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 
 	case stExtA:
 		pr.absorb(in)
-		if pr.iterIdx == 0 {
-			pr.beginPhase()
+		e := pr.ext()
+		if e.iterIdx == 0 {
+			pr.beginPhase(e)
 		} else {
-			pr.prob = min(pr.prob*pr.p.gamma, 1)
-			if pr.inGamma && pr.bigXUndominated() < pr.gammaThreshold() {
-				pr.inGamma = false
+			e.prob = min(e.prob*pr.p.gamma, 1)
+			if e.inGamma && pr.bigXUndominated(e) < pr.gammaThreshold() {
+				e.inGamma = false
 			}
 		}
-		if int(pr.iterIdx) == pr.p.extIters-1 {
+		if int(e.iterIdx) == pr.p.extIters-1 {
 			// Last iteration of the phase samples with probability 1
 			// (the proof of Lemma 4.6 relies on it).
-			pr.prob = 1
+			e.prob = 1
 		}
-		if pr.inGamma && pr.rand.Bernoulli(pr.prob) {
+		if e.inGamma && e.rand.Bernoulli(e.prob) {
 			if !pr.dom {
 				// First domination happens now, by its own sampling; the
 				// same-iteration sampled neighbors arrive next round.
-				pr.cvSelf = true
+				e.cvSelf = true
 			}
 			pr.inSP = true
 			pr.dom = true
-			pr.inGamma = false
+			e.inGamma = false
 			s.Broadcast(packJoin())
 		}
 		pr.st = stExtB
 		return false
 
 	case stExtB:
+		e := pr.ext()
 		wasDom := pr.dom
 		var joins int32
 		for _, m := range in {
@@ -407,25 +432,25 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 			pr.dom = true
 		}
 		switch {
-		case pr.cvSelf:
-			pr.cv = 1 + joins
-			pr.cvSet = true
-			pr.cvSelf = false
-		case !wasDom && pr.dom && !pr.cvSet:
-			pr.cv = joins
-			pr.cvSet = true
+		case e.cvSelf:
+			e.cv = 1 + joins
+			e.cvSet = true
+			e.cvSelf = false
+		case !wasDom && pr.dom && !e.cvSet:
+			e.cv = joins
+			e.cvSet = true
 		}
 		phases, iters := int32(pr.p.extPhases), int32(pr.p.extIters)
-		last := pr.phaseIdx == phases-1 && pr.iterIdx == iters-1
+		last := e.phaseIdx == phases-1 && e.iterIdx == iters-1
 		if pr.dom && !wasDom && !last {
 			s.Broadcast(packDom())
 		}
-		pr.iterIdx++
-		if pr.iterIdx == iters {
-			pr.iterIdx = 0
-			pr.phaseIdx++
+		e.iterIdx++
+		if e.iterIdx == iters {
+			e.iterIdx = 0
+			e.phaseIdx++
 		}
-		if pr.phaseIdx == phases {
+		if e.phaseIdx == phases {
 			pr.st = stDone
 			return true
 		}
@@ -496,33 +521,36 @@ func (pr *proc) afterPartial(s *congest.Sender, broadcastPacking bool) bool {
 	return true
 }
 
-// beginPhase starts Γ-phase phaseIdx: rescale undominated packing values by
-// γ (for every phase after the first), reset the sampling probability, and
-// recompute Γ membership.
-func (pr *proc) beginPhase() {
-	if pr.phaseIdx > 0 {
+// beginPhase starts Γ-phase e.phaseIdx: rescale undominated packing
+// values by γ (for every phase after the first), reset the sampling
+// probability, and recompute Γ membership.
+func (pr *proc) beginPhase(e *extState) {
+	if e.phaseIdx > 0 {
 		if !pr.dom {
 			pr.x *= pr.p.gamma
 		}
 		for i := range pr.nbrX {
-			if !pr.nbrDom[i] {
+			if !e.nbrDom[i] {
 				pr.nbrX[i] *= pr.p.gamma
 			}
 		}
 	}
-	pr.prob = 1 / float64(pr.p.delta+1)
-	pr.inGamma = !pr.inS && !pr.inSP && pr.bigXUndominated() >= pr.gammaThreshold()
+	e.prob = 1 / float64(pr.p.delta+1)
+	e.inGamma = !pr.inS && !pr.inSP && pr.bigXUndominated(e) >= pr.gammaThreshold()
 }
 
 // Output implements congest.Proc.
 func (pr *proc) Output() Output {
-	return Output{
-		InDS:              pr.inS || pr.inSP,
-		InPartial:         pr.inS,
-		InExtension:       pr.inSP,
-		Dominated:         pr.dom,
-		Packing:           pr.x41,
-		Tau:               pr.tau,
-		SampledDominators: int(pr.cv),
+	out := Output{
+		InDS:        pr.inS || pr.inSP,
+		InPartial:   pr.inS,
+		InExtension: pr.inSP,
+		Dominated:   pr.dom,
+		Packing:     pr.x41,
+		Tau:         pr.tau,
 	}
+	if e := pr.ext(); e != nil {
+		out.SampledDominators = int(e.cv)
+	}
+	return out
 }
