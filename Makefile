@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check fuzz bench bench-json bench-compare benchmark-test alloc-gate ci
+.PHONY: build test race vet fmt-check fuzz bench bench-compare benchmark-test alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -38,11 +38,6 @@ fuzz:
 # Engine-scale benchmarks (the million-node routing benchmark included).
 bench:
 	$(GO) test ./internal/congest/ -run 'xxx' -bench . -benchtime 1x
-
-# Machine-readable experiment record; commit one per milestone as
-# BENCH_$(shell date +%F)_small.json to extend the perf trajectory.
-bench-json:
-	$(GO) run ./cmd/mdsbench -scale small -seed 1 -format json
 
 # Compare two committed engine-benchmark records (benchstat format). The
 # defaults pin heads that locate multi-send traffic in the shard slabs

@@ -1,11 +1,11 @@
 package arbods_test
 
-// One benchmark per table/figure of the paper, as indexed in DESIGN.md §4.
-// Each target executes the corresponding experiment of internal/bench at
+// One benchmark per experiment of internal/bench (E1…E10, one per
+// table/figure of the paper). Each target executes its experiment at
 // Small scale, so `go test -bench=.` regenerates every quantitative claim;
-// `cmd/mdsbench` renders the same experiments as tables (that output is
-// what EXPERIMENTS.md records). Additional micro-benchmarks at the bottom
-// measure the simulator and the core algorithms in isolation.
+// `cmd/mdsbench` renders the same experiments as tables, and its
+// full-scale output is EXPERIMENTS.md. Additional micro-benchmarks at the
+// bottom measure the simulator and the core algorithms in isolation.
 
 import (
 	"testing"

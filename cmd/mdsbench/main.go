@@ -1,12 +1,9 @@
 // Command mdsbench regenerates every experiment table of the paper
-// reproduction (E1…E10, see DESIGN.md §4) and prints them as markdown,
-// CSV, or a machine-readable JSON report. EXPERIMENTS.md is produced
-// from the markdown output; the committed BENCH_*.json trajectory files
-// are produced from the JSON output:
+// reproduction (E1…E10, see -list) and prints them as markdown or CSV.
+// EXPERIMENTS.md at the repository root is its full-scale markdown output:
 //
-//	mdsbench -scale full -seed 1 > experiments.md
+//	mdsbench -scale full -seed 1 > EXPERIMENTS.md
 //	mdsbench -only E1,E6 -format csv
-//	mdsbench -scale small -format json > BENCH_$(date +%F)_small.json
 package main
 
 import (
@@ -14,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,7 +32,7 @@ func run(args []string) error {
 		scale    = fs.String("scale", "small", "experiment scale: small or full")
 		seed     = fs.Uint64("seed", 1, "base random seed")
 		only     = fs.String("only", "", "comma-separated experiment IDs (e.g. E1,E6); empty = all")
-		format   = fs.String("format", "md", "output format: md, csv, or json")
+		format   = fs.String("format", "md", "output format: md or csv")
 		reps     = fs.Int("reps", 0, "repetitions for randomized algorithms (0 = scale default)")
 		parallel = fs.Int("parallel", 1, "concurrent simulator runs per experiment (0 = GOMAXPROCS, 1 = sequential); tables are identical for every value")
 		list     = fs.Bool("list", false, "list experiments and exit")
@@ -43,9 +41,9 @@ func run(args []string) error {
 		return err
 	}
 	switch *format {
-	case "md", "csv", "json":
+	case "md", "csv":
 	default:
-		return fmt.Errorf("unknown format %q (want md, csv, or json)", *format)
+		return fmt.Errorf("unknown format %q (want md or csv)", *format)
 	}
 	if *list {
 		for _, e := range bench.All() {
@@ -84,40 +82,28 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown scale %q (want small or full)", *scale)
 	}
-	wanted := map[string]bool{}
+	exps := bench.All()
 	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			wanted[strings.TrimSpace(id)] = true
+		ids := make([]string, len(exps))
+		for i, e := range exps {
+			ids[i] = e.ID
 		}
+		wanted := strings.Split(*only, ",")
+		for i, id := range wanted {
+			wanted[i] = strings.TrimSpace(id)
+			if !slices.Contains(ids, wanted[i]) {
+				return fmt.Errorf("unknown experiment %q in -only (valid: %s)", wanted[i], strings.Join(ids, ", "))
+			}
+		}
+		exps = slices.DeleteFunc(exps, func(e bench.Experiment) bool { return !slices.Contains(wanted, e.ID) })
 	}
 
 	start := time.Now()
-	if *format == "json" {
-		rep, err := bench.RunJSON(cfg, wanted)
-		if err != nil {
-			return err
-		}
-		out, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if _, err := os.Stdout.Write(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "mdsbench: %d experiment(s), scale=%s, seed=%d, %s\n",
-			len(rep.Experiments), *scale, *seed, time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	ran := 0
-	for _, e := range bench.All() {
-		if len(wanted) > 0 && !wanted[e.ID] {
-			continue
-		}
+	for _, e := range exps {
 		tables, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		ran++
 		for _, t := range tables {
 			switch *format {
 			case "md":
@@ -127,10 +113,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	if ran == 0 {
-		return fmt.Errorf("no experiments matched -only=%s", *only)
-	}
 	fmt.Fprintf(os.Stderr, "mdsbench: %d experiment(s), scale=%s, seed=%d, %s\n",
-		ran, *scale, *seed, time.Since(start).Round(time.Millisecond))
+		len(exps), *scale, *seed, time.Since(start).Round(time.Millisecond))
 	return nil
 }

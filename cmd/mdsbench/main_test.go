@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"testing"
-
-	"arbods/internal/bench"
 )
 
 func silenceStdout(t *testing.T) {
@@ -42,49 +39,6 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
-// TestJSONFormat runs one experiment in -format json and checks the
-// captured stdout parses back into a Report (the BENCH_*.json pipeline).
-func TestJSONFormat(t *testing.T) {
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drain concurrently: a report bigger than the OS pipe buffer would
-	// otherwise block run()'s write forever.
-	type decoded struct {
-		rep bench.Report
-		err error
-	}
-	got := make(chan decoded, 1)
-	go func() {
-		var d decoded
-		d.err = json.NewDecoder(r).Decode(&d.rep)
-		got <- d
-	}()
-	os.Stdout = w
-	runErr := run([]string{"-only", "E2", "-scale", "small", "-format", "json"})
-	w.Close()
-	os.Stdout = old
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	d := <-got
-	if d.err != nil {
-		t.Fatalf("output is not valid JSON: %v", d.err)
-	}
-	rep := d.rep
-	if rep.Schema != bench.ReportSchema {
-		t.Fatalf("schema = %q, want %q", rep.Schema, bench.ReportSchema)
-	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "E2" {
-		t.Fatalf("experiments = %+v", rep.Experiments)
-	}
-	if len(rep.Experiments[0].Tables) == 0 || rep.Experiments[0].WallMS <= 0 {
-		t.Fatalf("experiment record incomplete: %+v", rep.Experiments[0])
-	}
-}
-
 func TestList(t *testing.T) {
 	silenceStdout(t)
 	if err := run([]string{"-list"}); err != nil {
@@ -97,7 +51,9 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-scale", "cosmic"},
 		{"-format", "yaml", "-only", "E2"},
+		{"-format", "json", "-only", "E2"},
 		{"-only", "E99"},
+		{"-only", "E2,E99"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

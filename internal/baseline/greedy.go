@@ -12,7 +12,7 @@
 //   - the trivial take-all baseline.
 //
 // MSW21 and the full KMW06 LP machinery are represented analytically in the
-// benchmark tables (see DESIGN.md §5.4).
+// benchmark tables (the E1 table of EXPERIMENTS.md).
 package baseline
 
 import (

@@ -1,15 +1,51 @@
 package bench_test
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"arbods/internal/bench"
+	"arbods/internal/congest"
 )
 
-// TestAllExperimentsSmall runs the complete experiment suite at Small scale
-// and sanity-checks table structure. This is the integration test that every
-// table in EXPERIMENTS.md flows through.
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestExperimentsGolden regenerates the full-scale tables and byte-compares
+// them with EXPERIMENTS.md, the committed record of the reproduction, so a
+// change that moves any table cell must commit the regenerated file. The
+// claims checked at Small scale are checked here at Full scale too.
+func TestExperimentsGolden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the full-scale sweep takes ~40 s under -race; CI runs it without")
+	}
+	want, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	pool := congest.NewRunnerPool(procs)
+	defer pool.Close()
+	tables, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Full, Parallel: procs, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClaims(t, tables)
+	if got := renderAll(tables); got != string(want) {
+		t.Errorf("EXPERIMENTS.md differs from a fresh run; if the change is intended, regenerate it with\n"+
+			"\tgo run ./cmd/mdsbench -scale full -seed 1 > EXPERIMENTS.md\nand commit it. First difference, %s",
+			firstDiff(string(want), got))
+	}
+}
+
+// TestAllExperimentsSmall runs the complete experiment suite at Small scale,
+// sanity-checks table structure and checks the paper's claims on the cells.
 func TestAllExperimentsSmall(t *testing.T) {
 	tables, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Small})
 	if err != nil {
@@ -32,22 +68,137 @@ func TestAllExperimentsSmall(t *testing.T) {
 				t.Fatalf("table %s: row width %d != %d columns", tb.ID, len(row), len(tb.Columns))
 			}
 		}
-		// The harness marks failed checks with "NO" cells; none may appear —
-		// except in E9b, whose entire point is that the no-freeze ablation
-		// breaks packing feasibility.
-		if tb.ID != "E9b" {
-			for _, row := range tb.Rows {
-				for _, cell := range row {
-					if cell == "NO" {
-						t.Fatalf("table %s reports a failed check:\n%s", tb.ID, tb.Markdown())
-					}
-				}
-			}
-		}
 	}
 	for _, want := range []string{"E1", "E2", "E2b", "E3", "E4", "E5", "E6a", "E6b", "E6c", "E6d", "E7", "E8", "E9a", "E9b", "E9c", "E9d", "E9e", "E10"} {
 		if !ids[want] {
 			t.Fatalf("missing experiment table %s", want)
+		}
+	}
+	checkClaims(t, tables)
+}
+
+// claimTable reads the cells of one table for checkClaims.
+type claimTable struct {
+	t  *testing.T
+	tb *bench.Table
+}
+
+func (c claimTable) cell(r int, col string) string {
+	c.t.Helper()
+	i := slices.Index(c.tb.Columns, col)
+	if i < 0 {
+		c.t.Fatalf("%s has no column %q", c.tb.ID, col)
+	}
+	return c.tb.Rows[r][i]
+}
+
+func (c claimTable) num(r int, col string) float64 {
+	c.t.Helper()
+	x, err := strconv.ParseFloat(c.cell(r, col), 64)
+	if err != nil {
+		c.t.Fatalf("%s row %d, column %q: %v", c.tb.ID, r+1, col, err)
+	}
+	return x
+}
+
+func (c claimTable) errorf(format string, args ...any) {
+	c.t.Helper()
+	c.t.Errorf("%s: %s\n%s", c.tb.ID, fmt.Sprintf(format, args...), c.tb.Markdown())
+}
+
+// checkClaims asserts the claims the tables reproduce on their cells, at
+// whatever scale they were run. E1, E3, E8 and E10 check theirs inside the
+// run (receipt verification, certified ratio ≤ bound, domination).
+func checkClaims(t *testing.T, tables []*bench.Table) {
+	// The experiments mark failed checks with "NO" cells; none may appear —
+	// except in E9b, whose entire point is that the no-freeze ablation
+	// breaks packing feasibility.
+	for _, tb := range tables {
+		if tb.ID != "E9b" && slices.ContainsFunc(tb.Rows, func(row []string) bool { return slices.Contains(row, "NO") }) {
+			t.Errorf("table %s reports a failed check:\n%s", tb.ID, tb.Markdown())
+		}
+	}
+	get := func(id string) claimTable {
+		for _, tb := range tables {
+			if tb.ID == id {
+				return claimTable{t, tb}
+			}
+		}
+		t.Fatalf("missing experiment table %s", id)
+		return claimTable{}
+	}
+
+	// E2 (Theorem 1.1, O(log(Δ/α)/ε) rounds): each round increment per ×4
+	// of Δ stays within ±25% of 2·log_{1+ε}4, at the table's ε = 0.25.
+	e2 := get("E2")
+	perX4 := 2 * math.Log(4) / math.Log(1.25)
+	for r := 1; r < len(e2.tb.Rows); r++ {
+		x4s := math.Log(e2.num(r, "Δ")/e2.num(r-1, "Δ")) / math.Log(4)
+		if got := e2.num(r, "Δrounds (Δ ×4)") / x4s; math.Abs(got/perX4-1) > 0.25 {
+			e2.errorf("row %d: %.1f rounds per ×4 of Δ, want %.1f ± 25%%", r+1, got, perX4)
+		}
+	}
+
+	// E2b (Theorem 1.1): the round count does not depend on n.
+	e2b := get("E2b")
+	for r := range e2b.tb.Rows {
+		if e2b.cell(r, "rounds (Thm 1.1)") != e2b.cell(0, "rounds (Thm 1.1)") {
+			e2b.errorf("row %d: rounds change with n", r+1)
+		}
+	}
+
+	// E5 (Theorem 1.3 improves KMW06 by log Δ): for k ≥ 2 the Theorem 1.3
+	// run beats the KW05-style one. Rows come in (Thm 1.3, KW05) pairs per k.
+	e5 := get("E5")
+	for r := 0; r+1 < len(e5.tb.Rows); r += 2 {
+		if e5.cell(r, "algorithm") != "Thm 1.3" || e5.cell(r+1, "algorithm") != "KW05-style" {
+			e5.errorf("rows %d-%d are not a (Thm 1.3, KW05-style) pair", r+1, r+2)
+			continue
+		}
+		thm, kw := e5.num(r, "mean ratio vs LB"), e5.num(r+1, "mean ratio vs LB")
+		if e5.num(r, "k") >= 2 && thm >= kw {
+			e5.errorf("k=%s: Theorem 1.3 ratio %g does not beat KW05's %g", e5.cell(r, "k"), thm, kw)
+		}
+	}
+
+	// E6c (Theorem 1.4): a larger iteration budget never worsens the
+	// certified ratio of the truncated runs.
+	e6c := get("E6c")
+	for r := 1; r < len(e6c.tb.Rows); r++ {
+		if e6c.cell(r, "packing iterations") == "full schedule" {
+			continue
+		}
+		if e6c.num(r, "certified ratio") > e6c.num(r-1, "certified ratio") {
+			e6c.errorf("row %d: the certified ratio rises with more iterations", r+1)
+		}
+	}
+
+	// E7 (Observation A.1): the one-round tree algorithm is within 3·OPT.
+	e7 := get("E7")
+	for r := range e7.tb.Rows {
+		if e7.cell(r, "algorithm") == "tree 3-approx (Obs A.1)" && e7.num(r, "ratio vs OPT") > 3 {
+			e7.errorf("row %d: ratio vs OPT exceeds 3", r+1)
+		}
+	}
+
+	// E9c (the CONGEST model): no run exceeds the bandwidth budget.
+	e9c := get("E9c")
+	var budget float64
+	_, inTitle, _ := strings.Cut(e9c.tb.Title, "(budget ")
+	if _, err := fmt.Sscanf(inTitle, "%g bits)", &budget); err != nil {
+		t.Fatalf("E9c title %q names no budget: %v", e9c.tb.Title, err)
+	}
+	for r := range e9c.tb.Rows {
+		if e9c.num(r, "violations") != 0 || e9c.num(r, "peak bits/edge/round") > budget {
+			e9c.errorf("row %d: exceeds the %g-bit budget", r+1, budget)
+		}
+	}
+
+	// E9e (Lemma 4.7): E[c_v] ≤ γ+1.
+	e9e := get("E9e")
+	for r := range e9e.tb.Rows {
+		if e9e.num(r, "mean c_v") > e9e.num(r, "bound γ+1") {
+			e9e.errorf("row %d: mean c_v exceeds γ+1", r+1)
 		}
 	}
 }

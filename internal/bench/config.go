@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -51,12 +50,6 @@ type Config struct {
 	// warmed Runners then carry across every experiment of the sweep. Nil
 	// makes each batch build a transient pool.
 	Pool *congest.RunnerPool
-	// Ctx, when set, cancels the sweep: sequential batches stop between
-	// jobs, parallel batches stop starting jobs, and every simulator run
-	// threads it through congest.WithContext so in-flight rounds abort at
-	// their next barrier. Nil never cancels. Attaching a live context
-	// changes no transcript — tables stay bit-identical.
-	Ctx context.Context
 }
 
 // opts returns the simulator options every sequential experiment run
@@ -72,11 +65,8 @@ func (c Config) opts(seed uint64, extra ...congest.Option) []congest.Option {
 // the config-level Runner, which concurrent jobs must never share. A nil
 // slot — sequential execution — falls back to opts' behavior exactly.
 func (c Config) optsOn(slot []congest.Option, seed uint64, extra ...congest.Option) []congest.Option {
-	o := make([]congest.Option, 0, 3+len(slot)+len(extra))
+	o := make([]congest.Option, 0, 2+len(slot)+len(extra))
 	o = append(o, congest.WithSeed(seed))
-	if c.Ctx != nil {
-		o = append(o, congest.WithContext(c.Ctx))
-	}
 	if slot != nil {
 		o = append(o, slot...)
 	} else if c.Runner != nil {
@@ -97,11 +87,6 @@ func (c Config) optsOn(slot []congest.Option, seed uint64, extra ...congest.Opti
 func (c Config) batch(n int, job func(i int, slot []congest.Option) error) error {
 	if c.Parallel <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			if c.Ctx != nil {
-				if err := c.Ctx.Err(); err != nil {
-					return err
-				}
-			}
 			if err := job(i, nil); err != nil {
 				return err
 			}
@@ -117,12 +102,7 @@ func (c Config) batch(n int, job func(i int, slot []congest.Option) error) error
 		pool = congest.NewRunnerPool(size)
 		defer pool.Close()
 	}
-	var b *congest.Batch
-	if c.Ctx != nil {
-		b = pool.BatchContext(c.Ctx)
-	} else {
-		b = pool.Batch()
-	}
+	b := pool.Batch()
 	for i := 0; i < n; i++ {
 		b.Submit(func(r *congest.Runner, workers int) error {
 			return job(i, []congest.Option{congest.WithRunner(r), congest.WithWorkers(workers)})
@@ -166,7 +146,7 @@ func All() []Experiment {
 		{"E6", "lower-bound construction and reduction (Figure 1, Theorem 1.4)", E6LowerBound},
 		{"E7", "trees (Observation A.1)", E7Trees},
 		{"E8", "unknown parameters (Remarks 4.4, 4.5)", E8UnknownParams},
-		{"E9", "design ablations (DESIGN.md)", E9Ablations},
+		{"E9", "design ablations and CONGEST accounting", E9Ablations},
 		{"E10", "weighted instances (Theorem 1.1)", E10Weighted},
 	}
 }

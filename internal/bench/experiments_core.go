@@ -37,7 +37,7 @@ func exactRatio(g *graph.Graph, dsWeight int64) float64 {
 // algorithms on bounded arboricity graphs: one row per algorithm with its
 // paper guarantee and, for the algorithms implemented here, measured rounds
 // and quality on a common workload (unweighted union of 3 forests). MSW21
-// and BU17+KMW06 appear with analytic guarantees only (DESIGN.md §5.4).
+// and BU17+KMW06 appear with analytic guarantees only.
 func E1Comparison(cfg Config) ([]*Table, error) {
 	const alpha = 3
 	n := cfg.pick(400, 4000)
@@ -54,7 +54,7 @@ func E1Comparison(cfg Config) ([]*Table, error) {
 		},
 		Notes: []string{
 			"certified ratio = w(DS)/Σx using the run's own dual packing (Lemma 2.1): an exact upper bound on the true ratio.",
-			"LRG (Jia–Rajaraman–Suel) stands in for the randomized O(α²) algorithm of LW10; MSW21 and BU17+KMW06 are analytic-only rows (see DESIGN.md §5.4).",
+			"LRG (Jia–Rajaraman–Suel) stands in for the randomized O(α²) algorithm of LW10; MSW21 and BU17+KMW06 are analytic-only rows.",
 		},
 	}
 

@@ -27,7 +27,7 @@ func E8UnknownParams(cfg Config) ([]*Table, error) {
 		PaperRef: "Remarks 4.4 (unknown Δ) and 4.5 (unknown α)",
 		Columns:  []string{"variant", "knows", "rounds", "messages", "certified ratio", "certificate factor"},
 		Notes: []string{
-			"Remark 4.5's orientation prefix uses doubling estimates on a fixed schedule: O(log α·log n/ε) rounds versus the remark's O(log n/ε) sketch (DESIGN.md §5.2); its certificate factor is per-node and therefore not a single number.",
+			"Remark 4.5's orientation prefix uses doubling estimates on a fixed schedule: O(log α·log n/ε) rounds versus the remark's O(log n/ε) sketch; its certificate factor is per-node and therefore not a single number.",
 		},
 	}
 	known, err := mds.WeightedDeterministic(g, alpha, eps, cfg.opts(cfg.Seed)...)
@@ -56,7 +56,8 @@ func E8UnknownParams(cfg Config) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// E9Ablations regenerates the design-choice ablations DESIGN.md calls out:
+// E9Ablations regenerates the ablations of the algorithms' design choices
+// and the CONGEST accounting of their runs:
 //
 //   - E9a: the λ knob inside Lemma 4.1 — smaller λ stops the packing phase
 //     earlier, shrinking the partial set S and leaving more nodes for the
@@ -184,7 +185,7 @@ func E9Ablations(cfg Config) ([]*Table, error) {
 		ID:       "E9e",
 		Title:    "Lemma 4.7 diagnostic: sampled dominators per covered node",
 		PaperRef: "Lemma 4.7: E[c_v] ≤ γ+1 (the expectation bound behind Lemma 4.8)",
-		Columns:  []string{"algorithm", "γ", "bound γ+1", "mean c_v", "max c_v", "nodes covered by extension"},
+		Columns:  []string{"algorithm", "γ", "bound γ+1", "mean c_v", "max c_v", "nodes covered by extension (mean per run)"},
 	}
 	e9algos := []struct {
 		name string
@@ -230,7 +231,7 @@ func E9Ablations(cfg Config) ([]*Table, error) {
 			meanCV = total / count
 		}
 		te.AddRow(tt.name, fmtF(gamma), fmtF(gamma+1), fmtF(meanCV), fmtI(maxCV),
-			fmtF(count))
+			fmtF(count/float64(nreps)))
 	}
 
 	return []*Table{ta, tb, tc, td, te}, nil

@@ -1,14 +1,15 @@
 // Package bench regenerates the paper's quantitative content as tables.
-// Each experiment (E1…E10, indexed in DESIGN.md §4) corresponds to a table
-// or figure of the paper: the §1.1 comparison of prior work, the
+// Each experiment (E1…E10, listed by All) corresponds to a table or figure
+// of the paper: the §1.1 comparison of prior work, the
 // round/approximation trade-offs of Theorems 1.1–1.3, the Figure 1
 // lower-bound construction with its Theorem 1.4 reduction, the Appendix A
-// tree algorithm, the Remark 4.4/4.5 unknown-parameter variants, and the
-// design ablations DESIGN.md calls out.
+// tree algorithm, the Remark 4.4/4.5 unknown-parameter variants, and
+// ablations of the algorithms' design choices.
 //
-// cmd/mdsbench renders all tables (this is how EXPERIMENTS.md is produced);
-// bench_test.go at the repository root exposes one testing.B target per
-// experiment.
+// EXPERIMENTS.md at the repository root is the stdout of
+// `mdsbench -scale full -seed 1`, and TestExperimentsGolden byte-compares
+// it with a fresh run; bench_test.go at the repository root exposes one
+// testing.B target per experiment.
 package bench
 
 import (
@@ -16,21 +17,20 @@ import (
 	"strings"
 )
 
-// Table is one rendered experiment result. The JSON tags define its
-// shape inside the `mdsbench -format json` report (see json.go).
+// Table is one rendered experiment result.
 type Table struct {
 	// ID is the experiment identifier, e.g. "E1".
-	ID string `json:"id"`
+	ID string
 	// Title is a one-line description.
-	Title string `json:"title"`
+	Title string
 	// PaperRef names the table/figure/theorem being reproduced.
-	PaperRef string `json:"paper_ref"`
+	PaperRef string
 	// Columns holds the header cells.
-	Columns []string `json:"columns"`
+	Columns []string
 	// Rows holds the data cells (each row len == len(Columns)).
-	Rows [][]string `json:"rows"`
+	Rows [][]string
 	// Notes are free-form footnotes (substitutions, caveats).
-	Notes []string `json:"notes,omitempty"`
+	Notes []string
 }
 
 // AddRow appends a row, padding or truncating to the column count.

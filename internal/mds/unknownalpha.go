@@ -73,8 +73,8 @@ func (p *uaProc) Output() Output { return p.ud.Output() }
 // UnknownAlpha runs the Remark 4.5 variant: no global knowledge of α (or Δ);
 // nodes know only n. The approximation factor is (2α̂+1)(2+O(ε))-flavoured
 // where α̂ ≤ (2+ε)·2α is the local out-degree estimate; the orientation
-// prefix costs O(log α · log n/ε) rounds on a fixed schedule (see
-// DESIGN.md §5.2 for the substitution relative to the remark's sketch).
+// prefix costs O(log α · log n/ε) rounds on a fixed schedule, against the
+// remark's O(log n/ε) sketch (the E8 table of EXPERIMENTS.md).
 func UnknownAlpha(g *graph.Graph, eps float64, opts ...congest.Option) (*Report, error) {
 	if err := validateEps(eps); err != nil {
 		return nil, err

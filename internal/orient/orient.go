@@ -15,10 +15,10 @@
 // Each phase peels everything once the estimate reaches the true arboricity,
 // so every node peels in a phase with a ≤ 2α and ends with out-degree
 // ≤ (2+ε)·2α, after O(log α · log n/ε) rounds (a log α factor and a
-// constant-factor out-degree slack versus the remark's sketch; see
-// DESIGN.md §5.2). The schedule is fixed from n alone so that all nodes
-// agree on when the orientation phase ends — a requirement for composing it
-// with the dominating set phase of Remark 4.5.
+// constant-factor out-degree slack versus the remark's sketch). The
+// schedule is fixed from n alone so that all nodes agree on when the
+// orientation phase ends — a requirement for composing it with the
+// dominating set phase of Remark 4.5.
 package orient
 
 import (
