@@ -22,7 +22,9 @@
 // past the deadline aborts at its next round barrier and answers 503
 // with Retry-After), and a client that disconnects cancels its run the
 // same way. Identical requests are answered from a response cache
-// (-max-solves entries) keyed by graph, algorithm, parameters, and seed.
+// (-max-solves entries) keyed by graph, algorithm, mode, round cap and
+// the parameters the algorithm lists in GET /v1/algorithms, so a new
+// seed for a deterministic algorithm is a cache hit.
 //
 // With -data-dir, every uploaded or name-built graph is snapshotted as its
 // checksummed ARBCSR01 blob and restored on the next start, so a

@@ -40,6 +40,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *reps < 0 {
+		return fmt.Errorf("-reps %d is negative (0 = scale default)", *reps)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d is negative (0 = GOMAXPROCS, 1 = sequential)", *parallel)
+	}
 	switch *format {
 	case "md", "csv":
 	default:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -34,7 +35,9 @@ func TestRunSingleExperiment(t *testing.T) {
 	if err := run([]string{"-only", "E4", "-scale", "small", "-parallel", "3"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-only", "E2", "-scale", "small", "-parallel", "0"}); err != nil {
+	// Zero keeps its meaning for both knobs: GOMAXPROCS and the scale's
+	// default repetitions.
+	if err := run([]string{"-only", "E2", "-scale", "small", "-parallel", "0", "-reps", "0"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -48,16 +51,21 @@ func TestList(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	silenceStdout(t)
-	cases := [][]string{
-		{"-scale", "cosmic"},
-		{"-format", "yaml", "-only", "E2"},
-		{"-format", "json", "-only", "E2"},
-		{"-only", "E99"},
-		{"-only", "E2,E99"},
+	cases := []struct {
+		args []string
+		want string // what the error must name
+	}{
+		{[]string{"-scale", "cosmic"}, "cosmic"},
+		{[]string{"-format", "yaml", "-only", "E2"}, "yaml"},
+		{[]string{"-format", "json", "-only", "E2"}, "json"},
+		{[]string{"-only", "E99"}, "E99"},
+		{[]string{"-only", "E2,E99"}, "E99"},
+		{[]string{"-only", "E4", "-reps", "-3"}, "-reps -3"},
+		{[]string{"-only", "E4", "-parallel", "-7"}, "-parallel -7"},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Fatalf("args %v accepted", args)
+	for _, c := range cases {
+		if err := run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("args %v: err = %v, want a refusal naming %q", c.args, err, c.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,6 +167,9 @@ func daemon(t *testing.T) string {
 // TestRemoteParity pins the one-contract promise: every name the daemon
 // lists under /v1/algorithms runs locally too, and a -servers run prints
 // byte-for-byte what the local run prints — the summary and the receipt.
+// Every algorithm runs at two seeds against one daemon, so an algorithm
+// whose params omit the seed gets its second answer from the solve cache,
+// and that answer must still equal the local run at the second seed.
 func TestRemoteParity(t *testing.T) {
 	url := daemon(t)
 	resp, err := http.Get(url + "/v1/algorithms")
@@ -178,15 +182,38 @@ func TestRemoteParity(t *testing.T) {
 	if err != nil || len(algos) == 0 {
 		t.Fatalf("algorithm list: %v (%d names)", err, len(algos))
 	}
+	seeds := []string{"3", "8"}
+	wantMisses := 0
 	for _, a := range algos {
-		for _, extra := range [][]string{nil, {"-receipt"}} {
-			args := append([]string{"-algo", a.Name, "-gen", "tree:n=60", "-seed", "3"}, extra...)
-			local := captureStdout(t, func() error { return run(args) })
-			remote := captureStdout(t, func() error { return run(append([]string{"-servers", url}, args...)) })
-			if local != remote {
-				t.Errorf("%v: -servers output differs from the local run:\n--- local\n%s--- remote\n%s", args, local, remote)
+		if slices.Contains(a.Params, "seed") {
+			wantMisses += len(seeds)
+		} else {
+			wantMisses++
+		}
+		for _, seed := range seeds {
+			for _, extra := range [][]string{nil, {"-receipt"}} {
+				args := append([]string{"-algo", a.Name, "-gen", "tree:n=60", "-seed", seed}, extra...)
+				local := captureStdout(t, func() error { return run(args) })
+				remote := captureStdout(t, func() error { return run(append([]string{"-servers", url}, args...)) })
+				if local != remote {
+					t.Errorf("%v: -servers output differs from the local run:\n--- local\n%s--- remote\n%s", args, local, remote)
+				}
 			}
 		}
+	}
+	// One engine run per answer a seed can change: the rest were cached.
+	resp, err = http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats server.Stats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(stats.SolveCacheMisses) != wantMisses {
+		t.Errorf("solve cache misses = %d, want %d (one per algorithm, one more per seeded one)", stats.SolveCacheMisses, wantMisses)
 	}
 }
 

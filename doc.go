@@ -138,7 +138,9 @@
 // Receipts are deterministic per (graph, algorithm, parameters, seed):
 // repeating a request returns byte-identical receipt JSON — which is
 // what lets the server answer repeat requests from a response-level
-// solve cache keyed by exactly that tuple. Solves run under the request
+// solve cache. Its key holds only the fields the algorithm reads, as
+// GET /v1/algorithms lists them, so every seed of a deterministic
+// algorithm shares one entry. Solves run under the request
 // context (a per-solve deadline or a client disconnect aborts the run at
 // its next round barrier and frees the Runner), concurrent cold requests
 // for the same graph share one build via singleflight, and /v1/metrics

@@ -9,6 +9,13 @@ import (
 // AlgorithmInfo documents one servable algorithm: its name, the request
 // parameters it reads, and, in the table, the library entry point those
 // parameters map onto (never encoded; decoded infos have none).
+//
+// Params is the declaration of every request parameter a run reads, by
+// its JSON name ("alpha", "eps", "t", "k", "seed"): the seed appears only
+// for the algorithms that draw node randomness. Key keeps the declared
+// parameters and zeroes the rest, and Run runs with the rest zeroed, so a
+// field outside Params never reaches the run and never splits the solve
+// cache. TestParamsTruthful holds every entry to its list.
 type AlgorithmInfo struct {
 	Name        string   `json:"name"`
 	Params      []string `json:"params,omitempty"`
@@ -27,11 +34,11 @@ var Algorithms = []AlgorithmInfo{
 		func(g *arbods.Graph, r *SolveRequest, o []arbods.Option) (*arbods.Report, error) {
 			return arbods.WeightedDeterministic(g, r.Alpha, r.Eps, o...)
 		}},
-	{"thm1.2", []string{"alpha", "t"}, "randomized α+O(α/t)-approx in expectation, weighted, O(t·log Δ) rounds",
+	{"thm1.2", []string{"alpha", "t", "seed"}, "randomized α+O(α/t)-approx in expectation, weighted, O(t·log Δ) rounds",
 		func(g *arbods.Graph, r *SolveRequest, o []arbods.Option) (*arbods.Report, error) {
 			return arbods.WeightedRandomized(g, r.Alpha, r.T, o...)
 		}},
-	{"thm1.3", []string{"k"}, "randomized O(kΔ^{2/k})-approx in expectation, general graphs, O(k²) rounds",
+	{"thm1.3", []string{"k", "seed"}, "randomized O(kΔ^{2/k})-approx in expectation, general graphs, O(k²) rounds",
 		func(g *arbods.Graph, r *SolveRequest, o []arbods.Option) (*arbods.Report, error) {
 			return arbods.GeneralGraphs(g, r.K, o...)
 		}},
@@ -51,11 +58,11 @@ var Algorithms = []AlgorithmInfo{
 		func(g *arbods.Graph, _ *SolveRequest, o []arbods.Option) (*arbods.Report, error) {
 			return arbods.LWBucketDeterministic(g, o...)
 		}},
-	{"lrg", nil, "Jia–Rajaraman–Suel local randomized greedy baseline, unweighted",
+	{"lrg", []string{"seed"}, "Jia–Rajaraman–Suel local randomized greedy baseline, unweighted",
 		func(g *arbods.Graph, _ *SolveRequest, o []arbods.Option) (*arbods.Report, error) {
 			return arbods.LRGRandomized(g, o...)
 		}},
-	{"kw05", []string{"k"}, "Kuhn–Wattenhofer fractional+rounding baseline, unweighted",
+	{"kw05", []string{"k", "seed"}, "Kuhn–Wattenhofer fractional+rounding baseline, unweighted",
 		func(g *arbods.Graph, r *SolveRequest, o []arbods.Option) (*arbods.Report, error) {
 			rep, _, err := arbods.KW05(g, r.K, o...)
 			return rep, err
@@ -82,18 +89,57 @@ func Options(r *SolveRequest) ([]arbods.Option, error) {
 	return opts, nil
 }
 
+// runFields returns r with every parameter its algorithm does not
+// declare in Params zeroed; an unknown algorithm keeps them all. The
+// graph, algorithm, mode, round cap and presentation fields always stay.
+func runFields(r SolveRequest) SolveRequest {
+	a := lookup(r.Algorithm)
+	if a == nil {
+		return r
+	}
+	out := r
+	out.Alpha, out.Eps, out.T, out.K, out.Seed = 0, 0, 0, 0, 0
+	for _, p := range a.Params {
+		switch p {
+		case "alpha":
+			out.Alpha = r.Alpha
+		case "eps":
+			out.Eps = r.Eps
+		case "t":
+			out.T = r.T
+		case "k":
+			out.K = r.K
+		case "seed":
+			out.Seed = r.Seed
+		}
+	}
+	return out
+}
+
+// lookup returns the table entry named name, or nil.
+func lookup(name string) *AlgorithmInfo {
+	for i := range Algorithms {
+		if Algorithms[i].Name == name {
+			return &Algorithms[i]
+		}
+	}
+	return nil
+}
+
 // Run executes the normalized request on g: the table's algorithm with
-// the request's parameters, under the request's Options followed by
-// opts (context, Runner, workers — whatever the caller adds).
+// the parameters it declares, under the request's Options followed by
+// opts (context, Runner, workers — whatever the caller adds). The
+// undeclared parameters are zeroed first, as Key zeroes them, so a cached
+// answer is by construction what a run of its key returns.
 func Run(g *arbods.Graph, r *SolveRequest, opts ...arbods.Option) (*arbods.Report, error) {
-	all, err := Options(r)
+	run := runFields(*r)
+	all, err := Options(&run)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range Algorithms {
-		if a.Name == r.Algorithm {
-			return a.run(g, r, append(all, opts...))
-		}
+	a := lookup(run.Algorithm)
+	if a == nil {
+		return nil, fmt.Errorf("unknown algorithm %q (see GET /v1/algorithms)", r.Algorithm)
 	}
-	return nil, fmt.Errorf("unknown algorithm %q (see GET /v1/algorithms)", r.Algorithm)
+	return a.run(g, &run, append(all, opts...))
 }

@@ -28,10 +28,12 @@ type SolveRequest struct {
 	// Alpha pins the arboricity bound (0 = the graph's certified
 	// default: generator bound, else degeneracy).
 	Alpha int     `json:"alpha,omitempty"`
-	Eps   float64 `json:"eps,omitempty"`  // default 0.2
-	T     int     `json:"t,omitempty"`    // thm1.2 (default 2)
-	K     int     `json:"k,omitempty"`    // thm1.3 / kw05 (default 2)
-	Seed  uint64  `json:"seed,omitempty"` // run seed (deterministic per seed)
+	Eps   float64 `json:"eps,omitempty"` // default 0.2
+	T     int     `json:"t,omitempty"`   // thm1.2 (default 2)
+	K     int     `json:"k,omitempty"`   // thm1.3 / kw05 (default 2)
+	// Seed seeds the node randomness of the algorithms whose Params list
+	// "seed"; the deterministic ones ignore it, and their cache key drops it.
+	Seed uint64 `json:"seed,omitempty"`
 
 	// Mode is "congest" (default, strict bandwidth), "audit", or "local".
 	Mode      string `json:"mode,omitempty"`
@@ -81,12 +83,16 @@ func Normalize(r *SolveRequest, alpha int) {
 	}
 }
 
-// Key is the solve-cache key of a normalized request: the request itself,
-// with the resolved graph ID in place of the reference and the
-// presentation fields (IncludeDS, Stream) cleared. Every run-shaping
-// field participates, so requests that normalize equal share one answer
-// and unequal ones never collide.
+// Key is the solve-cache key of a normalized request: the graph ID in
+// place of the reference, the algorithm, the mode, the round cap, and the
+// parameters the algorithm declares in its Params, with every other field
+// zeroed (an unknown algorithm keeps them all). Requests that normalize
+// equal share one answer, and so do requests that differ only in a field
+// their algorithm never reads, such as the seed of a deterministic one;
+// requests whose runs can differ never collide. The presentation fields
+// (IncludeDS, Stream) are cleared: the cache stores the whole answer.
 func Key(r SolveRequest, graphID string) SolveRequest {
+	r = runFields(r)
 	r.Graph = graphID
 	r.IncludeDS, r.Stream = false, false
 	return r

@@ -89,3 +89,22 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkID measures the content address every text upload and spec
+// build pays, on the same four families at n=20000: the sha256 of the
+// ARBCSR01 encoding, streamed in chunks rather than built as one blob.
+func BenchmarkID(b *testing.B) {
+	for _, spec := range []string{"forest:n=20000,k=3", "ba:n=20000,m=3", "geom:n=20000,r=0.012", "er:n=20000,p=0.0002"} {
+		w, err := gen.Parse(spec + ",seed=1/uniform:max=100,seed=1")
+		if err != nil {
+			b.Fatal(err)
+		}
+		family, _, _ := strings.Cut(spec, ":")
+		b.Run(family, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				graph.ID(w.G)
+			}
+		})
+	}
+}

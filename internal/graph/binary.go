@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"slices"
@@ -46,31 +47,88 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // extended slice. It is the one canonical byte form of a graph: ID hashes
 // it, and the disk snapshots and the binary wire carry it.
 func AppendBinary(dst []byte, g *Graph) []byte {
-	n := g.N()
+	size := binaryHeader + 4*g.N() + 4*len(g.adj) + 4
+	if !g.Unweighted() {
+		size += 8 * g.N()
+	}
+	e := binaryEncoder{buf: slices.Grow(dst, size), done: len(dst)}
+	e.encode(g)
+	return e.buf
+}
+
+// binaryChunk is how many bytes of an encoding binaryEncoder appends
+// between two checksum updates; ID hashes and drops each chunk, so it
+// bounds what hashing a graph allocates.
+const binaryChunk = 16 << 10
+
+// binaryEncoder is the one ARBCSR01 encoder, feeding both of its uses:
+// with h nil it keeps the whole encoding in buf (AppendBinary), and with
+// h set it hashes each chunk and reuses buf (ID; a hash.Hash Write never
+// returns an error). The CRC-32C trailer is computed over the same chunks.
+type binaryEncoder struct {
+	buf  []byte
+	done int // buf[done:] is not yet checksummed
+	crc  uint32
+	h    hash.Hash
+}
+
+func (e *binaryEncoder) encode(g *Graph) {
 	form := byte(0)
-	size := binaryHeader + 4*n + 4*len(g.adj) + 4
 	if !g.Unweighted() {
 		form = 1
-		size += 8 * n
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, size)
-	dst = append(dst, binaryMagic...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(g.adj)))
-	dst = append(dst, form)
-	for _, o := range g.offsets[1:] {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(o))
-	}
-	for _, u := range g.adj {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(u))
-	}
+	e.buf = append(e.buf, binaryMagic...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(g.N()))
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(len(g.adj)))
+	e.buf = append(e.buf, form)
+	e.int32s(g.offsets[1:])
+	e.int32s(g.adj)
 	if form == 1 {
-		for _, wt := range g.weights {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(wt))
-		}
+		e.int64s(g.weights)
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+	e.flush()
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, e.crc)
+	if e.h != nil {
+		_, _ = e.h.Write(e.buf)
+	}
+}
+
+// int32s appends vs as little-endian uint32s, a chunk at a time.
+func (e *binaryEncoder) int32s(vs []int32) {
+	for len(vs) > 0 {
+		k := min(len(vs), binaryChunk/4)
+		buf := e.buf // a local, so the loop keeps the slice in registers
+		for _, v := range vs[:k] {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		e.buf, vs = buf, vs[k:]
+		e.flush()
+	}
+}
+
+// int64s appends vs as little-endian uint64s, a chunk at a time.
+func (e *binaryEncoder) int64s(vs []int64) {
+	for len(vs) > 0 {
+		k := min(len(vs), binaryChunk/8)
+		buf := e.buf // a local, so the loop keeps the slice in registers
+		for _, v := range vs[:k] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		e.buf, vs = buf, vs[k:]
+		e.flush()
+	}
+}
+
+// flush checksums the bytes appended since the last flush and, when
+// hashing, hashes them and empties buf.
+func (e *binaryEncoder) flush() {
+	e.crc = crc32.Update(e.crc, castagnoli, e.buf[e.done:])
+	if e.h == nil {
+		e.done = len(e.buf)
+		return
+	}
+	_, _ = e.h.Write(e.buf)
+	e.buf = e.buf[:0]
 }
 
 // MaxBinaryNodes returns the most nodes an ARBCSR01 blob of at most size
@@ -89,8 +147,13 @@ func EncodeBinary(w io.Writer, g *Graph) error {
 // ID returns g's content address: "sha256:" followed by the hex SHA-256
 // of its ARBCSR01 encoding. Neighbor lists are sorted and the weight form
 // is fixed by the weights, so every graph has exactly one encoding, and
-// the same labelled graph shares an ID however it arrived.
-func ID(g *Graph) string { return blobID(AppendBinary(nil, g)) }
+// the same labelled graph shares an ID however it arrived. The encoding
+// is hashed chunk by chunk as it is produced, never held whole.
+func ID(g *Graph) string {
+	e := binaryEncoder{buf: make([]byte, 0, binaryHeader+binaryChunk), h: sha256.New()}
+	e.encode(g)
+	return "sha256:" + hex.EncodeToString(e.h.Sum(nil))
+}
 
 // blobID is the content address of an ARBCSR01 blob.
 func blobID(blob []byte) string {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -131,6 +132,37 @@ func TestID(t *testing.T) {
 		if want := "sha256:" + hex.EncodeToString(sum[:]); got != want {
 			t.Errorf("%s: ID = %s, sha256 of EncodeBinary = %s", c.name, got, want)
 		}
+	}
+}
+
+// TestIDMemory bounds what ID allocates: the encoding is hashed chunk by
+// chunk as it is produced, so a weighted 20000-node 3-forest union, whose
+// encoding is ~720 KB, costs a chunk buffer and the hash state.
+func TestIDMemory(t *testing.T) {
+	const n = 20000
+	rng := rand.New(rand.NewSource(1))
+	b := NewBuilder(n)
+	for range 3 {
+		for v := 1; v < n; v++ {
+			b.AddEdge(v, rng.Intn(v))
+		}
+	}
+	for v := range n {
+		b.SetWeight(v, 1+rng.Int63n(100))
+	}
+	g := b.MustBuild()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	id := ID(g)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("ID allocated %d bytes for a %d-byte encoding, want < 64 KiB", got, len(AppendBinary(nil, g)))
+	}
+	// The blob spans many chunks: its checksum must verify, and its hash
+	// must be the streamed ID.
+	if _, blobID, err := DecodeBinaryID(AppendBinary(nil, g)); err != nil || blobID != id {
+		t.Fatalf("AppendBinary blob: id %s, err %v; ID = %s", blobID, err, id)
 	}
 }
 

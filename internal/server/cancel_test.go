@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -66,9 +67,15 @@ func TestClientDisconnectWhileQueued(t *testing.T) {
 	// Starve the pool and park a request on the checkout queue. Its client
 	// context dies 30ms in; the handler must notice and bail out.
 	held := s.pool.Get()
+	// A failure below must still put the Runner back, or Close waits on it
+	// until the test binary times out.
+	release := sync.OnceFunc(func() { s.pool.Put(held) })
+	defer release()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if _, _, err := solve(ctx, SolveRequest{Graph: "spec:cycle:n=64", Algorithm: "thm1.1", Seed: 10}); err == nil {
+	// It differs from the reference in ε, a parameter thm1.1 reads, so the
+	// solve cache cannot answer it before it queues.
+	if _, _, err := solve(ctx, SolveRequest{Graph: "spec:cycle:n=64", Algorithm: "thm1.1", Eps: 0.35, Seed: 9}); err == nil {
 		t.Fatal("queued solve finished despite a starved pool and a dead client")
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -78,7 +85,7 @@ func TestClientDisconnectWhileQueued(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.pool.Put(held)
+	release()
 
 	// The slot must serve again, and an engine rerun of the reference
 	// request (streamed, so the solve cache cannot answer) must be

@@ -512,8 +512,9 @@ func TestAdaptiveRetryAfter(t *testing.T) {
 
 	// …so the next shed must hint ⌈(queued+1)·mean/workers⌉ ≥ 2 seconds.
 	reg.Arm("server.admit", faultinject.Fault{Round: -1, Err: faultinject.ErrInjected})
+	// A different ε, so the solve cache cannot answer before admission.
 	resp, body := postJSON(t, ts.URL+"/v1/solve",
-		server.SolveRequest{Graph: "spec:cycle:n=64", Algorithm: "thm1.1", Seed: 7})
+		server.SolveRequest{Graph: "spec:cycle:n=64", Algorithm: "thm1.1", Eps: 0.35, Seed: 6})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflowed solve: status %d: %s", resp.StatusCode, body)
 	}

@@ -21,8 +21,9 @@
 //   - long runs stream round-level progress as NDJSON when the request
 //     asks for it, riding the engine's WithRoundObserver hook;
 //   - that same determinism powers a response-level solve cache: answers
-//     are keyed by (graph, algorithm, parameters, seed) after default
-//     normalization, so a repeated request skips the engine and returns
+//     are keyed by api.Key, the normalized request reduced to the fields
+//     its algorithm reads, so a repeated request, or one that differs
+//     only in a field the algorithm ignores, skips the engine and returns
 //     the byte-identical receipt from an LRU of past answers;
 //   - concurrent cold builds of the same graph reference coalesce through
 //     a singleflight group — one build, many waiters;

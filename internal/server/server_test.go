@@ -575,8 +575,10 @@ func serverStats(t *testing.T, base string) server.Stats {
 
 // TestSolveCacheHit pins the response-level cache: a repeated identical
 // solve is answered from the cache — no engine run — with the
-// byte-identical receipt and dominating set, and the hit/miss counters
-// move accordingly.
+// byte-identical receipt and dominating set, and so is a request that
+// differs only in a field its algorithm does not read (thm1.1's seed).
+// A field the algorithm reads (thm1.2's seed) is a different answer, and
+// the hit/miss counters move accordingly.
 func TestSolveCacheHit(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{PoolSize: 1})
 	req := server.SolveRequest{
@@ -607,20 +609,37 @@ func TestSolveCacheHit(t *testing.T) {
 	if !spelled.SolveCached || !bytes.Equal(first.Receipt, spelled.Receipt) {
 		t.Fatal("normalized-equivalent request missed the solve cache")
 	}
-	// A different seed is a different answer, not a hit.
-	_, other, _ := solveRaw(t, ts.URL, server.SolveRequest{
+	// thm1.1 is deterministic: another seed is the same answer, served
+	// from the cache, while the response still echoes the seed asked for.
+	_, reseeded, _ := solveRaw(t, ts.URL, server.SolveRequest{
 		Graph: "spec:cycle:n=60", Algorithm: "thm1.1", Seed: 8, IncludeDS: true,
 	})
-	if other.SolveCached {
-		t.Fatal("different seed served from the solve cache")
+	if !reseeded.SolveCached || !bytes.Equal(first.Receipt, reseeded.Receipt) || !slices.Equal(first.DS, reseeded.DS) {
+		t.Fatal("thm1.1 at another seed missed the solve cache or changed the answer")
+	}
+	if reseeded.Seed != 8 {
+		t.Fatalf("response seed = %d, want the requested 8", reseeded.Seed)
+	}
+
+	// thm1.2 reads its seed: a different seed is a different answer, not
+	// a hit.
+	randomized := server.SolveRequest{Graph: "spec:cycle:n=60", Algorithm: "thm1.2", Seed: 7, IncludeDS: true}
+	_, r7, _ := solveRaw(t, ts.URL, randomized)
+	randomized.Seed = 8
+	_, r8, _ := solveRaw(t, ts.URL, randomized)
+	if r7.SolveCached || r8.SolveCached {
+		t.Fatalf("thm1.2 served from the solve cache (seed 7: %v, seed 8: %v)", r7.SolveCached, r8.SolveCached)
+	}
+	if bytes.Equal(r7.Receipt, r8.Receipt) && slices.Equal(r7.DS, r8.DS) {
+		t.Fatal("thm1.2 gave the same answer at seeds 7 and 8; the check cannot tell a seed that matters")
 	}
 
 	stats := serverStats(t, ts.URL)
-	if stats.SolveCacheHits != 2 || stats.SolveCacheMisses != 2 {
-		t.Fatalf("solve cache counters hits=%d misses=%d, want 2/2", stats.SolveCacheHits, stats.SolveCacheMisses)
+	if stats.SolveCacheHits != 3 || stats.SolveCacheMisses != 3 {
+		t.Fatalf("solve cache counters hits=%d misses=%d, want 3/3", stats.SolveCacheHits, stats.SolveCacheMisses)
 	}
-	if stats.Solves != 4 {
-		t.Fatalf("solves=%d, want 4 (cached answers count as served solves)", stats.Solves)
+	if stats.Solves != 6 {
+		t.Fatalf("solves=%d, want 6 (cached answers count as served solves)", stats.Solves)
 	}
 }
 

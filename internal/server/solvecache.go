@@ -19,10 +19,12 @@ type solveAnswer struct {
 // (graph, algorithm, parameters, seed) — randomized algorithms included,
 // since per-node streams derive from (seed, nodeID) — so a repeated
 // request can skip the engine entirely and return the byte-identical
-// receipt. Keyed by api.Key (the normalized request with
-// the graph ID in place of its reference; presentation fields cleared,
+// receipt. Keyed by api.Key: the normalized request with the graph ID in
+// place of its reference, holding only the fields the algorithm reads
+// (its AlgorithmInfo.Params, plus mode and round cap), so a new seed for
+// a deterministic algorithm is a hit. Presentation fields are cleared,
 // since the cache stores the full answer and the handler shapes the
-// response), bounded by entry count, LRU-evicted.
+// response. Bounded by entry count, LRU-evicted.
 type solveCache struct {
 	mu      sync.Mutex
 	answers *lru[api.SolveRequest, solveAnswer]
