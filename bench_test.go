@@ -8,10 +8,13 @@ package arbods_test
 // bottom measure the simulator and the core algorithms in isolation.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"arbods"
 	"arbods/internal/bench"
+	"arbods/internal/gen"
 )
 
 func runExperiment(b *testing.B, id string) {
@@ -102,6 +105,48 @@ func BenchmarkWeightedRandomized(b *testing.B) {
 		if !rep.AllDominated {
 			b.Fatal("undominated")
 		}
+	}
+}
+
+// BenchmarkWeightedRandomizedServe measures the Theorem 1.2 solves that
+// still reach the engine on the serving read path: the four serving
+// families at n=20000 with uniform weights up to 100 (the repo benchmark's
+// first four serve_read graphs at its seed 1), α = the graph's degeneracy
+// and t = 2 (the daemon's defaults for an uploaded graph), one worker on a
+// warm Runner (the daemon's pool gives each solve GOMAXPROCS/pool-size
+// workers) and a fresh seed per run. λ(Δ+1) < 1 on three of the families,
+// so their run is the Lemma 4.6 extension alone.
+func BenchmarkWeightedRandomizedServe(b *testing.B) {
+	specs := []string{"forest:n=20000,k=3", "ba:n=20000,m=3", "geom:n=20000,r=0.012", "er:n=20000,p=0.0002"}
+	for i, spec := range specs {
+		s := 8 + i // serve_read's graph i: seed·8 + i at seed 1
+		w, err := gen.Parse(fmt.Sprintf("%s,seed=%d/uniform:max=100,seed=%d", spec, s, s))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := w.G
+		_, alpha := arbods.Degeneracy(g)
+		family, _, _ := strings.Cut(spec, ":")
+		b.Run(family, func(b *testing.B) {
+			r := arbods.NewRunner()
+			defer r.Close()
+			solve := func(seed uint64) {
+				rep, err := arbods.WeightedRandomized(g, alpha, 2,
+					arbods.WithSeed(seed), arbods.WithWorkers(1), arbods.WithRunner(r))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.AllDominated {
+					b.Fatal("undominated")
+				}
+			}
+			solve(1000) // warm the Runner
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				solve(uint64(1001 + i))
+			}
+		})
 	}
 }
 

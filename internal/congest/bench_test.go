@@ -290,11 +290,21 @@ func BenchmarkRouteTargeted(b *testing.B) {
 
 // sparseEchoProc is the light-round workload: in each of `rounds` rounds a
 // hashed 1% of the nodes broadcast, the shape of the Lemma 4.6 extension
-// rounds, where only sampled and newly dominated nodes speak.
+// rounds, where only sampled and newly dominated nodes speak. With sleep
+// set a node sleeps until the next round in which it speaks, as an
+// extension node outside Γ sleeps until the next phase, and mail wakes it;
+// the sums come out the same either way.
 type sparseEchoProc struct {
 	ni     congest.NodeInfo
 	rounds int
+	sleep  bool
 	sum    int64
+}
+
+// speaks reports whether node v broadcasts in round r.
+func speaks(v, r int) bool {
+	h := (uint64(v)<<32 | uint64(r)) * 0x9E3779B97F4A7C15
+	return (h^h>>32)%100 == 0
 }
 
 func (p *sparseEchoProc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
@@ -304,9 +314,15 @@ func (p *sparseEchoProc) Step(round int, in []congest.Incoming, s *congest.Sende
 	if round >= p.rounds {
 		return true
 	}
-	h := (uint64(p.ni.ID)<<32 | uint64(round)) * 0x9E3779B97F4A7C15
-	if (h^h>>32)%100 == 0 {
+	if speaks(p.ni.ID, round) {
 		s.Broadcast(packPing(int64(round)))
+	}
+	if p.sleep {
+		next := round + 1
+		for next < p.rounds && !speaks(p.ni.ID, next) {
+			next++
+		}
+		congest.SleepUntil(s, next)
 	}
 	return false
 }
@@ -319,37 +335,53 @@ func (p *sparseEchoProc) Output() int64 { return p.sum }
 // each of 100 rounds — a few thousand messages per round. Every round
 // after the first follows a sparse one, so it pulls only at the marked
 // receivers and is stepped on the node-count layout: ns/round is the
-// per-node Step floor plus the mark pass, not a walk of every slot.
+// per-node Step floor plus the mark pass, not a walk of every slot. The
+// sleep rows run the same traffic with every node asleep between the
+// rounds it speaks in, so only speakers and receivers are stepped.
 func BenchmarkRunSparse(b *testing.B) {
 	const rounds = 100
 	g := gen.BarabasiAlbert(100_000, 3, 1).G
 	slab := make([]sparseEchoProc, g.N())
-	factory := func(ni congest.NodeInfo) congest.Proc[int64] {
-		p := &slab[ni.ID]
-		*p = sparseEchoProc{ni: ni, rounds: rounds}
-		return p
+	var sums [2]int64 // total received, awake and asleep
+	for i, sleep := range []bool{false, true} {
+		factory := func(ni congest.NodeInfo) congest.Proc[int64] {
+			p := &slab[ni.ID]
+			*p = sparseEchoProc{ni: ni, rounds: rounds, sleep: sleep}
+			return p
+		}
+		prefix := ""
+		if sleep {
+			prefix = "sleep/"
+		}
+		for _, w := range benchWorkers() {
+			b.Run(fmt.Sprintf("%sworkers=%d", prefix, w), func(b *testing.B) {
+				r := congest.NewRunner()
+				defer r.Close()
+				run := func() {
+					res, err := congest.Run(g, factory, congest.WithSeed(1), congest.WithWorkers(w),
+						congest.WithMode(congest.Local), congest.WithRunner(r))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Messages == 0 {
+						b.Fatal("no traffic routed")
+					}
+					sums[i] = 0
+					for _, x := range res.Outputs {
+						sums[i] += x
+					}
+				}
+				run() // warm the Runner and the graph's pages
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((rounds+1)*b.N), "ns/round")
+			})
+		}
 	}
-	for _, w := range benchWorkers() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			r := congest.NewRunner()
-			defer r.Close()
-			run := func() {
-				res, err := congest.Run(g, factory, congest.WithSeed(1), congest.WithWorkers(w),
-					congest.WithMode(congest.Local), congest.WithRunner(r))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Messages == 0 {
-					b.Fatal("no traffic routed")
-				}
-			}
-			run() // warm the Runner and the graph's pages
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((rounds+1)*b.N), "ns/round")
-		})
+	if sums[1] != sums[0] {
+		b.Fatalf("sleeping nodes received %d, awake ones %d", sums[1], sums[0])
 	}
 }

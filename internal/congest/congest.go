@@ -47,7 +47,13 @@
 // no per-node list exists. The slabs grow by append and hold multi-send
 // traffic only, so a round in which every node sends one packet leaves
 // them empty. Nothing is sized by the message volume: an inbox exists only
-// while its node steps.
+// while its node steps. One int32 per node, the done array, says whether
+// to step it: 0 while it runs, terminated once it has returned true, and
+// otherwise the round a sleeping node wakes in. A node sleeps when its
+// Step calls SleepUntil, a function of this internal package that only the
+// library's own procs can call (the public Sender has no such method): the
+// engine then skips its Step in every earlier round in which its inbox is
+// empty, while counting it as active, so a sleep changes no transcript.
 // A plain Run builds a transient Runner and discards
 // it; serving-style callers create one Runner, pass it to every run with
 // WithRunner, and amortize all of the setup — repeated runs on the same
@@ -77,7 +83,9 @@
 // shard listed, in O(M + n/64). The next round is light: only marked nodes
 // pull, with the same walk, so the inboxes are exactly those of a full
 // walk. A dense round costs O((m+n)/W) on W workers; a light round costs
-// O(n/W) plus the serial mark pass and the marked nodes' walks. Dense
+// O(n/W) plus the serial mark pass and the marked nodes' walks, and its
+// per-node floor is one Step call per awake node: a sleeper without mail
+// costs a read of its done entry and a store to its sent flag. Dense
 // rounds cut shard boundaries by cumulative degree (node weight deg+1, one
 // binary search per boundary on the graph's CSR offsets), so hubs don't
 // serialize one shard; on regular graphs the cut equals the node-count
@@ -105,6 +113,7 @@ package congest
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -397,11 +406,37 @@ func spill(w, bcAt, tgAt, nbc, n int) outbox {
 // append and keep their capacity across rounds and runs.
 type Sender struct {
 	owner     int32
+	wake      int32 // the owner's wake round, set by SleepUntil; 0 = none
 	neighbors []int32
 	bc        []Packet    // the shard's broadcast slab, appended in node order
 	tg        []outPacket // the shard's targeted-send slab, appended in node order
 	bcStart   int         // len(bc) when the owner's Step began
 	err       error
+}
+
+// terminated is the done entry of a node whose Step returned true: a wake
+// round no run reaches, so the step loop's one comparison skips both
+// terminated and sleeping nodes.
+const terminated = math.MaxInt32
+
+// SleepUntil lets the node that s is stepping skip its Step in every round
+// before round in which its inbox is empty. A message wakes it for the
+// round it arrives in, and round itself wakes it. A sleeper stays active:
+// Rounds, RoundStats' ActiveNodes and DroppedMessages read as if it had
+// been stepped. A sleep lasts until the node's next Step, which must call
+// SleepUntil again to keep sleeping; within one Step the last call wins,
+// so SleepUntil(s, r+1) in round r cancels an earlier one.
+//
+// The engine cannot check that a skipped Step would have done nothing, so
+// a proc may sleep only through rounds in which a Step with an empty inbox
+// would send nothing, change nothing and draw no randomness: a proc that
+// sleeps takes its schedule from the round number, not from counting its
+// own steps. That contract is why SleepUntil is a function of this
+// internal package and not a Sender method: only the library's own procs,
+// whose transcripts its goldens pin, can call it, and the public Sender
+// does not gain it.
+func SleepUntil(s *Sender, round int) {
+	s.wake = int32(min(max(round, 0), terminated-1))
 }
 
 // Send sends p to neighbor `to` (delivered next round). Sending to a

@@ -14,7 +14,7 @@ const parallelStepMin = 64
 
 // engine is the per-run, output-typed veneer over a Runner. The Runner
 // (embedded) owns everything O-independent — outbox records and slabs,
-// done flags, marks, both shard layouts, inbox scratch, worker pool,
+// done entries, marks, both shard layouts, inbox scratch, worker pool,
 // arena — and persists across runs; the engine adds the run's config, the
 // procs, and the result.
 //
@@ -24,7 +24,7 @@ const parallelStepMin = 64
 // the inbox is ordered by (sender ID, send index) by construction, not by
 // any merge. Round r writes the outbox set of parity r and reads the
 // other one, which round r-1 wrote, so the walks race with no sends. Each
-// node touches only its own proc, done flag and outbox record, and
+// node touches only its own proc, done entry and outbox record, and
 // appends to its shard's slabs, so shards race on nothing.
 //
 // A round's cost follows the previous round's traffic. After a dense

@@ -36,7 +36,12 @@ type Runner struct {
 	sent [2][]bool   // per node: queued any message that round
 	outs [2][]outbox // per-node traffic heads, valid where sent
 
-	done []bool
+	// done is each node's run state: 0 while it runs, terminated once its
+	// Step returned true, and in between the round a sleeping node is
+	// stepped again even with an empty inbox (see SleepUntil). One array
+	// serves both, so the step loop reads one word per node to know whether
+	// to step it.
+	done []int32
 	// marks has one bit per node: after a sparse round, the mark pass sets
 	// the bit of every receiver of that round's sends, and the light round
 	// that follows pulls at marked nodes only.
@@ -126,7 +131,7 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 		r.arena.first = g.DegreeSum()
 		r.workers = 0 // force a shard-layout rebuild below
 	} else {
-		clear(r.done)
+		clear(r.done) // no termination or sleep survives into the next run
 	}
 	// Round 0 is light (no round precedes it), so it pulls only at marked
 	// nodes: no mark may survive from an earlier run, whose outboxes are

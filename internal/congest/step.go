@@ -71,8 +71,9 @@ type stepShard struct {
 	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
-// stepRange steps every node in shard w's range. Each node writes only
-// its own proc, done flag and outbox record, reads only its neighbors'
+// stepRange steps every node in shard w's range, except those that have
+// terminated and those asleep with an empty inbox. Each node writes only
+// its own proc, done entry and outbox record, reads only its neighbors'
 // previous-round outboxes, and appends only to this shard's slabs and
 // inbox scratch, so shards are race-free.
 //
@@ -119,27 +120,39 @@ func (e *engine[O]) stepRange(w int) {
 	if light {
 		bounds = e.nodeBounds
 	}
-	in := s.in
+	in, done := s.in, e.done
 	for v := int(bounds[w]); v < int(bounds[w+1]); v++ {
 		s.cur = v
 		in = in[:0]
 		if !light || marks.has(v) {
 			in = e.pullInbox(in, v, prev)
 		}
-		if e.done[v] {
-			// Terminated nodes stay silent, and whatever reaches them is
-			// counted and dropped.
+		wake := done[v]
+		if int(wake) > round {
 			sent[v] = false
-			s.dropped += int64(len(in))
-			continue
+			if wake == terminated {
+				// Terminated nodes stay silent, and whatever reaches them
+				// is counted and dropped.
+				s.dropped += int64(len(in))
+				continue
+			}
+			if len(in) == 0 {
+				// A sleeper with no mail is not stepped, but it is still
+				// running.
+				s.active++
+				continue
+			}
 		}
-		snd.owner, snd.neighbors, snd.err = int32(v), e.g.Neighbors(v), nil
+		snd.owner, snd.neighbors, snd.err, snd.wake = int32(v), e.g.Neighbors(v), nil, 0
 		b0, t0 := len(snd.bc), len(snd.tg)
 		snd.bcStart = b0
 		if e.procs[v].Step(round, in, snd) {
-			e.done[v] = true
+			done[v] = terminated
 		} else {
 			s.active++
+			if snd.wake != wake {
+				done[v] = snd.wake
+			}
 		}
 		if snd.err != nil && s.err == nil {
 			s.err = snd.err

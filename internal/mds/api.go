@@ -329,6 +329,7 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 	params.pow = newPowTable(1+params.eps, params.r+1)
 	params.delta = g.MaxDegree()
 	if params.mode == completeExtension {
+		params.extStart = 2*params.r + 2 // weight exchange, setup, r two-round iterations
 		params.extIters = extensionIterations(params.gamma, params.delta)
 		params.extPhases = extensionPhases(params.gamma, params.lambda)
 		params.ext = make([]extState, g.N())
@@ -337,7 +338,15 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 	factory := func(ni congest.NodeInfo) congest.Proc[Output] {
 		pr := &slab[ni.ID]
 		pr.init(&params, ni)
+		if wrapProc != nil {
+			return wrapProc(pr)
+		}
 		return pr
 	}
 	return congest.Run(g, factory, all...)
 }
+
+// wrapProc, when set, wraps every proc run builds. Only tests set it: they
+// run the shipped procs with every sleep cancelled, the reference that a
+// run whose nodes sleep must equal.
+var wrapProc func(congest.Proc[Output]) congest.Proc[Output]

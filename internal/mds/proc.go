@@ -75,11 +75,13 @@ type detParams struct {
 	// The rest depends only on the globally known parameters, so run fills
 	// it in once and every proc shares it through one pointer: r is the
 	// Lemma 4.1 iteration count, pow the run's (1+ε)^k for every exponent a
-	// packing message can carry (k ≤ r), delta is Δ, and extIters and
-	// extPhases are the Lemma 4.6 schedule (extension mode only).
+	// packing message can carry (k ≤ r), delta is Δ, and extStart,
+	// extIters and extPhases are the Lemma 4.6 schedule (extension mode
+	// only), from which every node reads its position off the round number.
 	r         int
 	pow       *powTable
 	delta     int
+	extStart  int // round of the extension's first ExtA: 2r+2
 	extIters  int // iterations per phase: ⌈log_γ(Δ+1)⌉ + 1
 	extPhases int // phases: ⌈log_γ(1/λ)⌉
 
@@ -115,7 +117,9 @@ func (t *powTable) at(k int32) float64 {
 
 // stage is the proc's position in the globally synchronized schedule. All
 // nodes transition through stages in lockstep because transitions depend
-// only on the globally known parameters (n, Δ, α, ε, λ, γ).
+// only on the globally known parameters (n, Δ, α, ε, λ, γ). The extension
+// is one stage: its nodes sleep through rounds, so they read their step
+// within it off the round number instead of counting their own steps.
 type stage uint8
 
 const (
@@ -125,8 +129,7 @@ const (
 	stIterB                     // absorb joins; bump x; broadcast packing (+ dom at handoff)
 	stCompReq                   // undominated nodes request their τ-neighbor
 	stCompJoin                  // requested nodes join S′
-	stExtA                      // phase/iteration bookkeeping; sample Γ; broadcast join
-	stExtB                      // absorb joins; newly dominated broadcast dom
+	stExt                       // Lemma 4.6 extension: ExtA and ExtB by round parity (see extStep)
 	stDone
 )
 
@@ -167,11 +170,8 @@ type extState struct {
 	// nbrDom caches which neighbors are dominated, indexed like nbrX.
 	nbrDom []bool
 	rand   rng.Stream
-	prob   float64 // sampling probability
-
-	// Extension position.
-	phaseIdx int32
-	iterIdx  int32
+	prob   float64 // sampling probability, read only while in Γ
+	undom  int32   // neighbors not yet known to be dominated (false in nbrDom)
 
 	// Lemma 4.7 bookkeeping.
 	cv     int32 // c_v: sampled dominators at first domination
@@ -179,6 +179,14 @@ type extState struct {
 	cvSelf bool  // this node sampled itself while undominated last round
 
 	inGamma bool
+}
+
+// markDom records that neighbor i is dominated.
+func (e *extState) markDom(i int32) {
+	if !e.nbrDom[i] {
+		e.nbrDom[i] = true
+		e.undom--
+	}
 }
 
 var _ congest.Proc[Output] = (*proc)(nil)
@@ -195,7 +203,7 @@ func (pr *proc) init(p *detParams, ni congest.NodeInfo) {
 		st:     stInit,
 	}
 	if p.ext != nil {
-		p.ext[ni.ID] = extState{nbrDom: ni.Arena.Bools(deg), rand: ni.Rand}
+		p.ext[ni.ID] = extState{nbrDom: ni.Arena.Bools(deg), rand: ni.Rand, undom: int32(deg)}
 	}
 }
 
@@ -255,10 +263,7 @@ func (pr *proc) xValue(tau int64, exp int32) float64 {
 // position in the neighbor caches comes precomputed with each packet
 // (Incoming.Idx), so there is no per-message search.
 func (pr *proc) absorb(in []congest.Incoming) (dominatedNow bool) {
-	var nbrDom []bool
-	if e := pr.ext(); e != nil {
-		nbrDom = e.nbrDom
-	}
+	e := pr.ext()
 	for _, m := range in {
 		i := m.Idx
 		switch m.P.Tag {
@@ -266,13 +271,13 @@ func (pr *proc) absorb(in []congest.Incoming) (dominatedNow bool) {
 			tau, exp, _ := packingFields(m.P)
 			pr.nbrX[i] = pr.xValue(tau, exp)
 		case congest.TagJoin:
-			if nbrDom != nil {
-				nbrDom[i] = true
+			if e != nil {
+				e.markDom(i)
 			}
 			dominatedNow = true
 		case congest.TagDom:
-			if nbrDom != nil {
-				nbrDom[i] = true
+			if e != nil {
+				e.markDom(i)
 			}
 		case congest.TagRequest:
 			pr.requested = true
@@ -389,75 +394,110 @@ func (pr *proc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 		pr.st = stDone
 		return true
 
-	case stExtA:
-		pr.absorb(in)
-		e := pr.ext()
-		if e.iterIdx == 0 {
-			pr.beginPhase(e)
-		} else {
-			e.prob = min(e.prob*pr.p.gamma, 1)
-			if e.inGamma && pr.bigXUndominated(e) < pr.gammaThreshold() {
-				e.inGamma = false
-			}
-		}
-		if int(e.iterIdx) == pr.p.extIters-1 {
-			// Last iteration of the phase samples with probability 1
-			// (the proof of Lemma 4.6 relies on it).
-			e.prob = 1
-		}
-		if e.inGamma && e.rand.Bernoulli(e.prob) {
-			if !pr.dom {
-				// First domination happens now, by its own sampling; the
-				// same-iteration sampled neighbors arrive next round.
-				e.cvSelf = true
-			}
-			pr.inSP = true
-			pr.dom = true
-			e.inGamma = false
-			s.Broadcast(packJoin())
-		}
-		pr.st = stExtB
-		return false
-
-	case stExtB:
-		e := pr.ext()
-		wasDom := pr.dom
-		var joins int32
-		for _, m := range in {
-			if m.P.Tag == congest.TagJoin {
-				joins++
-			}
-		}
-		if pr.absorb(in) {
-			pr.dom = true
-		}
-		switch {
-		case e.cvSelf:
-			e.cv = 1 + joins
-			e.cvSet = true
-			e.cvSelf = false
-		case !wasDom && pr.dom && !e.cvSet:
-			e.cv = joins
-			e.cvSet = true
-		}
-		phases, iters := int32(pr.p.extPhases), int32(pr.p.extIters)
-		last := e.phaseIdx == phases-1 && e.iterIdx == iters-1
-		if pr.dom && !wasDom && !last {
-			s.Broadcast(packDom())
-		}
-		e.iterIdx++
-		if e.iterIdx == iters {
-			e.iterIdx = 0
-			e.phaseIdx++
-		}
-		if e.phaseIdx == phases {
-			pr.st = stDone
-			return true
-		}
-		pr.st = stExtA
-		return false
+	case stExt:
+		return pr.extStep(round, in, s)
 	}
 	return true
+}
+
+// extStep runs one round of the Lemma 4.6 extension. Round extStart+2i
+// is ExtA of iteration i mod extIters of phase i / extIters, and the round
+// after it is the same iteration's ExtB.
+func (pr *proc) extStep(round int, in []congest.Incoming, s *congest.Sender) bool {
+	p, e := pr.p, pr.ext()
+	k := round - p.extStart
+	phase, iter := k/2/p.extIters, k/2%p.extIters
+	if k%2 == 0 {
+		pr.extA(e, phase, iter, in, s)
+	} else if pr.extB(e, phase, iter, in, s) {
+		return true
+	}
+	pr.sleep(e, phase, s)
+	return false
+}
+
+// extA is an iteration's first round: phase bookkeeping, sample Γ,
+// broadcast join.
+func (pr *proc) extA(e *extState, phase, iter int, in []congest.Incoming, s *congest.Sender) {
+	pr.absorb(in)
+	if iter == 0 {
+		pr.beginPhase(e, phase)
+	} else if e.inGamma {
+		e.prob = min(e.prob*pr.p.gamma, 1)
+		if pr.bigXUndominated(e) < pr.gammaThreshold() {
+			e.inGamma = false
+		}
+	}
+	if iter == pr.p.extIters-1 {
+		// Last iteration of the phase samples with probability 1
+		// (the proof of Lemma 4.6 relies on it).
+		e.prob = 1
+	}
+	if e.inGamma && e.rand.Bernoulli(e.prob) {
+		if !pr.dom {
+			// First domination happens now, by its own sampling; the
+			// same-iteration sampled neighbors arrive next round.
+			e.cvSelf = true
+		}
+		pr.inSP = true
+		pr.dom = true
+		e.inGamma = false
+		s.Broadcast(packJoin())
+	}
+}
+
+// extB is an iteration's second round: absorb joins, record c_v, and
+// broadcast dom if newly dominated. It reports whether this was the
+// extension's last round, where every node terminates.
+func (pr *proc) extB(e *extState, phase, iter int, in []congest.Incoming, s *congest.Sender) bool {
+	wasDom := pr.dom
+	var joins int32
+	for _, m := range in {
+		if m.P.Tag == congest.TagJoin {
+			joins++
+		}
+	}
+	if pr.absorb(in) {
+		pr.dom = true
+	}
+	switch {
+	case e.cvSelf:
+		e.cv = 1 + joins
+		e.cvSet = true
+		e.cvSelf = false
+	case !wasDom && pr.dom && !e.cvSet:
+		e.cv = joins
+		e.cvSet = true
+	}
+	last := phase == pr.p.extPhases-1 && iter == pr.p.extIters-1
+	if pr.dom && !wasDom && !last {
+		s.Broadcast(packDom())
+	}
+	if last {
+		pr.st = stDone
+	}
+	return last
+}
+
+// sleep puts a node outside Γ to sleep after its ExtA or ExtB. Such a node
+// draws no randomness, and until a join or dom reaches it, which wakes it,
+// its steps change nothing; so it sleeps until the next phase start, where
+// beginPhase may put it back in Γ. A dominated node whose neighbors are
+// all dominated can never rejoin Γ (its X over undominated nodes is 0,
+// below any w/γ), so it sleeps until the final ExtB, where it terminates.
+// A node that sampled itself while undominated stays awake for the ExtB
+// that records its c_v.
+func (pr *proc) sleep(e *extState, phase int, s *congest.Sender) {
+	if e.inGamma || e.cvSelf {
+		return
+	}
+	p := pr.p
+	final := p.extStart + 2*p.extPhases*p.extIters - 1 // the last ExtB
+	wake := p.extStart + 2*(phase+1)*p.extIters        // the next phase start
+	if wake > final || pr.dom && e.undom == 0 {
+		wake = final
+	}
+	congest.SleepUntil(s, wake)
 }
 
 // computeTau derives τ_v and the minimum-weight closed neighbor from the
@@ -514,18 +554,18 @@ func (pr *proc) afterPartial(s *congest.Sender, broadcastPacking bool) bool {
 			// neighbors must learn who is already dominated.
 			s.Broadcast(packDom())
 		}
-		pr.st = stExtA
+		pr.st = stExt
 		return false
 	}
 	pr.st = stDone
 	return true
 }
 
-// beginPhase starts Γ-phase e.phaseIdx: rescale undominated packing
-// values by γ (for every phase after the first), reset the sampling
-// probability, and recompute Γ membership.
-func (pr *proc) beginPhase(e *extState) {
-	if e.phaseIdx > 0 {
+// beginPhase starts Γ-phase phase: rescale undominated packing values by
+// γ (for every phase after the first), reset the sampling probability, and
+// recompute Γ membership.
+func (pr *proc) beginPhase(e *extState, phase int) {
+	if phase > 0 {
 		if !pr.dom {
 			pr.x *= pr.p.gamma
 		}
