@@ -147,8 +147,32 @@ func checkClaims(t *testing.T, tables []*bench.Table) {
 		}
 	}
 
+	// E4 (Theorem 1.2, O(t·log Δ) rounds): the Theorem 1.2 rows' rounds
+	// per unit of t·⌈log₂Δ⌉ stay within a factor of 2 of each other.
+	e4 := get("E4")
+	var delta float64
+	_, inTitle, _ := strings.Cut(e4.tb.Title, "Δ=")
+	if _, err := fmt.Sscanf(inTitle, "%g)", &delta); err != nil {
+		t.Fatalf("E4 title %q names no Δ: %v", e4.tb.Title, err)
+	}
+	lo, hi := math.Inf(1), 0.0
+	for r := range e4.tb.Rows {
+		tt, err := strconv.Atoi(e4.cell(r, "t"))
+		if err != nil {
+			continue // the Theorem 1.1 row
+		}
+		per := e4.num(r, "rounds") / (float64(tt) * math.Ceil(math.Log2(delta)))
+		lo, hi = min(lo, per), max(hi, per)
+	}
+	if hi > 2*lo {
+		e4.errorf("rounds per t·⌈log₂Δ⌉ range over [%.2f, %.2f], more than a factor of 2", lo, hi)
+	}
+
 	// E5 (Theorem 1.3 improves KMW06 by log Δ): for k ≥ 2 the Theorem 1.3
 	// run beats the KW05-style one. Rows come in (Thm 1.3, KW05) pairs per k.
+	// Its O(k²) rounds: at least the 2 setup rounds and k phases of k+1
+	// two-round iterations that γ = (Δ+1)^{1/k} and λ = 1/(Δ+1) schedule,
+	// and at most 6k², where 6 is that schedule at k = 1.
 	e5 := get("E5")
 	for r := 0; r+1 < len(e5.tb.Rows); r += 2 {
 		if e5.cell(r, "algorithm") != "Thm 1.3" || e5.cell(r+1, "algorithm") != "KW05-style" {
@@ -156,8 +180,13 @@ func checkClaims(t *testing.T, tables []*bench.Table) {
 			continue
 		}
 		thm, kw := e5.num(r, "mean ratio vs LB"), e5.num(r+1, "mean ratio vs LB")
-		if e5.num(r, "k") >= 2 && thm >= kw {
+		k := e5.num(r, "k")
+		if k >= 2 && thm >= kw {
 			e5.errorf("k=%s: Theorem 1.3 ratio %g does not beat KW05's %g", e5.cell(r, "k"), thm, kw)
+		}
+		if rounds := e5.num(r, "rounds"); rounds < 2+2*k*(k+1) || rounds > 6*k*k {
+			e5.errorf("k=%s: Theorem 1.3 takes %g rounds, outside [2+2k(k+1), 6k²] = [%g, %g]",
+				e5.cell(r, "k"), rounds, 2+2*k*(k+1), 6*k*k)
 		}
 	}
 
@@ -184,7 +213,7 @@ func checkClaims(t *testing.T, tables []*bench.Table) {
 	// E9c (the CONGEST model): no run exceeds the bandwidth budget.
 	e9c := get("E9c")
 	var budget float64
-	_, inTitle, _ := strings.Cut(e9c.tb.Title, "(budget ")
+	_, inTitle, _ = strings.Cut(e9c.tb.Title, "(budget ")
 	if _, err := fmt.Sscanf(inTitle, "%g bits)", &budget); err != nil {
 		t.Fatalf("E9c title %q names no budget: %v", e9c.tb.Title, err)
 	}
