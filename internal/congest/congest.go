@@ -78,7 +78,7 @@
 // final round's traffic, which has no live receiver, is all dropped.
 //
 // Not every round walks every neighbor list. A round that sends at most
-// DegreeSum()/16 messages is sparse: at its barrier the coordinator marks
+// DegreeSum()/8 messages is sparse: at its barrier the coordinator marks
 // each of its receivers in a per-node bitset, reading the senders each
 // shard listed, in O(M + n/64). The next round is light: only marked nodes
 // pull, with the same walk, so the inboxes are exactly those of a full

@@ -40,14 +40,24 @@ const adaptiveWorkersMin = 1 << 15
 // sparseRatio sets the sparse-round threshold: a round that sends M
 // messages with M·sparseRatio ≤ DegreeSum() is sparse, so the round after it
 // pulls only at the receivers the mark pass found. The mark pass is serial
-// and costs O(M): at 16 it stays under an eighth of a two-worker full walk.
-// 8, 16 and 32 were swept on the repo benchmark's two solve workloads
-// (2-vCPU host, 3–4 runs each). 32 had the slowest median on both, because
-// it sends five Theorem 1.2 rounds of 17k–25k messages (of 6·10⁵ slots)
-// down the full walk. 8 and 16 classify every Theorem 1.2 round alike and
-// differ in one round of the 10⁶-node Theorem 1.1 solve (668k of 6·10⁶
-// slots), where their times were within noise.
-const sparseRatio = 16
+// and costs O(M): at 8 it stays under a quarter of a two-worker full walk.
+// Sweeps on the repo benchmark (2-vCPU host):
+//
+//   - Before extension nodes slept, 8, 16 and 32 were swept on the two
+//     solve workloads (3–4 runs each). 32 was slowest on both: it sends
+//     five Theorem 1.2 rounds of 17k–25k messages (of 6·10⁵ slots) down
+//     the full walk. 8 and 16 classify every Theorem 1.2 round alike and
+//     differ in one round of the 10⁶-node Theorem 1.1 solve (668k of 6·10⁶
+//     slots); their times were within noise, and 16 was kept.
+//   - Once idle extension nodes slept, making light rounds cheaper, 4, 8
+//     and 16 were swept on solve_forest3_1m, solve_ba_skew and the warm
+//     Theorem 1.2 solves of BenchmarkWeightedRandomizedServe (six runs
+//     each, seeds 1 and 2). 8 read best on every one: median ops/s 0.286
+//     against 0.266 at 16 on solve_forest3_1m and 1.02 against 0.92 on
+//     solve_ba_skew, and 44–63 ms against 50–75 ms per serving-family
+//     solve. 4 was slowest on solve_ba_skew (0.94 ops/s, three runs) and
+//     on the ba serving solve.
+const sparseRatio = 8
 
 // nodeBounds cuts [0, n) into `workers` contiguous ranges of near-equal node
 // count: the layout of light rounds.
