@@ -298,6 +298,7 @@ type sparseEchoProc struct {
 	ni     congest.NodeInfo
 	rounds int
 	sleep  bool
+	next   int // with sleep: the next round this node speaks in, or rounds
 	sum    int64
 }
 
@@ -307,6 +308,15 @@ func speaks(v, r int) bool {
 	return (h^h>>32)%100 == 0
 }
 
+// nextSpeak returns the first round from r on in which the node speaks,
+// or p.rounds if none.
+func (p *sparseEchoProc) nextSpeak(r int) int {
+	for r < p.rounds && !speaks(p.ni.ID, r) {
+		r++
+	}
+	return r
+}
+
 func (p *sparseEchoProc) Step(round int, in []congest.Incoming, s *congest.Sender) bool {
 	for _, m := range in {
 		p.sum += pingPayload(m.P)
@@ -314,16 +324,20 @@ func (p *sparseEchoProc) Step(round int, in []congest.Incoming, s *congest.Sende
 	if round >= p.rounds {
 		return true
 	}
-	if speaks(p.ni.ID, round) {
-		s.Broadcast(packPing(int64(round)))
-	}
-	if p.sleep {
-		next := round + 1
-		for next < p.rounds && !speaks(p.ni.ID, next) {
-			next++
+	if !p.sleep {
+		if speaks(p.ni.ID, round) {
+			s.Broadcast(packPing(int64(round)))
 		}
-		congest.SleepUntil(s, next)
+		return false
 	}
+	if round == 0 {
+		p.next = p.nextSpeak(0)
+	}
+	if round == p.next {
+		s.Broadcast(packPing(int64(round)))
+		p.next = p.nextSpeak(round + 1)
+	}
+	congest.SleepUntil(s, p.next)
 	return false
 }
 

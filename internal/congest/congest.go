@@ -47,13 +47,14 @@
 // no per-node list exists. The slabs grow by append and hold multi-send
 // traffic only, so a round in which every node sends one packet leaves
 // them empty. Nothing is sized by the message volume: an inbox exists only
-// while its node steps. One int32 per node, the done array, says whether
+// while its node steps. One byte per node, the done array, says whether
 // to step it: 0 while it runs, terminated once it has returned true, and
-// otherwise the round a sleeping node wakes in. A node sleeps when its
-// Step calls SleepUntil, a function of this internal package that only the
-// library's own procs can call (the public Sender has no such method): the
-// engine then skips its Step in every earlier round in which its inbox is
-// empty, while counting it as active, so a sleep changes no transcript.
+// otherwise how many more rounds a sleeping node may sleep through. A node
+// sleeps when its Step calls SleepUntil, a function of this internal
+// package that only the library's own procs can call (the public Sender
+// has no such method): the engine then skips its Step in every earlier
+// round in which its inbox is empty, while counting it as active, so a
+// sleep changes no transcript.
 // A plain Run builds a transient Runner and discards
 // it; serving-style callers create one Runner, pass it to every run with
 // WithRunner, and amortize all of the setup — repeated runs on the same
@@ -85,7 +86,8 @@
 // walk. A dense round costs O((m+n)/W) on W workers; a light round costs
 // O(n/W) plus the serial mark pass and the marked nodes' walks, and its
 // per-node floor is one Step call per awake node: a sleeper without mail
-// costs a read of its done entry and a store to its sent flag. Dense
+// costs a read and a store of its done entry and a store to its sent
+// flag. Dense
 // rounds cut shard boundaries by cumulative degree (node weight deg+1, one
 // binary search per boundary on the graph's CSR offsets), so hubs don't
 // serialize one shard; on regular graphs the cut equals the node-count
@@ -406,7 +408,7 @@ func spill(w, bcAt, tgAt, nbc, n int) outbox {
 // append and keep their capacity across rounds and runs.
 type Sender struct {
 	owner     int32
-	wake      int32 // the owner's wake round, set by SleepUntil; 0 = none
+	wake      int32 // the round the owner asked to sleep until; 0 = none
 	neighbors []int32
 	bc        []Packet    // the shard's broadcast slab, appended in node order
 	tg        []outPacket // the shard's targeted-send slab, appended in node order
@@ -414,10 +416,13 @@ type Sender struct {
 	err       error
 }
 
-// terminated is the done entry of a node whose Step returned true: a wake
-// round no run reaches, so the step loop's one comparison skips both
-// terminated and sleeping nodes.
-const terminated = math.MaxInt32
+// A node's done entry is 0 while it runs, terminated once its Step has
+// returned true, and otherwise the number of rounds it may still sleep
+// through: a byte per node, so at most maxSkips rounds per sleep.
+const (
+	terminated = math.MaxUint8
+	maxSkips   = terminated - 1
+)
 
 // SleepUntil lets the node that s is stepping skip its Step in every round
 // before round in which its inbox is empty. A message wakes it for the
@@ -425,18 +430,26 @@ const terminated = math.MaxInt32
 // Rounds, RoundStats' ActiveNodes and DroppedMessages read as if it had
 // been stepped. A sleep lasts until the node's next Step, which must call
 // SleepUntil again to keep sleeping; within one Step the last call wins,
-// so SleepUntil(s, r+1) in round r cancels an earlier one.
+// so SleepUntil(s, r+1) in round r cancels an earlier one. A sleep skips
+// at most 254 rounds: one asking for more is stepped, with an empty
+// inbox, 255 rounds after it fell asleep.
 //
 // The engine cannot check that a skipped Step would have done nothing, so
 // a proc may sleep only through rounds in which a Step with an empty inbox
 // would send nothing, change nothing and draw no randomness: a proc that
 // sleeps takes its schedule from the round number, not from counting its
-// own steps. That contract is why SleepUntil is a function of this
-// internal package and not a Sender method: only the library's own procs,
-// whose transcripts its goldens pin, can call it, and the public Sender
-// does not gain it.
+// own steps, and an early step is one that changes nothing. That contract
+// is why SleepUntil is a function of this internal package and not a
+// Sender method: only the library's own procs, whose transcripts its
+// goldens pin, can call it, and the public Sender does not gain it.
 func SleepUntil(s *Sender, round int) {
-	s.wake = int32(min(max(round, 0), terminated-1))
+	s.wake = int32(min(max(round, 0), math.MaxInt32))
+}
+
+// skips returns the done entry of a node that, stepped in round, asked to
+// sleep until wake: the rounds in between, at most maxSkips.
+func skips(wake int32, round int) uint8 {
+	return uint8(min(max(int(wake)-round-1, 0), maxSkips))
 }
 
 // Send sends p to neighbor `to` (delivered next round). Sending to a

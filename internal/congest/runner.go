@@ -37,11 +37,10 @@ type Runner struct {
 	outs [2][]outbox // per-node traffic heads, valid where sent
 
 	// done is each node's run state: 0 while it runs, terminated once its
-	// Step returned true, and in between the round a sleeping node is
-	// stepped again even with an empty inbox (see SleepUntil). One array
-	// serves both, so the step loop reads one word per node to know whether
-	// to step it.
-	done []int32
+	// Step returned true, and in between the rounds a sleeping node may
+	// still skip (see SleepUntil). One byte serves both, so the step loop
+	// reads one byte per node to know whether to step it.
+	done []uint8
 	// marks has one bit per node: after a sparse round, the mark pass sets
 	// the bit of every receiver of that round's sends, and the light round
 	// that follows pulls at marked nodes only.

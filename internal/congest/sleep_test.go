@@ -178,3 +178,33 @@ func TestSleepRunnerReuse(t *testing.T) {
 		r.Close()
 	}
 }
+
+// capProc asks in every step to sleep until round 600, when it stops; its
+// output is the rounds it was stepped in.
+type capProc struct{ steps []int }
+
+func (p *capProc) Step(round int, in []Incoming, s *Sender) bool {
+	p.steps = append(p.steps, round)
+	SleepUntil(s, 600)
+	return round >= 600
+}
+
+func (p *capProc) Output() []int { return p.steps }
+
+// TestSleepCap: a sleep skips at most 254 rounds, so a node that asks to
+// skip 599 with no mail is stepped every 255 rounds, and is active until
+// it stops.
+func TestSleepCap(t *testing.T) {
+	res, err := Run(gen.Path(2).G, func(NodeInfo) Proc[[]int] { return &capProc{} }, WithRoundStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 255, 510, 600}; !reflect.DeepEqual(res.Outputs[0], want) {
+		t.Errorf("stepped in rounds %v, want %v", res.Outputs[0], want)
+	}
+	for _, st := range res.RoundStats[:600] {
+		if st.ActiveNodes != 2 {
+			t.Fatalf("round %d has %d active nodes, want 2", st.Round, st.ActiveNodes)
+		}
+	}
+}

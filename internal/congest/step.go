@@ -127,10 +127,10 @@ func (e *engine[O]) stepRange(w int) {
 		if !light || marks.has(v) {
 			in = e.pullInbox(in, v, prev)
 		}
-		wake := done[v]
-		if int(wake) > round {
+		state := done[v]
+		if state != 0 {
 			sent[v] = false
-			if wake == terminated {
+			if state == terminated {
 				// Terminated nodes stay silent, and whatever reaches them
 				// is counted and dropped.
 				s.dropped += int64(len(in))
@@ -139,6 +139,7 @@ func (e *engine[O]) stepRange(w int) {
 			if len(in) == 0 {
 				// A sleeper with no mail is not stepped, but it is still
 				// running.
+				done[v] = state - 1
 				s.active++
 				continue
 			}
@@ -150,8 +151,8 @@ func (e *engine[O]) stepRange(w int) {
 			done[v] = terminated
 		} else {
 			s.active++
-			if snd.wake != wake {
-				done[v] = snd.wake
+			if k := skips(snd.wake, round); k != state {
+				done[v] = k
 			}
 		}
 		if snd.err != nil && s.err == nil {
