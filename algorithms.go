@@ -5,7 +5,6 @@ import (
 	"arbods/internal/congest"
 	"arbods/internal/lower"
 	"arbods/internal/mds"
-	"arbods/internal/orient"
 )
 
 // Report summarizes one algorithm run: the dominating set, its weight, the
@@ -72,18 +71,6 @@ func WithMessageStats() Option { return congest.WithMessageStats() }
 // executes. fn runs on the run's coordinating goroutine; keep it cheap.
 func WithRoundObserver(fn func(RoundStat)) Option { return congest.WithRoundObserver(fn) }
 
-// WithKnownMaxDegree exposes Δ to the nodes via NodeInfo — the paper's
-// default knowledge assumption (Remark 4.4 drops it). The algorithm
-// wrappers in this package already set it where the paper assumes it;
-// export is for callers driving congest procs directly.
-func WithKnownMaxDegree() Option { return congest.WithKnownMaxDegree() }
-
-// WithKnownArboricity exposes the given arboricity bound α to the nodes
-// via NodeInfo — the paper's default knowledge assumption (Remark 4.5
-// drops it). The algorithm wrappers already pass their α parameter
-// through; export is for callers driving congest procs directly.
-func WithKnownArboricity(alpha int) Option { return congest.WithKnownArboricity(alpha) }
-
 // Runner is reusable simulator state: the worker pool, the run arenas, and
 // the graph-derived routing tables, amortized across runs. Create one with
 // NewRunner, pass it to every run with WithRunner, and Close it when done.
@@ -102,9 +89,9 @@ func NewRunner() *Runner { return congest.NewRunner() }
 func WithRunner(r *Runner) Option { return congest.WithRunner(r) }
 
 // RunnerPool is a bounded, goroutine-safe set of reusable Runners for
-// concurrent batch execution: workers Get a Runner, run on it, and Put it
-// back, so at most Size runs are in flight and every Runner keeps its
-// warmed state between checkouts. Workers() is the per-run engine worker
+// concurrent batch execution: workers check a Runner out with GetContext,
+// run on it, and Put it back, so at most Size runs are in flight and every
+// Runner keeps its warmed state between checkouts. Workers() is the per-run engine worker
 // budget (GOMAXPROCS split across the pool) that keeps run-level and
 // engine-level parallelism from oversubscribing the machine.
 type RunnerPool = congest.RunnerPool
@@ -201,15 +188,6 @@ type BaselineResult = baseline.GreedyResult
 // (ln(Δ+1)-approximation, [Joh74]).
 func GreedyCentralized(g *Graph) BaselineResult { return baseline.Greedy(g) }
 
-// SunResult is the Sun21-style solver's outcome (set + integer packing).
-type SunResult = baseline.SunResult
-
-// SunCentralized runs the Sun21-style centralized primal–dual with reverse
-// delete — the §1.3 comparison point that does not translate to CONGEST
-// (its reverse-delete pass is inherently sequential). It returns its own
-// integer packing certificate.
-func SunCentralized(g *Graph) SunResult { return baseline.Sun(g) }
-
 // ExactSmall computes the exact optimum: forests of any size via the
 // linear-time DP, other graphs up to 64 nodes via branch and bound.
 func ExactSmall(g *Graph) (BaselineResult, error) { return baseline.Exact(g) }
@@ -251,31 +229,4 @@ func BuildLowerBound(base *Graph) (*LowerBoundConstruction, error) { return lowe
 // graph: nl left nodes of degree dl, right nodes of degree dr.
 func LowerBoundGadget(nl, dl, dr int, seed uint64) (*Graph, error) {
 	return lower.Gadget(nl, dl, dr, seed)
-}
-
-// LayeredLowerBoundGadget generates a layered cluster-tree-style bipartite
-// base graph: depth+1 levels shrinking by delta, with down-degree delta and
-// up-degree delta² — the KMW degree-disparity pattern.
-func LayeredLowerBoundGadget(n0, delta, depth int, seed uint64) (*Graph, error) {
-	return lower.LayeredGadget(n0, delta, depth, seed)
-}
-
-// DistributedOrientation runs the Barenboim–Elkin-style H-partition as a
-// standalone CONGEST algorithm: pass alpha > 0 for the known-bound variant
-// (out-degree ≤ (2+ε)α in O(log n/ε) rounds), alpha == 0 for doubling
-// (out-degree ≤ (2+ε)·2α, O(log α·log n/ε) rounds).
-func DistributedOrientation(g *Graph, alpha int, eps float64, opts ...Option) ([][]int32, int, error) {
-	res, err := orient.Run(g, alpha, eps, opts...)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([][]int32, len(res.Outputs))
-	maxOut := 0
-	for v, o := range res.Outputs {
-		out[v] = o.Out
-		if len(o.Out) > maxOut {
-			maxOut = len(o.Out)
-		}
-	}
-	return out, res.Rounds, nil
 }

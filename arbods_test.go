@@ -98,18 +98,6 @@ func TestPublicAPIBaselinesAndTools(t *testing.T) {
 	if lo < 1 || hi < lo || lo > 2 {
 		t.Fatalf("arboricity bounds [%d,%d] inconsistent with construction α≤2", lo, hi)
 	}
-	o := arbods.OrientGreedy(w.G)
-	if o.MaxOutDegree() > hi {
-		t.Fatalf("greedy orientation out-degree %d > degeneracy %d", o.MaxOutDegree(), hi)
-	}
-	out, rounds, err := arbods.DistributedOrientation(w.G, 2, 0.5, arbods.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds <= 0 || len(out) != w.G.N() {
-		t.Fatal("distributed orientation malformed")
-	}
-
 	gr := arbods.GreedyCentralized(w.G)
 	set := make([]bool, w.G.N())
 	for _, v := range gr.DS {

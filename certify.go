@@ -22,11 +22,6 @@ func CheckPacking(g *Graph, x []float64) error {
 	return verify.PackingFeasible(g, x, CertTolerance)
 }
 
-// CheckCertificate verifies the per-run guarantee w(S) ≤ factor·Σx.
-func CheckCertificate(g *Graph, inSet []bool, x []float64, factor float64) error {
-	return verify.Certificate(g, inSet, x, factor, CertTolerance)
-}
-
 // CheckFractionalVertexCover verifies y_u + y_v ≥ 1 for every edge — the
 // feasibility side of the Theorem 1.4 reduction.
 func CheckFractionalVertexCover(g *Graph, y []float64) error {

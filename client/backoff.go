@@ -69,10 +69,3 @@ func (b *retryBudget) refund() {
 		b.tokens = b.max
 	}
 }
-
-// remaining reports the current balance (tests only).
-func (b *retryBudget) remaining() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}

@@ -73,10 +73,3 @@ func (b *breaker) record(ok bool) (changed, open bool) {
 	now := b.state == breakerOpen
 	return was != now, now
 }
-
-// snapshot reports the current state (tests only).
-func (b *breaker) snapshot() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

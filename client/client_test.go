@@ -105,6 +105,20 @@ func TestRetryAfterHonored(t *testing.T) {
 	}
 }
 
+// remaining reports the budget's current balance.
+func (b *retryBudget) remaining() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tokens
+}
+
+// snapshot reports the breaker's current state.
+func (b *breaker) snapshot() breakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 func TestRetryBudgetExhausted(t *testing.T) {
 	var calls atomic.Int64
 	ts := scripted(t, func(w http.ResponseWriter, r *http.Request) {

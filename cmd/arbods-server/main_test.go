@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/gen"
 	"arbods/internal/server"
 )
 
@@ -38,7 +39,7 @@ func TestDaemonRoundTrip(t *testing.T) {
 
 	// Upload a 40-node star (α=1) in the text format.
 	var buf bytes.Buffer
-	if err := arbods.EncodeGraph(&buf, arbods.Star(40).G); err != nil {
+	if err := arbods.EncodeGraph(&buf, gen.Star(40).G); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(base+"/v1/graphs", "text/plain", &buf)

@@ -1,14 +1,11 @@
 // Package arbor implements the centralized arboricity machinery the paper
-// leans on: degeneracy (k-core) peeling, low out-degree orientations
-// (Observation 3.5: a graph with arboricity α can be oriented with
-// out-degree ≤ α), Nash–Williams density bounds, and pseudoforest
-// decompositions (footnote 2: the algorithms work for any graph orientable
-// with out-degree ≤ α, i.e. graphs decomposable into α pseudoforests).
+// leans on: degeneracy (k-core) peeling and Nash–Williams density bounds.
+// Orienting every edge toward its endpoint later in the peeling order gives
+// out-degree ≤ degeneracy ≤ 2α − 1 (Observation 3.5 is the α version).
 //
 // The paper uses the orientation only in the analysis; this package exists
-// so that the test suite and the benchmark harness can certify arboricity
-// bounds of generated workloads and verify the analysis-side invariants
-// (e.g. "a node is an in-neighbor of at most α nodes").
+// so that uploads, the CLI and the benchmark harness can certify arboricity
+// bounds of the graphs they are given.
 package arbor
 
 import (
@@ -97,112 +94,6 @@ func peel(g *graph.Graph) (vert, pos []int32, d int) {
 	return vert, pos, d
 }
 
-// Orientation is an assignment of a direction to every edge of a graph,
-// stored as a CSR: the out-neighbors of v are out[off[v]:off[v+1]].
-type Orientation struct {
-	off []int32
-	out []int32
-}
-
-// OrientByOrder orients every edge of g from the endpoint that appears
-// earlier in order to the one that appears later. With a degeneracy peeling
-// order this yields an acyclic orientation with out-degree ≤ degeneracy.
-func OrientByOrder(g *graph.Graph, order []int) *Orientation {
-	pos := make([]int32, g.N())
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	return orient(g, pos)
-}
-
-// orient orients each edge of g toward its endpoint with the larger pos.
-// At most one direction of an edge passes, so out never outgrows M.
-func orient(g *graph.Graph, pos []int32) *Orientation {
-	off := make([]int32, g.N()+1)
-	out := make([]int32, 0, g.M())
-	for v := range g.N() {
-		for _, u := range g.Neighbors(v) {
-			if pos[v] < pos[u] {
-				out = append(out, u)
-			}
-		}
-		off[v+1] = int32(len(out))
-	}
-	return &Orientation{off: off, out: out}
-}
-
-// GreedyOrientation returns the degeneracy-order orientation of g: each
-// edge points to its endpoint later in Degeneracy's order, so out-degree
-// ≤ degeneracy(g) ≤ 2α(g) − 1.
-func GreedyOrientation(g *graph.Graph) *Orientation {
-	_, pos, _ := peel(g)
-	return orient(g, pos)
-}
-
-// n returns the number of nodes o orients.
-func (o *Orientation) n() int { return max(len(o.off)-1, 0) }
-
-// Out returns the out-neighbors of v. The slice is a read-only view.
-func (o *Orientation) Out(v int) []int32 { return o.out[o.off[v]:o.off[v+1]:o.off[v+1]] }
-
-// OutDegree returns the out-degree of v.
-func (o *Orientation) OutDegree(v int) int { return int(o.off[v+1] - o.off[v]) }
-
-// MaxOutDegree returns the maximum out-degree over all nodes.
-func (o *Orientation) MaxOutDegree() int {
-	k := 0
-	for v := range o.n() {
-		k = max(k, o.OutDegree(v))
-	}
-	return k
-}
-
-// InDegrees returns the in-degree of every node.
-func (o *Orientation) InDegrees() []int {
-	in := make([]int, o.n())
-	for _, u := range o.out {
-		in[u]++
-	}
-	return in
-}
-
-// Valid reports whether o orients every edge of g exactly once and nothing
-// else (i.e. it is a true orientation of g).
-func (o *Orientation) Valid(g *graph.Graph) bool {
-	if o.n() != g.N() {
-		return false
-	}
-	directed := 0
-	for v := range o.n() {
-		for _, u := range o.Out(v) {
-			if !g.HasEdge(v, int(u)) {
-				return false
-			}
-			directed++
-		}
-	}
-	if directed != g.M() {
-		return false
-	}
-	// Every edge directed exactly once: counts match and each directed edge
-	// is a real edge, so it remains to rule out {u,v} oriented both ways.
-	seen := make(map[[2]int32]bool, directed)
-	for v := range o.n() {
-		for _, u := range o.Out(v) {
-			a, b := int32(v), u
-			if a > b {
-				a, b = b, a
-			}
-			key := [2]int32{a, b}
-			if seen[key] {
-				return false
-			}
-			seen[key] = true
-		}
-	}
-	return true
-}
-
 // Bounds returns certified lower and upper bounds for the arboricity of g:
 //
 //	lo = max(⌈density of the densest peeling suffix⌉, 1 if m ≥ 1)
@@ -240,59 +131,4 @@ func Bounds(g *graph.Graph) (lo, hi int) {
 		hi = lo
 	}
 	return lo, hi
-}
-
-// Pseudoforests partitions the edges of g into MaxOutDegree(o) pseudoforests
-// using the orientation o: the i-th pseudoforest takes the i-th out-edge of
-// every node. Each part has maximum out-degree 1 under o, hence every
-// connected component contains at most one cycle (footnote 2 of the paper).
-func Pseudoforests(g *graph.Graph, o *Orientation) [][][2]int {
-	k := o.MaxOutDegree()
-	parts := make([][][2]int, k)
-	for v := range o.n() {
-		for i, u := range o.Out(v) {
-			parts[i] = append(parts[i], [2]int{v, int(u)})
-		}
-	}
-	return parts
-}
-
-// IsPseudoforest reports whether the given edge set on n nodes is a
-// pseudoforest: every connected component has at most as many edges as
-// nodes (≤ one cycle per component).
-func IsPseudoforest(n int, edges [][2]int) bool {
-	parent := make([]int, n)
-	compEdges := make([]int, n)
-	compNodes := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-		compNodes[i] = 1
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range edges {
-		if e[0] < 0 || e[1] < 0 || e[0] >= n || e[1] >= n {
-			return false
-		}
-		a, b := find(e[0]), find(e[1])
-		if a == b {
-			compEdges[a]++
-		} else {
-			parent[a] = b
-			compEdges[b] += compEdges[a] + 1
-			compNodes[b] += compNodes[a]
-		}
-	}
-	for v := 0; v < n; v++ {
-		if find(v) == v && compEdges[v] > compNodes[v] {
-			return false
-		}
-	}
-	return true
 }

@@ -45,22 +45,40 @@ func TestDegeneracyKnownValues(t *testing.T) {
 }
 
 // TestDegeneracyOrientationProperty: for random forest unions, the
-// degeneracy orientation is valid and its out-degree is at most the
-// degeneracy, which is at most 2α−1.
+// peeling order is a permutation in which every node has at most d later
+// neighbors (so orienting each edge toward its later endpoint gives
+// out-degree ≤ d), and d is at most 2α−1.
 func TestDegeneracyOrientationProperty(t *testing.T) {
 	prop := func(seed uint64, kRaw, nRaw uint8) bool {
 		k := int(kRaw%4) + 1
 		n := int(nRaw%60) + 5
 		g := gen.ForestUnion(n, k, seed).G
 		order, d := arbor.Degeneracy(g)
-		if d > 2*k-1 {
+		if d > 2*k-1 || len(order) != n {
 			return false // degeneracy ≤ 2α−1 ≤ 2k−1
 		}
-		o := arbor.OrientByOrder(g, order)
-		if !o.Valid(g) {
-			return false
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = -1
 		}
-		return o.MaxOutDegree() <= d
+		for i, v := range order {
+			if pos[v] >= 0 {
+				return false
+			}
+			pos[v] = i
+		}
+		for v := range n {
+			later := 0
+			for _, u := range g.Neighbors(v) {
+				if pos[u] > pos[v] {
+					later++
+				}
+			}
+			if later > d {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -108,55 +126,5 @@ func TestBoundsBracketConstruction(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPseudoforests(t *testing.T) {
-	g := gen.ForestUnion(50, 3, 9).G
-	o := arbor.GreedyOrientation(g)
-	parts := arbor.Pseudoforests(g, o)
-	if len(parts) != o.MaxOutDegree() {
-		t.Fatalf("%d parts, want %d", len(parts), o.MaxOutDegree())
-	}
-	total := 0
-	for i, part := range parts {
-		if !arbor.IsPseudoforest(g.N(), part) {
-			t.Fatalf("part %d is not a pseudoforest", i)
-		}
-		total += len(part)
-	}
-	if total != g.M() {
-		t.Fatalf("parts cover %d edges, graph has %d", total, g.M())
-	}
-}
-
-func TestIsPseudoforest(t *testing.T) {
-	// A triangle is a pseudoforest (one cycle).
-	tri := [][2]int{{0, 1}, {1, 2}, {0, 2}}
-	if !arbor.IsPseudoforest(3, tri) {
-		t.Fatal("triangle should be a pseudoforest")
-	}
-	// Two triangles sharing an edge: 5 edges on 4 nodes — not a pseudoforest.
-	twoTri := [][2]int{{0, 1}, {1, 2}, {0, 2}, {1, 3}, {2, 3}}
-	if arbor.IsPseudoforest(4, twoTri) {
-		t.Fatal("K4 minus an edge is not a pseudoforest")
-	}
-	// Out-of-range edges are rejected.
-	if arbor.IsPseudoforest(2, [][2]int{{0, 5}}) {
-		t.Fatal("out-of-range edge accepted")
-	}
-}
-
-func TestInDegrees(t *testing.T) {
-	g := gen.Path(4).G
-	o := arbor.GreedyOrientation(g)
-	in := o.InDegrees()
-	sumIn, sumOut := 0, 0
-	for v := 0; v < g.N(); v++ {
-		sumIn += in[v]
-		sumOut += o.OutDegree(v)
-	}
-	if sumIn != g.M() || sumOut != g.M() {
-		t.Fatalf("in/out degree sums %d/%d, want %d", sumIn, sumOut, g.M())
 	}
 }

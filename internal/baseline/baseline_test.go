@@ -374,14 +374,6 @@ func TestKW05FractionalFeasible(t *testing.T) {
 	}
 }
 
-func TestTakeAll(t *testing.T) {
-	g := gen.UniformWeights(gen.Path(5).G, 10, 1)
-	res := baseline.TakeAll(g)
-	if len(res.DS) != 5 || res.Weight != g.TotalWeight() {
-		t.Fatalf("take-all wrong: %v w=%d", res.DS, res.Weight)
-	}
-}
-
 // TestGreedyVsExactOnTrees pins the greedy behaviour on structured inputs.
 func TestGreedyVsExactOnTrees(t *testing.T) {
 	for _, w := range []gen.Result{gen.Star(10), gen.Path(12), gen.Caterpillar(5, 2)} {

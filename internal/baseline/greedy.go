@@ -109,15 +109,6 @@ func (h *ratioHeap) Pop() (popped any) {
 	return popped
 }
 
-// TakeAll returns the trivial dominating set of all nodes.
-func TakeAll(g *graph.Graph) GreedyResult {
-	res := GreedyResult{DS: make([]int, g.N()), Weight: g.TotalWeight()}
-	for v := range res.DS {
-		res.DS[v] = v
-	}
-	return res
-}
-
 func sortInts(a []int) {
 	// Insertion sort is fine: DS lists are produced roughly in order.
 	for i := 1; i < len(a); i++ {

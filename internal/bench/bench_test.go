@@ -32,10 +32,7 @@ func TestExperimentsGolden(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	pool := congest.NewRunnerPool(procs)
 	defer pool.Close()
-	tables, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Full, Parallel: procs, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := runAll(t, bench.Config{Seed: 1, Scale: bench.Full, Parallel: procs, Pool: pool})
 	checkClaims(t, tables)
 	if got := renderAll(tables); got != string(want) {
 		t.Errorf("EXPERIMENTS.md differs from a fresh run; if the change is intended, regenerate it with\n"+
@@ -47,10 +44,7 @@ func TestExperimentsGolden(t *testing.T) {
 // TestAllExperimentsSmall runs the complete experiment suite at Small scale,
 // sanity-checks table structure and checks the paper's claims on the cells.
 func TestAllExperimentsSmall(t *testing.T) {
-	tables, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Small})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := runAll(t, bench.Config{Seed: 1, Scale: bench.Small})
 	ids := make(map[string]bool)
 	for _, tb := range tables {
 		if tb.ID == "" || tb.Title == "" || tb.PaperRef == "" {

@@ -151,19 +151,6 @@ func All() []Experiment {
 	}
 }
 
-// RunAll executes every experiment and returns the tables in order.
-func RunAll(cfg Config) ([]*Table, error) {
-	var tables []*Table
-	for _, e := range All() {
-		ts, err := e.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %w", e.ID, err)
-		}
-		tables = append(tables, ts...)
-	}
-	return tables, nil
-}
-
 // fmtF formats a float compactly for table cells.
 func fmtF(x float64) string {
 	switch {

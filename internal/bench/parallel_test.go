@@ -22,6 +22,21 @@ func renderAll(tables []*bench.Table) string {
 	return sb.String()
 }
 
+// runAll runs every experiment in bench.All() order, as cmd/mdsbench
+// does, and returns the tables.
+func runAll(t *testing.T, cfg bench.Config) []*bench.Table {
+	t.Helper()
+	var tables []*bench.Table
+	for _, e := range bench.All() {
+		ts, err := e.Run(cfg)
+		if err != nil {
+			t.Fatalf("bench %s: %v", e.ID, err)
+		}
+		tables = append(tables, ts...)
+	}
+	return tables
+}
+
 // TestParallelMatchesSequential runs the complete experiment suite
 // sequentially and under several parallel configurations (shared
 // RunnerPool, transient per-batch pools) and requires byte-identical
@@ -31,29 +46,20 @@ func renderAll(tables []*bench.Table) string {
 func TestParallelMatchesSequential(t *testing.T) {
 	seqRunner := congest.NewRunner()
 	defer seqRunner.Close()
-	seq, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Small, Runner: seqRunner})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runAll(t, bench.Config{Seed: 1, Scale: bench.Small, Runner: seqRunner})
 	want := renderAll(seq)
 
 	t.Run("shared-pool", func(t *testing.T) {
 		pool := congest.NewRunnerPool(4)
 		defer pool.Close()
-		par, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Small, Parallel: 4, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := runAll(t, bench.Config{Seed: 1, Scale: bench.Small, Parallel: 4, Pool: pool})
 		if got := renderAll(par); got != want {
 			t.Fatalf("Parallel=4 tables differ from the sequential sweep:\n%s", firstDiff(want, got))
 		}
 	})
 
 	t.Run("transient-pools", func(t *testing.T) {
-		par, err := bench.RunAll(bench.Config{Seed: 1, Scale: bench.Small, Parallel: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		par := runAll(t, bench.Config{Seed: 1, Scale: bench.Small, Parallel: 2})
 		if got := renderAll(par); got != want {
 			t.Fatalf("Parallel=2 (transient pools) tables differ from the sequential sweep:\n%s", firstDiff(want, got))
 		}

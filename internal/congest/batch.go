@@ -14,13 +14,6 @@ import (
 // it owns — the batch pattern is that job i writes its result into slot i
 // of a caller-owned slice, so the assembled results are identical to the
 // sequential sweep no matter how the scheduler interleaves execution.
-//
-// Cancellation is two-layered: a batch created with BatchContext stops
-// *starting* jobs once its context dies, but a job already holding a
-// Runner runs to completion unless the job itself observes the same
-// context — a cancellable job captures ctx and threads it into its runs
-// with WithContext(ctx) (or RunContext), so in-flight simulator rounds
-// abort too.
 type Job func(r *Runner, workers int) error
 
 // Batch schedules independent jobs across a RunnerPool with bounded
@@ -33,11 +26,11 @@ type Job func(r *Runner, workers int) error
 //
 // A failed job does not cancel the rest of the batch; its Runner returns
 // to the pool and is reset by its next run. Jobs must not Submit to their
-// own batch or Get from their own pool (a full pool would deadlock), and
-// a Batch must not be reused after Wait — create a new one per phase.
+// own batch or check out from their own pool (a full pool would
+// deadlock), and a Batch must not be reused after Wait — create a new one
+// per phase.
 type Batch struct {
 	pool *RunnerPool
-	ctx  context.Context // nil = never canceled
 	wg   sync.WaitGroup
 	n    int
 
@@ -46,21 +39,8 @@ type Batch struct {
 	err    error
 }
 
-// Batch starts an empty batch on the pool; its jobs are never canceled
-// by a context (BatchContext adds that).
+// Batch starts an empty batch on the pool.
 func (p *RunnerPool) Batch() *Batch { return &Batch{pool: p, errIdx: -1} }
-
-// BatchContext starts an empty batch whose remaining slots are canceled
-// when ctx dies: a submitted job that has not yet checked a Runner out
-// when the context is canceled never starts, and its slot fails with
-// ctx.Err(). Jobs already running are not interrupted by the batch —
-// they cancel only if they thread the same ctx into their runs
-// (WithContext). Error reporting keeps the deterministic lowest-slot
-// rule: Wait returns the lowest-slot failure, whether that is a job
-// error or a cancellation.
-func (p *RunnerPool) BatchContext(ctx context.Context) *Batch {
-	return &Batch{pool: p, ctx: ctx, errIdx: -1}
-}
 
 // Submit enqueues a job. Not goroutine-safe: submissions come from the
 // coordinating goroutine, in the order that defines the slot indices.
@@ -70,7 +50,7 @@ func (b *Batch) Submit(job Job) {
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
-		r, err := b.pool.GetContext(b.ctx)
+		r, err := b.pool.GetContext(context.Background())
 		if err != nil {
 			b.recordErr(idx, err)
 			return
@@ -106,15 +86,6 @@ func (b *Batch) Wait() error {
 // running several batches should hold their own RunnerPool and use
 // Batch/Submit/Wait instead, so the warmed Runners carry over.
 func RunBatch(parallel int, jobs ...Job) error {
-	return RunBatchContext(context.Background(), parallel, jobs...)
-}
-
-// RunBatchContext is RunBatch under a context: once ctx dies, jobs that
-// have not started fail with ctx.Err() in their slots (running jobs
-// finish unless they observe ctx themselves — see Job), and the first
-// error in submission order is returned. The sequential parallel = 1
-// path checks ctx between jobs, preserving the same contract.
-func RunBatchContext(ctx context.Context, parallel int, jobs ...Job) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -128,9 +99,6 @@ func RunBatchContext(ctx context.Context, parallel int, jobs ...Job) error {
 		r := NewRunner()
 		defer r.Close()
 		for _, job := range jobs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := job(r, runtime.GOMAXPROCS(0)); err != nil {
 				return err
 			}
@@ -139,7 +107,7 @@ func RunBatchContext(ctx context.Context, parallel int, jobs ...Job) error {
 	}
 	pool := NewRunnerPool(parallel)
 	defer pool.Close()
-	b := pool.BatchContext(ctx)
+	b := pool.Batch()
 	for _, job := range jobs {
 		b.Submit(job)
 	}

@@ -175,11 +175,11 @@ func TestRunnerPoolWorkerBudget(t *testing.T) {
 }
 
 // TestRunnerPoolGetPut exercises manual checkout: Runners cycle through
-// Get/Put in arbitrary order and the pool hands every one of them out.
+// GetContext/Put in arbitrary order and the pool hands every one of them out.
 func TestRunnerPoolGetPut(t *testing.T) {
 	pool := congest.NewRunnerPool(3)
 	defer pool.Close()
-	a, b, c := pool.Get(), pool.Get(), pool.Get()
+	a, b, c := get(t, pool), get(t, pool), get(t, pool)
 	if a == b || b == c || a == c {
 		t.Fatal("pool handed out the same Runner twice")
 	}

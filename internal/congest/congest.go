@@ -275,10 +275,7 @@ func WithMessageStats() Option { return optionFunc(func(c *config) { c.msgStats 
 
 // WithContext attaches ctx to the run so option-based callers — the mds
 // algorithm wrappers, the server's solve path, anything that forwards
-// ...Option — get cancellation without a signature change. RunContext is
-// the canonical context-first spelling for direct engine runs; the two
-// are interchangeable (RunContext is implemented with this option, and
-// the later of the two wins when both appear).
+// ...Option — get cancellation without a signature change.
 //
 // Cancellation contract: the engine checks ctx at the per-round barrier,
 // so a canceled run returns ctx.Err() within one round of the
@@ -512,9 +509,8 @@ func (s *Sender) neighborPos(v int) int {
 // and transcript statistics. The transcript is bit-identical for every
 // worker count (see engine.go for the phase structure that guarantees it)
 // and independent of whether the run executes on transient state or on a
-// reused Runner (WithRunner). Run is the context-free convenience over
-// RunContext — it never cancels (unless a WithContext option says
-// otherwise).
+// reused Runner (WithRunner). It never cancels unless a WithContext
+// option says otherwise.
 func Run[O any](g *graph.Graph, factory Factory[O], opts ...Option) (*Result[O], error) {
 	cfg := config{
 		mode:      Congest,
@@ -550,19 +546,4 @@ func Run[O any](g *graph.Graph, factory Factory[O], opts ...Option) (*Result[O],
 	res, err := e.run()
 	r.noteRunError(err)
 	return res, err
-}
-
-// RunContext is Run with a cancellation context: the engine checks ctx at
-// the per-round barrier, so after ctx is canceled (deadline, client
-// disconnect, caller Cancel) the run returns ctx.Err() within one round.
-// A canceled run has no partial results, and its Runner (WithRunner) is
-// immediately reusable — the next run on it is bit-identical to one on a
-// fresh Runner. There is no Runner.RunContext method form: Go methods
-// cannot be type-parameterized, so RunContext(ctx, …, WithRunner(r)) is
-// that spelling.
-func RunContext[O any](ctx context.Context, g *graph.Graph, factory Factory[O], opts ...Option) (*Result[O], error) {
-	all := make([]Option, 0, len(opts)+1)
-	all = append(all, WithContext(ctx))
-	all = append(all, opts...)
-	return Run(g, factory, all...)
 }

@@ -32,6 +32,16 @@ func (p *chattyProc) Step(round int, in []congest.Incoming, s *congest.Sender) b
 
 func (p *chattyProc) Output() int64 { return p.sum }
 
+// get checks a Runner out of pool, failing the test if it cannot.
+func get(t *testing.T, pool *congest.RunnerPool) *congest.Runner {
+	t.Helper()
+	r, err := pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func chattyFactory(rounds int) congest.Factory[int64] {
 	return func(ni congest.NodeInfo) congest.Proc[int64] {
 		return &chattyProc{ni: ni, rounds: rounds}
@@ -56,8 +66,8 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	lastRound := -1
-	res, err := congest.RunContext(ctx, g, factory,
-		congest.WithSeed(1), congest.WithRunner(r),
+	res, err := congest.Run(g, factory,
+		congest.WithContext(ctx), congest.WithSeed(1), congest.WithRunner(r),
 		congest.WithRoundObserver(func(rs congest.RoundStat) {
 			lastRound = rs.Round
 			if rs.Round == 2 {
@@ -89,8 +99,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 }
 
 // TestRunContextPreCanceled: an already-dead context aborts before any
-// round executes, through both spellings (RunContext and the WithContext
-// option on plain Run).
+// round executes.
 func TestRunContextPreCanceled(t *testing.T) {
 	g := gen.Cycle(8).G
 	ctx, cancel := context.WithCancel(context.Background())
@@ -98,9 +107,6 @@ func TestRunContextPreCanceled(t *testing.T) {
 
 	rounds := 0
 	obs := congest.WithRoundObserver(func(congest.RoundStat) { rounds++ })
-	if _, err := congest.RunContext(ctx, g, chattyFactory(5), obs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext err = %v", err)
-	}
 	if _, err := congest.Run(g, chattyFactory(5), congest.WithContext(ctx), obs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("WithContext err = %v", err)
 	}
@@ -115,7 +121,7 @@ func TestGetContextCancel(t *testing.T) {
 	pool := congest.NewRunnerPool(1)
 	defer pool.Close()
 
-	held := pool.Get() // exhaust the pool
+	held := get(t, pool) // exhaust the pool
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -141,9 +147,6 @@ func TestGetContextCancel(t *testing.T) {
 func TestRunnerPoolClosedCheckout(t *testing.T) {
 	pool := congest.NewRunnerPool(2)
 	pool.Close()
-	if r := pool.Get(); r != nil {
-		t.Fatal("Get on a closed pool returned a Runner")
-	}
 	if _, err := pool.GetContext(context.Background()); !errors.Is(err, congest.ErrPoolClosed) {
 		t.Fatalf("GetContext err = %v, want ErrPoolClosed", err)
 	}
@@ -151,12 +154,12 @@ func TestRunnerPoolClosedCheckout(t *testing.T) {
 }
 
 // TestRunnerPoolCloseUnblocksWaiter reproduces the pre-fix deadlock: a
-// Get already waiting when Close drains the last Runner used to block
+// checkout already waiting when Close drains the last Runner used to block
 // forever. Now the waiter either wins the race for the returning Runner
 // (and checks it back in) or fails fast with ErrPoolClosed.
 func TestRunnerPoolCloseUnblocksWaiter(t *testing.T) {
 	pool := congest.NewRunnerPool(1)
-	held := pool.Get()
+	held := get(t, pool)
 
 	type checkout struct {
 		r   *congest.Runner
@@ -182,57 +185,4 @@ func TestRunnerPoolCloseUnblocksWaiter(t *testing.T) {
 		t.Fatalf("waiter err = %v, want ErrPoolClosed or success", c.err)
 	}
 	<-closed
-}
-
-// TestBatchContextCancelsPendingSlots: once the batch context dies, jobs
-// that have not checked a Runner out never start, their slots fail with
-// ctx.Err(), and Wait reports it via the usual lowest-slot rule.
-func TestBatchContextCancelsPendingSlots(t *testing.T) {
-	pool := congest.NewRunnerPool(1)
-	defer pool.Close()
-	held := pool.Get() // starve the batch so no submitted job can start
-
-	ctx, cancel := context.WithCancel(context.Background())
-	b := pool.BatchContext(ctx)
-	var ran [3]bool
-	for i := range ran {
-		b.Submit(func(r *congest.Runner, workers int) error {
-			ran[i] = true
-			return nil
-		})
-	}
-	cancel()
-	if err := b.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait err = %v, want context.Canceled", err)
-	}
-	for i, x := range ran {
-		if x {
-			t.Fatalf("job %d ran after cancellation", i)
-		}
-	}
-	pool.Put(held)
-}
-
-// TestRunBatchContextSequential: the parallel=1 degenerate path checks
-// the context between jobs.
-func TestRunBatchContextSequential(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	count := 0
-	err := congest.RunBatchContext(ctx, 1,
-		func(r *congest.Runner, workers int) error {
-			count++
-			cancel()
-			return nil
-		},
-		func(r *congest.Runner, workers int) error {
-			count++
-			return nil
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if count != 1 {
-		t.Fatalf("%d jobs ran, want 1", count)
-	}
 }

@@ -126,7 +126,7 @@ func TestRunnerPoolReplacesPoisoned(t *testing.T) {
 	p := congest.NewRunnerPool(1)
 	defer p.Close()
 
-	r := p.Get()
+	r := get(t, p)
 	_, err := congest.Run(g, func(ni congest.NodeInfo) congest.Proc[int64] {
 		return &panicProc{echo: echoProc{ni: ni, rounds: 3}, panicRound: 1, panicFrom: 0}
 	}, congest.WithRunner(r), congest.WithWorkers(p.Workers()))
@@ -138,7 +138,7 @@ func TestRunnerPoolReplacesPoisoned(t *testing.T) {
 		t.Fatalf("Replaced() = %d, want 1", got)
 	}
 
-	fresh := p.Get()
+	fresh := get(t, p)
 	if fresh == r {
 		t.Fatal("pool returned the poisoned Runner")
 	}

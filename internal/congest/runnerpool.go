@@ -9,20 +9,18 @@ import (
 )
 
 // ErrPoolClosed is returned by GetContext (and reported by Batch slots)
-// when a checkout finds the RunnerPool closed. Get returns nil in the
-// same situation.
+// when a checkout finds the RunnerPool closed.
 var ErrPoolClosed = errors.New("congest: RunnerPool is closed")
 
 // RunnerPool is a bounded, goroutine-safe set of reusable Runners. One
 // Runner serves one run at a time (see Runner), so concurrent batch
-// execution needs several of them: workers check a Runner out with Get
-// (or the cancellable GetContext), execute any number of sequential runs
-// on it, and check it back in with Put. The pool's size therefore bounds
-// the number of simulator runs in flight at once, and each checked-in
-// Runner keeps its warmed state — the graph-derived tables, outbox
-// records, arenas, and worker goroutines survive the checkout/checkin
-// cycle, so a sweep of hundreds of runs pays the setup cost at most size
-// times.
+// execution needs several of them: workers check a Runner out with
+// GetContext, execute any number of sequential runs on it, and check it
+// back in with Put. The pool's size therefore bounds the number of
+// simulator runs in flight at once, and each checked-in Runner keeps its
+// warmed state — the graph-derived tables, outbox records, arenas, and
+// worker goroutines survive the checkout/checkin cycle, so a sweep of
+// hundreds of runs pays the setup cost at most size times.
 //
 // The pool also owns the machine's worker budget: Workers reports how many
 // intra-run engine workers each checkout should use (GOMAXPROCS split
@@ -80,38 +78,24 @@ func (p *RunnerPool) Workers() int { return p.workers }
 // canceled (ctx.Err()), or the pool is closed (ErrPoolClosed). A free
 // Runner is preferred over an already-expired context, so a pool with
 // capacity never rejects. Every successful GetContext must be balanced by
-// a Put of the same Runner.
+// a Put of the same Runner; the easiest way to get both the pairing and
+// the worker budget right is to go through Batch or RunBatch. A checkout
+// already waiting when Close drains the last Runner fails with
+// ErrPoolClosed instead of blocking forever.
 func (p *RunnerPool) GetContext(ctx context.Context) (*Runner, error) {
 	select {
 	case r := <-p.free:
 		return r, nil
 	default:
 	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	select {
 	case r := <-p.free:
 		return r, nil
-	case <-done:
+	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.closed:
 		return nil, ErrPoolClosed
 	}
-}
-
-// Get checks a Runner out, blocking until one is free. Every Get must be
-// balanced by a Put of the same Runner; the easiest way to get both the
-// pairing and the worker budget right is to go through Batch or RunBatch.
-// A Get that finds the pool closed — including a Get already waiting when
-// Close drains the last Runner — returns nil instead of blocking forever.
-func (p *RunnerPool) Get() *Runner {
-	r, err := p.GetContext(context.Background())
-	if err != nil {
-		return nil
-	}
-	return r
 }
 
 // Put checks a Runner back in. The Runner keeps its warmed buffers; a
@@ -138,7 +122,7 @@ func (p *RunnerPool) Replaced() int64 { return p.replaced.Load() }
 
 // Close waits for every Runner to be checked back in, releases their
 // worker pools, and then fails all pending and future checkouts
-// (GetContext returns ErrPoolClosed, Get returns nil). A checkout that
+// (GetContext returns ErrPoolClosed). A checkout that
 // races the drain and wins still completes normally — Close keeps
 // waiting for that Runner's Put. Close is idempotent.
 func (p *RunnerPool) Close() {

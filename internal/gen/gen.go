@@ -158,28 +158,6 @@ func ForestUnion(n, k int, seed uint64) Result {
 	return Result{G: b.MustBuild(), Name: fmt.Sprintf("forest%d(n=%d)", k, n), ArboricityBound: k}
 }
 
-// PseudoforestUnion returns the union of k random functional graphs: in
-// each part every node points at a uniformly random other node, so each
-// connected component of a part has at most one cycle — a pseudoforest.
-// The union is decomposable into k pseudoforests, which by footnote 2 of
-// the paper is exactly the graph class (orientable with out-degree ≤ k)
-// the algorithms handle with α = k, even though the true arboricity can be
-// as large as 2k.
-func PseudoforestUnion(n, k int, seed uint64) Result {
-	r := rng.New(seed)
-	b := graph.NewBuilder(n)
-	for part := 0; part < k; part++ {
-		for v := 0; v < n; v++ {
-			u := r.Intn(n - 1)
-			if u >= v {
-				u++
-			}
-			b.AddEdge(v, u)
-		}
-	}
-	return Result{G: b.MustBuild(), Name: fmt.Sprintf("pseudoforest%d(n=%d)", k, n), ArboricityBound: 2 * k}
-}
-
 // Grid returns the rows×cols grid graph. Grids are planar and bipartite, so
 // every subgraph has m_S ≤ 2n_S − 4; Nash–Williams gives arboricity ≤ 2.
 func Grid(rows, cols int) Result {

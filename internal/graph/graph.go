@@ -306,73 +306,6 @@ func (g *Graph) Edges(dst [][2]int) [][2]int {
 	return dst
 }
 
-// ConnectedComponents returns the node sets of the connected components,
-// each sorted, ordered by smallest contained node.
-func (g *Graph) ConnectedComponents() [][]int {
-	n := g.N()
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var comps [][]int
-	var stack []int
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := len(comps)
-		comp[s] = id
-		stack = append(stack[:0], s)
-		members := []int{s}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.neighborSlice(v) {
-				if comp[u] < 0 {
-					comp[u] = id
-					stack = append(stack, int(u))
-					members = append(members, int(u))
-				}
-			}
-		}
-		sort.Ints(members)
-		comps = append(comps, members)
-	}
-	return comps
-}
-
-// InducedSubgraph returns the subgraph induced by the given nodes together
-// with the mapping from new IDs to original IDs. Node weights are preserved.
-// Duplicate entries in nodes are an error.
-func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int, error) {
-	remap := make(map[int]int, len(nodes))
-	orig := make([]int, len(nodes))
-	for i, v := range nodes {
-		if v < 0 || v >= g.N() {
-			return nil, nil, fmt.Errorf("graph: subgraph node %d out of range", v)
-		}
-		if _, dup := remap[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate subgraph node %d", v)
-		}
-		remap[v] = i
-		orig[i] = v
-	}
-	b := NewBuilder(len(nodes))
-	for i, v := range orig {
-		b.SetWeight(i, g.Weight(v))
-		for _, u := range g.neighborSlice(v) {
-			if j, ok := remap[int(u)]; ok && i < j {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, orig, nil
-}
-
 // IsForest reports whether the graph is acyclic.
 func (g *Graph) IsForest() bool {
 	// A graph is a forest iff every component has exactly |nodes|-1 edges.

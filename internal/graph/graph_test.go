@@ -106,20 +106,6 @@ func TestClosedNeighborhoodMinWeight(t *testing.T) {
 	}
 }
 
-func TestConnectedComponents(t *testing.T) {
-	g := graph.NewBuilder(6).
-		AddEdge(0, 1).AddEdge(1, 2).
-		AddEdge(4, 5).
-		MustBuild()
-	comps := g.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("%d components, want 3", len(comps))
-	}
-	if len(comps[0]) != 3 || len(comps[1]) != 1 || len(comps[2]) != 2 {
-		t.Fatalf("component sizes wrong: %v", comps)
-	}
-}
-
 func TestIsForest(t *testing.T) {
 	if triangle(t).IsForest() {
 		t.Fatal("triangle is not a forest")
@@ -130,26 +116,6 @@ func TestIsForest(t *testing.T) {
 	}
 	if !graph.NewBuilder(3).MustBuild().IsForest() {
 		t.Fatal("edgeless graph is a forest")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := triangle(t)
-	sub, orig, err := g.InducedSubgraph([]int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 2 || sub.M() != 1 {
-		t.Fatalf("subgraph n=%d m=%d", sub.N(), sub.M())
-	}
-	if orig[0] != 0 || orig[1] != 2 {
-		t.Fatalf("mapping %v", orig)
-	}
-	if _, _, err := g.InducedSubgraph([]int{0, 0}); err == nil {
-		t.Fatal("duplicate nodes accepted")
-	}
-	if _, _, err := g.InducedSubgraph([]int{7}); err == nil {
-		t.Fatal("out-of-range node accepted")
 	}
 }
 

@@ -66,7 +66,10 @@ func TestClientDisconnectWhileQueued(t *testing.T) {
 
 	// Starve the pool and park a request on the checkout queue. Its client
 	// context dies 30ms in; the handler must notice and bail out.
-	held := s.pool.Get()
+	held, err := s.pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A failure below must still put the Runner back, or Close waits on it
 	// until the test binary times out.
 	release := sync.OnceFunc(func() { s.pool.Put(held) })

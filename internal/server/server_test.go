@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"arbods"
+	"arbods/internal/gen"
 	"arbods/internal/graph"
 	"arbods/internal/server"
 )
@@ -179,7 +180,7 @@ func TestUploadSolveReceiptGolden(t *testing.T) {
 
 func TestUploadDedupAndMeta(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{PoolSize: 1})
-	g := arbods.Star(10).G
+	g := gen.Star(10).G
 	raw := encodeGraph(t, g)
 	upload := func(body []byte, contentType string) server.GraphInfo {
 		t.Helper()
@@ -268,7 +269,7 @@ func TestUploadNodeCap(t *testing.T) {
 			t.Errorf("n=%d: status %d, body %s; want 400 naming the 16777209-node cap", n, status, body)
 		}
 	}
-	if status, body := upload(encodeGraph(t, arbods.Star(10).G)); status != http.StatusOK {
+	if status, body := upload(encodeGraph(t, gen.Star(10).G)); status != http.StatusOK {
 		t.Fatalf("upload after the refusals: status %d, body %s", status, body)
 	}
 }
@@ -449,7 +450,7 @@ func TestStreamingSolve(t *testing.T) {
 
 func TestCorpusGraphs(t *testing.T) {
 	dir := t.TempDir()
-	g := arbods.Cycle(30).G
+	g := gen.Cycle(30).G
 	var buf bytes.Buffer
 	if err := arbods.EncodeGraph(&buf, g); err != nil {
 		t.Fatal(err)

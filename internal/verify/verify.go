@@ -51,17 +51,6 @@ func SetWeight(g *graph.Graph, inSet []bool) int64 {
 	return w
 }
 
-// SetSize returns the number of selected nodes.
-func SetSize(inSet []bool) int {
-	n := 0
-	for _, b := range inSet {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // PackingFeasible checks the dual packing constraint of Section 2: for every
 // node u, X_u = Σ_{v∈N+(u)} x_v ≤ w_u (up to relative tolerance tol).
 // A feasible packing certifies Σ_v x_v ≤ OPT (Lemma 2.1).

@@ -91,9 +91,6 @@ func TestSetHelpers(t *testing.T) {
 	if w := verify.SetWeight(g, set); w != 40 {
 		t.Fatalf("SetWeight = %d", w)
 	}
-	if n := verify.SetSize(set); n != 2 {
-		t.Fatalf("SetSize = %d", n)
-	}
 	if s := verify.PackingSum([]float64{1, 2, 3.5}); s != 6.5 {
 		t.Fatalf("PackingSum = %g", s)
 	}

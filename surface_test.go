@@ -14,22 +14,12 @@ import (
 // TestGeneratorSurface exercises every generator wrapper of the facade.
 func TestGeneratorSurface(t *testing.T) {
 	gens := map[string]arbods.Workload{
-		"path":        arbods.Path(10),
-		"cycle":       arbods.Cycle(10),
-		"star":        arbods.Star(10),
-		"complete":    arbods.Complete(6),
-		"tree":        arbods.RandomTree(10, 1),
-		"balanced":    arbods.BalancedTree(2, 3),
-		"caterpillar": arbods.Caterpillar(4, 2),
-		"broom":       arbods.Broom(5, 8),
-		"forest":      arbods.ForestUnion(20, 2, 1),
-		"grid":        arbods.Grid(4, 4),
-		"torus":       arbods.Torus(3, 3),
-		"hypercube":   arbods.Hypercube(3),
-		"er":          arbods.ErdosRenyi(20, 0.3, 1),
-		"ba":          arbods.BarabasiAlbert(25, 2, 1),
-		"bipartite":   arbods.RandomBipartite(5, 5, 0.4, 1),
-		"geometric":   arbods.Geometric(25, 0.3, 1),
+		"path":      arbods.Path(10),
+		"tree":      arbods.RandomTree(10, 1),
+		"forest":    arbods.ForestUnion(20, 2, 1),
+		"grid":      arbods.Grid(4, 4),
+		"ba":        arbods.BarabasiAlbert(25, 2, 1),
+		"geometric": arbods.Geometric(25, 0.3, 1),
 	}
 	for name, w := range gens {
 		if w.G == nil || w.Name == "" {
@@ -40,8 +30,8 @@ func TestGeneratorSurface(t *testing.T) {
 	if g := arbods.ExponentialWeights(base, 10, 2); g.Unweighted() {
 		t.Fatal("exponential weights not applied")
 	}
-	if g := arbods.DegreeWeights(base, 3, 0); g.Unweighted() {
-		t.Fatal("degree weights not applied")
+	if g := arbods.UniformWeights(base, 10, 2); g.Unweighted() {
+		t.Fatal("uniform weights not applied")
 	}
 }
 
@@ -68,11 +58,6 @@ func TestAlgorithmSurface(t *testing.T) {
 		t.Fatal("truncated run not dominating")
 	}
 
-	sun := arbods.SunCentralized(w.G)
-	if len(sun.DS) == 0 {
-		t.Fatal("Sun returned empty set")
-	}
-
 	kw, frac, err := arbods.KW05(w.G, 2, arbods.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
@@ -81,20 +66,12 @@ func TestAlgorithmSurface(t *testing.T) {
 		t.Fatalf("KW05 malformed: dominated=%v frac=%g", kw.AllDominated, frac)
 	}
 
-	layered, err := arbods.LayeredLowerBoundGadget(8, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if layered.N() != 8+4+2 {
-		t.Fatalf("layered gadget n=%d", layered.N())
-	}
-
-	ex, err := arbods.ExactSmall(arbods.Cycle(9).G)
+	ex, err := arbods.ExactSmall(arbods.Grid(3, 3).G)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ex.Weight != 3 {
-		t.Fatalf("exact on C9 = %d, want 3", ex.Weight)
+		t.Fatalf("exact on the 3×3 grid = %d, want 3", ex.Weight)
 	}
 }
 
@@ -117,8 +94,6 @@ func TestOptionSurface(t *testing.T) {
 		arbods.WithRoundStats(),
 		arbods.WithMessageStats(),
 		arbods.WithRoundObserver(func(rs arbods.RoundStat) { streamed = append(streamed, rs) }),
-		arbods.WithKnownMaxDegree(),
-		arbods.WithKnownArboricity(2),
 		arbods.WithRunner(r),
 	}
 	rep, err := arbods.WeightedDeterministic(w.G, 2, 0.25, opts...)
@@ -146,52 +121,15 @@ func TestOptionSurface(t *testing.T) {
 	var _ *arbods.Result = rep.Result // the root Result alias is the report's type
 }
 
-// countProc is a minimal custom proc driven through the root facade: each
-// node broadcasts once and reports how many neighbors it heard.
-type countProc struct {
-	ni    arbods.NodeInfo
-	heard int64
-}
-
-func (p *countProc) Step(round int, in []arbods.Incoming, s *arbods.Sender) bool {
-	p.heard += int64(len(in))
-	if round == 0 {
-		s.Broadcast(arbods.TagOnly(arbods.Tag(16)))
-		return false
-	}
-	return true
-}
-
-func (p *countProc) Output() int64 { return p.heard }
-
 // TestContextSurface pins the cancellation surface of the facade:
-// Run/RunContext/WithContext for the engine, GetContext/ErrPoolClosed for
-// the pool, and BatchContext/RunBatchContext for batches. A server or
-// client written against package arbods alone can thread deadlines
-// through every layer.
+// WithContext for runs, GetContext/ErrPoolClosed for the pool. A server or
+// client written against package arbods alone can thread deadlines through
+// every layer.
 func TestContextSurface(t *testing.T) {
-	w := arbods.Cycle(12)
-	factory := func(ni arbods.NodeInfo) arbods.Proc[int64] { return &countProc{ni: ni} }
+	w := arbods.ForestUnion(12, 2, 1)
 
-	// The generic Run surface executes custom procs...
-	res, err := arbods.Run(w.G, factory, arbods.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var _ *arbods.RunResult[int64] = res
-	if res.Outputs[0] != 2 {
-		t.Fatalf("cycle node heard %d broadcasts, want 2", res.Outputs[0])
-	}
-	if arbods.BitsUint(255) != 8 || arbods.BitsInt(-1) != 2 || arbods.MaxTags < arbods.MsgTagBits {
-		t.Fatal("bit-accounting helpers malformed")
-	}
-
-	// ...and RunContext / WithContext abort it with ctx.Err().
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := arbods.RunContext(dead, w.G, factory); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext err = %v", err)
-	}
 	if _, err := arbods.WeightedDeterministic(w.G, 2, 0.25, arbods.WithContext(dead)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("algorithm wrapper under WithContext err = %v", err)
 	}
@@ -203,22 +141,9 @@ func TestContextSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool.Put(r)
-	if err := pool.BatchContext(dead).Wait(); err != nil {
-		t.Fatalf("empty canceled batch err = %v", err)
-	}
 	pool.Close()
 	if _, err := pool.GetContext(context.Background()); !errors.Is(err, arbods.ErrPoolClosed) {
 		t.Fatalf("closed pool err = %v, want ErrPoolClosed", err)
-	}
-
-	// RunBatchContext checks the context between sequential jobs. (The
-	// parallel path prefers free pool capacity over a dead context, so a
-	// fresh transient pool would still run its jobs — same rule as
-	// GetContext above.)
-	if err := arbods.RunBatchContext(dead, 1,
-		func(r *arbods.Runner, workers int) error { return nil },
-	); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunBatchContext err = %v", err)
 	}
 }
 
@@ -295,31 +220,6 @@ func TestReceiptSurface(t *testing.T) {
 	}
 }
 
-// TestBuilderSurface pins NewBuilder/Builder, the documented way to build a
-// graph from scratch: a small weighted graph built with it must solve to an
-// OK receipt.
-func TestBuilderSurface(t *testing.T) {
-	var b *arbods.Builder = arbods.NewBuilder(6)
-	b.AddEdge(0, 1).AddEdge(1, 2).AddEdge(2, 3).AddEdge(3, 4).AddEdge(4, 5).AddEdge(5, 0).AddEdge(0, 3)
-	for v, w := range []int64{5, 1, 7, 2, 9, 3} {
-		b.SetWeight(v, w)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 6 || g.M() != 7 || g.Unweighted() {
-		t.Fatalf("built n=%d m=%d unweighted=%v, want a weighted 6-node 7-edge graph", g.N(), g.M(), g.Unweighted())
-	}
-	rep, err := arbods.WeightedDeterministic(g, 2, 0.2, arbods.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := arbods.BuildReceipt(g, rep); !rec.OK {
-		t.Fatalf("receipt of a Builder-built graph not OK: %+v", rec)
-	}
-}
-
 // TestCertifySurface exercises the certificate helpers and error paths.
 func TestCertifySurface(t *testing.T) {
 	w := arbods.ForestUnion(60, 2, 5)
@@ -327,9 +227,10 @@ func TestCertifySurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := arbods.MembershipOf(rep)
-	x := arbods.PackingOf(rep)
-	if err := arbods.CheckCertificate(w.G, set, x, rep.Factor); err != nil {
+	if err := arbods.Certify(w.G, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := arbods.CheckPacking(w.G, arbods.PackingOf(rep)); err != nil {
 		t.Fatal(err)
 	}
 	// A sabotaged report must fail certification with a typed error.
@@ -356,21 +257,12 @@ func TestCertifySurface(t *testing.T) {
 	if ce.Error() == "" {
 		t.Fatal("empty error string")
 	}
-	// Wrong factor must fail at the ratio stage and unwrap cleanly.
-	if err := arbods.CheckCertificate(w.G, set, x, 0.0001); err == nil {
-		t.Fatal("absurd factor accepted")
+	// An absurd factor must fail at the ratio stage and unwrap cleanly.
+	tight := *rep
+	tight.Factor = 0.0001
+	if err := arbods.Certify(w.G, &tight); !errors.As(err, &ce) || ce.Stage != "ratio" || errors.Unwrap(err) == nil {
+		t.Fatalf("absurd factor: err = %v, want a ratio-stage CertError", err)
 	}
-}
-
-// crashProc is countProc with one node panicking mid-round, for the
-// fault-tolerance surface below.
-type crashProc struct{ countProc }
-
-func (p *crashProc) Step(round int, in []arbods.Incoming, s *arbods.Sender) bool {
-	if p.ni.ID == 3 && round == 1 {
-		panic("surface boom")
-	}
-	return p.countProc.Step(round, in, s)
 }
 
 // TestFaultToleranceSurface pins the robustness surface of the facade:
@@ -379,18 +271,23 @@ func (p *crashProc) Step(round int, in []arbods.Incoming, s *arbods.Sender) bool
 // binary snapshot codec — everything the server layer relies on, reachable
 // from package arbods alone.
 func TestFaultToleranceSurface(t *testing.T) {
-	w := arbods.Cycle(12)
-	boom := func(ni arbods.NodeInfo) arbods.Proc[int64] { return &crashProc{countProc{ni: ni}} }
+	w := arbods.ForestUnion(12, 2, 1)
 
+	// A panic injected at round 1 fails its run with a typed error.
 	pool := arbods.NewRunnerPool(1)
 	defer pool.Close()
-	r := pool.Get()
-	_, err := arbods.Run(w.G, boom, arbods.WithSeed(1), arbods.WithRunner(r))
+	r, err := pool.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := faultinject.New(1)
+	boom.Arm("congest.step", faultinject.Fault{Round: 1, Panic: "surface boom"})
+	_, err = arbods.WeightedDeterministic(w.G, 2, 0.25, arbods.WithSeed(1), arbods.WithRunner(r), arbods.WithFaultInjection(boom))
 	if !errors.Is(err, arbods.ErrProcPanic) {
 		t.Fatalf("panicking run err = %v, want ErrProcPanic", err)
 	}
 	var pe *arbods.ProcPanicError
-	if !errors.As(err, &pe) || pe.Round != 1 || pe.Node != 3 || len(pe.Stack) == 0 {
+	if !errors.As(err, &pe) || pe.Round != 1 || pe.Node != -1 || len(pe.Stack) == 0 {
 		t.Fatalf("panic detail = %+v", pe)
 	}
 	if !r.Poisoned() {
@@ -401,7 +298,7 @@ func TestFaultToleranceSurface(t *testing.T) {
 		t.Fatalf("Replaced = %d, want 1", pool.Replaced())
 	}
 
-	// Deterministic fault injection threads through the same option set.
+	// An injected error fails the run the same way every time.
 	reg := faultinject.New(1)
 	reg.Arm("congest.step", faultinject.Fault{Round: 0, Err: faultinject.ErrInjected})
 	if _, err := arbods.WeightedDeterministic(w.G, 1, 0.25, arbods.WithFaultInjection(reg)); !errors.Is(err, faultinject.ErrInjected) {
@@ -422,16 +319,12 @@ func TestFaultToleranceSurface(t *testing.T) {
 	}
 }
 
-// TestArboricitySurface exercises the orientation helpers.
+// TestArboricitySurface exercises the arboricity helpers.
 func TestArboricitySurface(t *testing.T) {
 	w := arbods.ForestUnion(60, 3, 7)
 	order, d := arbods.Degeneracy(w.G)
 	if len(order) != w.G.N() || d < 1 || d > 2*3-1 {
 		t.Fatalf("degeneracy order/%d malformed", d)
-	}
-	o := arbods.OrientGreedy(w.G)
-	if o.MaxOutDegree() > d {
-		t.Fatal("greedy orientation exceeds degeneracy")
 	}
 	lo, hi := arbods.ArboricityBounds(w.G)
 	if lo < 1 || hi < lo {
