@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check fuzz bench bench-compare benchmark-test alloc-gate ci
+.PHONY: build test race vet fmt-check unlinked fuzz bench bench-compare benchmark-test alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# Functions no binary links: builds every command, example and the
+# benchmark with inlining off and lists each non-test func declaration
+# missing from their symbols. Fails on any name outside the kept list in
+# unlinked.sh (~15 s).
+unlinked:
+	GO=$(GO) bash unlinked.sh
 
 # Fuzz the solve-request contract (strict decoding, Normalize, cache
 # keys), the text graph decoder (against its reference) and the ARBCSR01
@@ -82,4 +89,4 @@ alloc-gate:
 	$(GO) test ./internal/mds/ -run 'TestSolveMemoryCeiling' -count=1 -v
 
 # The build-test job of ci.yml, step for step.
-ci: build vet fmt-check race benchmark-test fuzz
+ci: build vet fmt-check unlinked race benchmark-test fuzz
