@@ -9,6 +9,7 @@ import (
 	"arbods/internal/gen"
 	"arbods/internal/graph"
 	"arbods/internal/mds"
+	"arbods/internal/orient"
 	"arbods/internal/verify"
 )
 
@@ -21,13 +22,20 @@ func E8UnknownParams(cfg Config) ([]*Table, error) {
 	w := gen.ForestUnion(n, alpha, cfg.Seed)
 	g := gen.UniformWeights(w.G, 100, cfg.Seed+1)
 	eps := 0.2
+	sched, err := orient.NewSchedule(g.N(), 0, eps)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:       "E8",
 		Title:    fmt.Sprintf("knowledge assumptions on %s (α=%d, Δ=%d)", w.Name, alpha, g.MaxDegree()),
 		PaperRef: "Remarks 4.4 (unknown Δ) and 4.5 (unknown α)",
 		Columns:  []string{"variant", "knows", "rounds", "messages", "certified ratio", "certificate factor"},
 		Notes: []string{
-			"Remark 4.5's orientation prefix uses doubling estimates on a fixed schedule: O(log α·log n/ε) rounds versus the remark's O(log n/ε) sketch; its certificate factor is per-node and therefore not a single number.",
+			fmt.Sprintf("Remark 4.5's orientation prefix runs the doubling estimates 1, 2, …, ≥ n one after another on a fixed schedule: "+
+				"%d phases of L = %d rounds, %d rounds in all. That is (⌈log₂ n⌉+1)·L = O(log² n/ε) whatever α is, versus the remark's O(log n/ε) sketch. "+
+				"Its certificate factor is per-node and therefore not a single number.",
+				len(sched.Estimates), sched.IterationsPerPhase, sched.TotalRounds()),
 		},
 	}
 	known, err := mds.WeightedDeterministic(g, alpha, eps, cfg.opts(cfg.Seed)...)

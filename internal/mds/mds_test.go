@@ -126,6 +126,23 @@ func TestGeneralGraphs(t *testing.T) {
 	}
 }
 
+// TestGeneralGraphsRounds pins Theorem 1.3's schedule: γ = (Δ+1)^{1/k}
+// and λ = 1/(Δ+1) give k phases of k+1 two-round iterations after the 2
+// setup rounds. At Δ=24, k=3 the float log ratio is 3.0000000000000004,
+// which a bare ceil turned into 4 phases of 5 iterations (42 rounds).
+func TestGeneralGraphsRounds(t *testing.T) {
+	g := gen.Star(25).G // Δ = 24
+	for k := 1; k <= 4; k++ {
+		rep, err := mds.GeneralGraphs(g, k, congest.WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 + 2*k*(k+1); rep.Rounds() != want {
+			t.Errorf("k=%d: %d rounds, want %d", k, rep.Rounds(), want)
+		}
+	}
+}
+
 func TestUnknownDelta(t *testing.T) {
 	for _, w := range testGraphs(t) {
 		t.Run(w.Name, func(t *testing.T) {

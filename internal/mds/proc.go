@@ -236,7 +236,7 @@ func partialIterations(eps, lambda float64, delta int) int {
 // extensionIterations returns the per-phase iteration count of Lemma 4.6:
 // r = ⌈log_γ(Δ+1)⌉ + 1, which guarantees the sampling probability reaches 1.
 func extensionIterations(gamma float64, delta int) int {
-	r := int(math.Ceil(math.Log(float64(delta+1))/math.Log(gamma))) + 1
+	r := ceilLogRatio(math.Log(float64(delta+1))/math.Log(gamma)) + 1
 	if r < 1 {
 		r = 1
 	}
@@ -246,12 +246,18 @@ func extensionIterations(gamma float64, delta int) int {
 // extensionPhases returns t = ⌈log_γ(1/λ)⌉, the number of Γ-phases of
 // Lemma 4.6.
 func extensionPhases(gamma, lambda float64) int {
-	t := int(math.Ceil(math.Log(1/lambda) / math.Log(gamma)))
+	t := ceilLogRatio(math.Log(1/lambda) / math.Log(gamma))
 	if t < 1 {
 		t = 1
 	}
 	return t
 }
+
+// ceilLogRatio returns ⌈x⌉ for a ratio of logarithms, less the relative
+// slack gammaThreshold allows: Theorem 1.3's γ = (Δ+1)^{1/k} makes
+// log(Δ+1)/log γ exactly k, but at Δ=24, k=3 the floats give
+// 3.0000000000000004, and a bare ceil would schedule a fourth phase.
+func ceilLogRatio(x float64) int { return int(math.Ceil(x * (1 - 1e-9))) }
 
 // xValue reconstructs τ·(1+ε)^exp/(Δ+1) from a packing message.
 func (pr *proc) xValue(tau int64, exp int32) float64 {

@@ -12,13 +12,14 @@
 // active when it peeled, so the out-degree is at most ⌈(2+ε)a⌉.
 //
 // Doubling (unknown α): run Partition phases with estimates a = 1, 2, 4, …
-// Each phase peels everything once the estimate reaches the true arboricity,
-// so every node peels in a phase with a ≤ 2α and ends with out-degree
-// ≤ (2+ε)·2α, after O(log α · log n/ε) rounds (a log α factor and a
-// constant-factor out-degree slack versus the remark's sketch). The
-// schedule is fixed from n alone so that all nodes agree on when the
-// orientation phase ends — a requirement for composing it with the
-// dominating set phase of Remark 4.5.
+// up to the first a ≥ n, one after another. Each phase peels everything
+// once the estimate reaches the true arboricity, so every node peels in a
+// phase with a ≤ 2α and ends with out-degree ≤ (2+ε)·2α. The schedule is
+// fixed from n alone so that all nodes agree on when the orientation phase
+// ends — a requirement for composing it with the dominating set phase of
+// Remark 4.5 — so it runs all ⌈log₂ n⌉+1 phases whatever α is:
+// (⌈log₂ n⌉+1)·L = O(log² n/ε) rounds, against the remark's O(log n/ε)
+// sketch, and a constant-factor out-degree slack.
 package orient
 
 import (
