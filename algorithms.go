@@ -91,9 +91,10 @@ func WithRunner(r *Runner) Option { return congest.WithRunner(r) }
 // RunnerPool is a bounded, goroutine-safe set of reusable Runners for
 // concurrent batch execution: workers check a Runner out with GetContext,
 // run on it, and Put it back, so at most Size runs are in flight and every
-// Runner keeps its warmed state between checkouts. Workers() is the per-run engine worker
-// budget (GOMAXPROCS split across the pool) that keeps run-level and
-// engine-level parallelism from oversubscribing the machine.
+// Runner keeps its warmed state between checkouts. Workers() is the
+// per-run engine worker budget (GOMAXPROCS split across the pool) that
+// keeps run-level and engine-level parallelism from oversubscribing the
+// machine.
 type RunnerPool = congest.RunnerPool
 
 // NewRunnerPool builds a pool of size Runners (size ≤ 0 = GOMAXPROCS).

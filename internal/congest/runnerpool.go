@@ -121,10 +121,10 @@ func (p *RunnerPool) Put(r *Runner) {
 func (p *RunnerPool) Replaced() int64 { return p.replaced.Load() }
 
 // Close waits for every Runner to be checked back in, releases their
-// worker pools, and then fails all pending and future checkouts
-// (GetContext returns ErrPoolClosed). A checkout that
-// races the drain and wins still completes normally — Close keeps
-// waiting for that Runner's Put. Close is idempotent.
+// worker pools, and then fails all pending and future checkouts with
+// ErrPoolClosed. A checkout that races the drain and wins still completes
+// normally — Close keeps waiting for that Runner's Put. Close is
+// idempotent.
 func (p *RunnerPool) Close() {
 	p.closeOnce.Do(func() {
 		for i := 0; i < p.size; i++ {
