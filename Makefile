@@ -28,7 +28,7 @@ fmt-check:
 # missing from their symbols. Fails on any name outside the kept list in
 # unlinked.sh (~15 s).
 unlinked:
-	GO=$(GO) bash unlinked.sh
+	bash unlinked.sh
 
 # Fuzz the solve-request contract (strict decoding, Normalize, cache
 # keys), the text graph decoder (against its reference) and the ARBCSR01

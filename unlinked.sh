@@ -30,24 +30,23 @@ arbods/internal/orient.Run
 arbods/internal/orient.(*runProc).Step
 arbods/internal/orient.(*runProc).Output'
 
-go=${GO:-go}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # Linked symbols: a main package's "main." prefix becomes its import path.
-for pkg in $($go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
-	$go build -gcflags=all=-l -o "$tmp/bin" "$pkg"
-	$go tool nm "$tmp/bin" | sed -E "s/^ *[0-9a-f]* +[A-Za-z] +//; s#^main\.#$pkg.#" >>"$tmp/syms"
+for pkg in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
+	go build -gcflags=all=-l -o "$tmp/bin" "$pkg"
+	go tool nm "$tmp/bin" | sed -E "s/^ *[0-9a-f]* +[A-Za-z] +//; s#^main\.#$pkg.#" >>"$tmp/syms"
 done
-(cd benchmark && $go build -gcflags=all=-l -o "$tmp/bin" .)
-$go tool nm "$tmp/bin" | sed -E 's/^ *[0-9a-f]* +[A-Za-z] +//' >>"$tmp/syms"
+(cd benchmark && go build -gcflags=all=-l -o "$tmp/bin" .)
+go tool nm "$tmp/bin" | sed -E 's/^ *[0-9a-f]* +[A-Za-z] +//' >>"$tmp/syms"
 # Generic brackets nest ([go.shape.struct { … }]), so strip innermost first;
 # then closure, go/defer wrapper and method-value suffixes.
 sed -E ':a; s/\[[^][]*\]//g; ta; s/(\.(func|gowrap|deferwrap)[0-9]+)+(\.[0-9]+)*$//; s/-(fm|range[0-9]+)$//' \
 	"$tmp/syms" | sort -u >"$tmp/linked"
 
 # Declarations, one "name<TAB>pointer-wrapper-name" line each.
-for pkg in $($go list ./...); do
+for pkg in $(go list ./...); do
 	dir=${pkg#arbods}
 	dir=.${dir:-/}
 	for f in "$dir"/*.go; do
