@@ -45,40 +45,16 @@ func TestDegeneracyKnownValues(t *testing.T) {
 }
 
 // TestDegeneracyOrientationProperty: for random forest unions, the
-// peeling order is a permutation in which every node has at most d later
-// neighbors (so orienting each edge toward its later endpoint gives
-// out-degree ≤ d), and d is at most 2α−1.
+// peeling order passes checkDegeneracy (a permutation in which every node
+// has at most d later neighbors, so orienting each edge toward its later
+// endpoint gives out-degree ≤ d), and d is at most 2α−1.
 func TestDegeneracyOrientationProperty(t *testing.T) {
 	prop := func(seed uint64, kRaw, nRaw uint8) bool {
 		k := int(kRaw%4) + 1
 		n := int(nRaw%60) + 5
 		g := gen.ForestUnion(n, k, seed).G
-		order, d := arbor.Degeneracy(g)
-		if d > 2*k-1 || len(order) != n {
-			return false // degeneracy ≤ 2α−1 ≤ 2k−1
-		}
-		pos := make([]int, n)
-		for i := range pos {
-			pos[i] = -1
-		}
-		for i, v := range order {
-			if pos[v] >= 0 {
-				return false
-			}
-			pos[v] = i
-		}
-		for v := range n {
-			later := 0
-			for _, u := range g.Neighbors(v) {
-				if pos[u] > pos[v] {
-					later++
-				}
-			}
-			if later > d {
-				return false
-			}
-		}
-		return true
+		_, d := arbor.Degeneracy(g)
+		return d <= 2*k-1 && checkDegeneracy(g) == nil // degeneracy ≤ 2α−1 ≤ 2k−1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
