@@ -41,8 +41,9 @@ done
 (cd benchmark && go build -gcflags=all=-l -o "$tmp/bin" .)
 go tool nm "$tmp/bin" | sed -E 's/^ *[0-9a-f]* +[A-Za-z] +//' >>"$tmp/syms"
 # Generic brackets nest ([go.shape.struct { … }]), so strip innermost first;
-# then closure, go/defer wrapper and method-value suffixes.
-sed -E ':a; s/\[[^][]*\]//g; ta; s/(\.(func|gowrap|deferwrap)[0-9]+)+(\.[0-9]+)*$//; s/-(fm|range[0-9]+)$//' \
+# then closure, go/defer wrapper and method-value suffixes, and the index
+# the compiler gives each func init.
+sed -E ':a; s/\[[^][]*\]//g; ta; s/(\.(func|gowrap|deferwrap)[0-9]+)+(\.[0-9]+)*$//; s/-(fm|range[0-9]+)$//; s/\.init\.[0-9]+$/.init/' \
 	"$tmp/syms" | sort -u >"$tmp/linked"
 
 # Declarations, one "name<TAB>pointer-wrapper-name" line each.
@@ -51,7 +52,7 @@ for pkg in $(go list ./...); do
 	dir=.${dir:-/}
 	for f in "$dir"/*.go; do
 		case $f in *_test.go) continue ;; esac
-		awk -v p="$pkg" '/^func / {
+		awk -v p="$pkg" '/^func / && !/^func _\(/ {
 			s = substr($0, 6)
 			if (s !~ /^\(/) { sub(/[[(].*/, "", s); print p "." s "\t" p "." s; next }
 			r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2)
