@@ -5,7 +5,7 @@ import "fmt"
 // Tag identifies a message's wire format. The library's algorithm messages
 // occupy the low tag values and fit the MsgTagBits (= 4 bit) header the
 // bandwidth accounting charges; the remaining space up to MaxTags is
-// headroom for external procs (tests, examples), charged at the same rate
+// headroom for procs outside the library (tests), charged at the same rate
 // exactly as the legacy interface path charged every message MsgTagBits.
 type Tag uint8
 
