@@ -129,7 +129,8 @@ func TestGeneralGraphs(t *testing.T) {
 // TestGeneralGraphsRounds pins Theorem 1.3's schedule: γ = (Δ+1)^{1/k}
 // and λ = 1/(Δ+1) give k phases of k+1 two-round iterations after the 2
 // setup rounds. At Δ=24, k=3 the float log ratio is 3.0000000000000004,
-// which a bare ceil turned into 4 phases of 5 iterations (42 rounds).
+// and a bare ceil of it would schedule 4 phases of 5 iterations (42
+// rounds).
 func TestGeneralGraphsRounds(t *testing.T) {
 	g := gen.Star(25).G // Δ = 24
 	for k := 1; k <= 4; k++ {
