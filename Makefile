@@ -47,11 +47,12 @@ bench:
 	$(GO) test ./internal/congest/ -run 'xxx' -bench . -benchtime 1x
 
 # Compare two committed engine-benchmark records (benchstat format). The
-# defaults pin the engine whose lone sends stay in their heads (pr24)
-# against the one whose Lemma 4.6 extension puts idle nodes to sleep
-# (pr27); ns/op of BenchmarkWeightedRandomizedServe, the warm Theorem 1.2
-# solve on the four serving families, and of BenchmarkRunSparse is the
-# headline. Override with BENCH_OLD=/BENCH_NEW= to compare other points
+# defaults pin the engine whose Lemma 4.6 extension puts idle nodes to
+# sleep (pr27) against the one whose full walks on large graphs touch
+# each block's neighbor heads before pulling it (pr29); ns/op of
+# BenchmarkRunLarge (10⁶ nodes, above the touch gate) is the headline, and
+# BenchmarkWeightedRandomizedServe (n=20000, below it) the control.
+# Override with BENCH_OLD=/BENCH_NEW= to compare other points
 # on the trajectory (the older BENCH_*_engine_* records are also
 # committed). A record that holds a parent and a change run tells them
 # apart by its tree key, so columns split by file and tree.
@@ -59,8 +60,8 @@ bench:
 # rows as a scaling curve — single-core records measure dispatch
 # overhead, not scaling. Uses benchstat when available (CI installs it); falls
 # back to printing both records side by side offline.
-BENCH_OLD ?= BENCH_2026-10-18_engine_pr24.txt
-BENCH_NEW ?= BENCH_2026-10-19_engine_pr27.txt
+BENCH_OLD ?= BENCH_2026-10-19_engine_pr27.txt
+BENCH_NEW ?= BENCH_2026-10-19_engine_pr29.txt
 bench-compare:
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat -col .file,tree $(BENCH_OLD) $(BENCH_NEW); \

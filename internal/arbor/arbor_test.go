@@ -1,8 +1,10 @@
 package arbor_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arbods/internal/arbor"
 	"arbods/internal/gen"
@@ -56,7 +58,7 @@ func TestDegeneracyOrientationProperty(t *testing.T) {
 		_, d := arbor.Degeneracy(g)
 		return d <= 2*k-1 && checkDegeneracy(g) == nil // degeneracy ≤ 2α−1 ≤ 2k−1
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -100,7 +102,17 @@ func TestBoundsBracketConstruction(t *testing.T) {
 		lo, hi := arbor.Bounds(g.G)
 		return lo <= k && hi <= 2*k-1
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }

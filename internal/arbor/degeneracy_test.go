@@ -157,7 +157,7 @@ func TestDegeneracyMatchesReference(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+			if err := quick.Check(prop, quickConfig(t, 40)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -179,7 +179,7 @@ func TestDegeneracyMatchesReference(t *testing.T) {
 			}
 			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		if err := quick.Check(prop, quickConfig(t, 200)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -1,8 +1,10 @@
 package baseline_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arbods/internal/baseline"
 	"arbods/internal/congest"
@@ -105,7 +107,7 @@ func TestGreedyProperty(t *testing.T) {
 		}
 		return float64(res.Weight) <= hBound*float64(opt.Weight)+1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,7 +222,7 @@ func TestExactForestAgainstBruteForce(t *testing.T) {
 		}
 		return w == res.Weight && res.Weight == exactBruteForce(g)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 80)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,7 +276,7 @@ func TestSunProperty(t *testing.T) {
 		// Σx ≤ OPT ≤ w(DS): the packing can never exceed the set weight.
 		return sum <= res.Weight
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -386,4 +388,14 @@ func TestGreedyVsExactOnTrees(t *testing.T) {
 			t.Fatalf("%s: greedy %d vs OPT %d", w.Name, res.Weight, opt.Weight)
 		}
 	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }

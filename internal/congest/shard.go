@@ -32,10 +32,22 @@ import (
 // adaptiveWorkersMin is the node count at which WithWorkers(0) switches
 // from the sequential engine to GOMAXPROCS workers. Below it the one
 // per-round dispatch barrier costs more than the parallelism recovers.
-// The crossover is a provisional estimate, set where per-round work
-// (≈ degree-sum packet copies) comfortably exceeds the few-µs barrier
-// cost; no workers=1 vs 2 sweep across graph sizes has measured it yet.
-const adaptiveWorkersMin = 1 << 15
+// A sweep on the 2-vCPU host timed two workers against one (7 alternating
+// pairs per cell, transient Runners) on forest3, ER (average degree 4) and
+// BA (m = 3) graphs with uniform weights, under Theorem 1.1 (α the
+// degeneracy, ε = 0.2) and Theorem 1.2 (t = 2):
+//
+//   - from 16384 nodes up to 131072, two workers won at least 6 of the 7
+//     pairs of every cell, taking 0.55–0.88 of one worker's median time;
+//   - at 8192, Theorem 1.2 on ER tied (1.01, two workers ahead in 4 of
+//     7); every other cell went to two workers (0.66–0.87);
+//   - Theorem 1.1 alone crosses over between 1024 nodes (ER 1.18) and
+//     2048 (0.80–0.89).
+//
+// 16384 is the smallest power of two at which two workers won every cell.
+// Hosts with more cores pay a wider barrier, which this sweep did not
+// measure.
+const adaptiveWorkersMin = 1 << 14
 
 // sparseRatio sets the sparse-round threshold: a round that sends M
 // messages with M·sparseRatio ≤ DegreeSum() is sparse, so the round after it

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -156,6 +157,55 @@ func TestShardPadding(t *testing.T) {
 	}
 	if head := unsafe.Sizeof(outbox{}); head != 32 {
 		t.Errorf("outbox head is %d bytes, want 32", head)
+	}
+}
+
+// TestTouchBlocks pins how touch cuts a range into blocks and what it
+// loads, on a broom whose hub has more than touchSlots neighbors: blocks
+// of touchBlock nodes, a block cut before the hub, the hub alone in a
+// block that touches only its first touchSlots slots, and a sink that
+// adds the n of the heads whose sent flag is set and of no other head.
+func TestTouchBlocks(t *testing.T) {
+	const handle = 200
+	g := buildBroom(t, handle, touchSlots+10)
+	n, hub := g.N(), handle-1
+	r := &Runner{g: g, n: n}
+	r.sent[1], r.outs[1] = make([]bool, n), make([]outbox, n)
+	for v := range n {
+		r.sent[1][v] = v%2 == 0
+		r.outs[1][v].n = 1
+		if v%2 != 0 {
+			r.outs[1][v].n = 1000 // a stale head the touch must not add
+		}
+	}
+	e := &engine[int]{Runner: r}
+	var s stepShard
+	var ends []int
+	for lo := 0; lo < n; {
+		lo = e.touch(&s, lo, n, 1)
+		ends = append(ends, lo)
+	}
+	var want []int
+	for lo := touchBlock; lo < hub; lo += touchBlock {
+		want = append(want, lo)
+	}
+	want = append(want, hub, hub+1)
+	for lo := hub + 1; lo < n; lo += touchBlock {
+		want = append(want, min(lo+touchBlock, n))
+	}
+	if !slices.Equal(ends, want) {
+		t.Errorf("block ends %v, want %v", ends, want)
+	}
+	var sent int32
+	for v := range n {
+		for i, u := range g.Neighbors(v) {
+			if u%2 == 0 && (v != hub || i < touchSlots) {
+				sent++
+			}
+		}
+	}
+	if s.sink != sent {
+		t.Errorf("sink %d, want the %d touched slots whose neighbor sent", s.sink, sent)
 	}
 }
 

@@ -40,6 +40,8 @@ type stepShard struct {
 	// broadcast is deg(v) messages, including those to terminated nodes
 	// (their bandwidth is consumed whether or not delivery happens)
 	msgs, bits int64
+	// sink sums what touch loads, so the compiler keeps the loads.
+	sink int32
 	// senders lists, in node order, the nodes in range that sent a message
 	// this round, for the mark pass. Appending stops once msgs exceeds
 	// lightMax: the round is then dense and the list is not read. Each
@@ -67,7 +69,7 @@ type stepShard struct {
 	bcs [2][]Packet
 	tgs [2][]outPacket
 
-	_ [48]byte // round the live fields up to a line boundary
+	_ [40]byte // round the live fields up to a line boundary
 	_ linePad  // keep adjacent shards' hot fields off shared cache lines
 }
 
@@ -120,70 +122,146 @@ func (e *engine[O]) stepRange(w int) {
 	if light {
 		bounds = e.nodeBounds
 	}
+	lo, end := int(bounds[w]), int(bounds[w+1])
+	// On a graph of touchMin nodes or more, a full walk steps its range in
+	// touch blocks; any other round steps it as one block.
+	touch := !light && e.n >= touchMin
 	in, done := s.in, e.done
-	for v := int(bounds[w]); v < int(bounds[w+1]); v++ {
-		s.cur = v
-		in = in[:0]
-		if !light || marks.has(v) {
-			in = e.pullInbox(in, v, prev)
+	for lo < end {
+		hi := end
+		if touch {
+			hi = e.touch(s, lo, end, prev)
 		}
-		state := done[v]
-		if state != 0 {
-			sent[v] = false
-			if state == terminated {
-				// Terminated nodes stay silent, and whatever reaches them
-				// is counted and dropped.
-				s.dropped += int64(len(in))
-				continue
+		for v := lo; v < hi; v++ {
+			s.cur = v
+			in = in[:0]
+			if !light || marks.has(v) {
+				in = e.pullInbox(in, v, prev)
 			}
-			if len(in) == 0 {
-				// A sleeper with no mail is not stepped, but it is still
-				// running.
-				done[v] = state - 1
+			state := done[v]
+			if state != 0 {
+				sent[v] = false
+				if state == terminated {
+					// Terminated nodes stay silent, and whatever reaches them
+					// is counted and dropped.
+					s.dropped += int64(len(in))
+					continue
+				}
+				if len(in) == 0 {
+					// A sleeper with no mail is not stepped, but it is still
+					// running.
+					done[v] = state - 1
+					s.active++
+					continue
+				}
+			}
+			snd.owner, snd.neighbors, snd.err, snd.wake = int32(v), e.g.Neighbors(v), nil, 0
+			b0, t0 := len(snd.bc), len(snd.tg)
+			snd.bcStart = b0
+			if e.procs[v].Step(round, in, snd) {
+				done[v] = terminated
+			} else {
 				s.active++
+				if k := skips(snd.wake, round); k != state {
+					done[v] = k
+				}
+			}
+			if snd.err != nil && s.err == nil {
+				s.err = snd.err
+			}
+			bc, tg := snd.bc[b0:], snd.tg[t0:]
+			n := len(bc) + len(tg)
+			sent[v] = n > 0
+			if n == 0 {
 				continue
 			}
-		}
-		snd.owner, snd.neighbors, snd.err, snd.wake = int32(v), e.g.Neighbors(v), nil, 0
-		b0, t0 := len(snd.bc), len(snd.tg)
-		snd.bcStart = b0
-		if e.procs[v].Step(round, in, snd) {
-			done[v] = terminated
-		} else {
-			s.active++
-			if k := skips(snd.wake, round); k != state {
-				done[v] = k
+			// A lone send moves into the head, and the slab drops its copy:
+			// bc and tg stay readable until the next node's Step appends.
+			ob := &outs[v]
+			switch {
+			case n > 1:
+				*ob = spill(w, b0, t0, len(bc), n)
+			case len(bc) == 1:
+				*ob = outbox{first: bc[0], n: 1, to: -1}
+				snd.bc = snd.bc[:b0]
+			default:
+				*ob = outbox{first: tg[0].p, n: 1, to: tg[0].to}
+				snd.tg = snd.tg[:t0]
+			}
+			e.account(s, int32(v), snd.neighbors, bc, tg)
+			if len(snd.neighbors) > 0 && s.msgs <= lightMax {
+				s.senders = append(s.senders, int32(v))
 			}
 		}
-		if snd.err != nil && s.err == nil {
-			s.err = snd.err
-		}
-		bc, tg := snd.bc[b0:], snd.tg[t0:]
-		n := len(bc) + len(tg)
-		sent[v] = n > 0
-		if n == 0 {
-			continue
-		}
-		// A lone send moves into the head, and the slab drops its copy:
-		// bc and tg stay readable until the next node's Step appends.
-		ob := &outs[v]
-		switch {
-		case n > 1:
-			*ob = spill(w, b0, t0, len(bc), n)
-		case len(bc) == 1:
-			*ob = outbox{first: bc[0], n: 1, to: -1}
-			snd.bc = snd.bc[:b0]
-		default:
-			*ob = outbox{first: tg[0].p, n: 1, to: tg[0].to}
-			snd.tg = snd.tg[:t0]
-		}
-		e.account(s, int32(v), snd.neighbors, bc, tg)
-		if len(snd.neighbors) > 0 && s.msgs <= lightMax {
-			s.senders = append(s.senders, int32(v))
-		}
+		lo = hi
 	}
 	s.in = in // keep a grown scratch warm
 	s.bcs[cur], s.tgs[cur] = snd.bc, snd.tg
+}
+
+// Touch blocks. A full walk on a large graph steps in blocks of at most
+// touchBlock nodes whose neighbor lists hold at most touchSlots slots. A
+// slot touches two lines, its sent flag's and its head's, so a full block
+// fills at most 512 KiB, a quarter of a 2 MiB L2 cache. Measured on the
+// 2-vCPU host with alternating runs (CHANGES.md lists them):
+//
+//   - Blocks of 16 to 256 nodes on the 10⁶-node forest3 Theorem 1.1
+//     solve: with no touch, the rounds after a dense round took 1.23–1.36×
+//     their time at 64. At two workers 16, 32, 64 and 256 read within
+//     noise of each other (16 against 64 in two sweeps of 15 pairs:
+//     medians 0.95 and 1.02, quartiles from 0.84 to 1.10); at one worker
+//     64 read best (16 took 1.02× and 256 1.05× its time, 6 pairs).
+//   - touchMin, touch on against off, 7 pairs per cell at two workers,
+//     Theorems 1.1 and 1.2 on forest3, ER (average degree 4) and BA
+//     (m = 3): at 32768 nodes Theorem 1.1 took 1.05× on forest3 and 1.09×
+//     on BA; at 65536 BA took 1.03× under both theorems; at 131072 no
+//     cell read more than 1.01×, ER gained 11% under Theorem 1.1 and BA
+//     8% under Theorem 1.2. At the serving size, 20000 nodes at one worker,
+//     Theorem 1.2 on BA took 1.13×. Below it a round's heads stay in or
+//     near L2, and the touch only adds a walk.
+const (
+	touchBlock = 64
+	touchSlots = 4096
+	touchMin   = 1 << 17
+)
+
+// touch loads, for every neighbor slot of the touch block that starts at
+// lo, the neighbor's sent flag of parity par and, where it is set, the
+// neighbor's outbox head, and returns the block's end (at most end). The
+// block ends before the first node whose list would take it past
+// touchSlots; a first node with a longer list touches only its first
+// touchSlots slots.
+//
+// Without it, a full walk stalls on the first load of each sending
+// neighbor's head, a miss on any graph whose heads do not fit in cache,
+// and each pull's misses wait behind the Step before it. These loads
+// depend on nothing but the graph and the previous round's outboxes,
+// which no Step of this round writes, so the core keeps many of them in
+// flight, and the block's pulls then hit L1 or L2. The touch changes no
+// transcript: it reads what the pulls read and writes only the shard's
+// sink.
+func (e *engine[O]) touch(s *stepShard, lo, end, par int) int {
+	sent, outs := e.sent[par], e.outs[par]
+	hi := min(lo+touchBlock, end)
+	left, sink := touchSlots, s.sink
+	for v := lo; v < hi; v++ {
+		nbrs := e.g.Neighbors(v)
+		if len(nbrs) > left {
+			if v > lo {
+				hi = v
+				break
+			}
+			nbrs = nbrs[:left]
+		}
+		left -= len(nbrs)
+		for _, u := range nbrs {
+			if sent[u] {
+				sink += outs[u].n
+			}
+		}
+	}
+	s.sink = sink
+	return hi
 }
 
 // sends returns the packets of a head with n > 1, which par's round wrote

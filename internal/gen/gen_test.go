@@ -2,8 +2,10 @@ package gen_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arbods/internal/arbor"
 	"arbods/internal/gen"
@@ -71,7 +73,7 @@ func TestRandomTreeIsTree(t *testing.T) {
 		g := gen.RandomTree(n, seed).G
 		return g.N() == n && g.M() == n-1 && g.IsForest() && connected(g)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -88,7 +90,7 @@ func TestForestUnionArboricity(t *testing.T) {
 		lo, _ := arbor.Bounds(r.G)
 		return lo <= k
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,4 +228,14 @@ func TestNamesNonEmpty(t *testing.T) {
 			t.Fatalf("%s: nil graph", r.Name)
 		}
 	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }

@@ -1,9 +1,11 @@
 package graph_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arbods/internal/graph"
 	"arbods/internal/rng"
@@ -183,7 +185,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 50)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,4 +218,14 @@ func TestDecodeIgnoresComments(t *testing.T) {
 	if g.N() != 2 || g.M() != 1 {
 		t.Fatal("decode with comments failed")
 	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }

@@ -1,8 +1,10 @@
 package lower_test
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arbods/internal/arbor"
 	"arbods/internal/baseline"
@@ -158,7 +160,7 @@ func TestReductionProperty(t *testing.T) {
 		y := c.ExtractFractionalVC(inSet)
 		return verify.FractionalVertexCover(base, y, 1e-9) == nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 25)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,4 +288,14 @@ func TestGadget(t *testing.T) {
 	if err := verify.FractionalVertexCover(g, y, 1e-9); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }

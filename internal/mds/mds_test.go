@@ -1,8 +1,11 @@
 package mds_test
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"arbods/internal/baseline"
 	"arbods/internal/congest"
@@ -275,7 +278,7 @@ func TestQuickWeightedDeterministic(t *testing.T) {
 		}
 		return verify.Certificate(g, inSet, packing, rep.Factor, verify.DefaultTol) == nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 60)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,7 +305,7 @@ func TestQuickRandomizedAlgorithms(t *testing.T) {
 		return len(verify.DominatingSet(g, inSet)) == 0 &&
 			verify.PackingFeasible(g, packing, verify.DefaultTol) == nil
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 40)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -549,4 +552,53 @@ func TestDeterminism(t *testing.T) {
 	if same {
 		t.Log("warning: different seeds produced identical dominating sets (possible but unlikely)")
 	}
+}
+
+// TestLargeForestWorkerInvariance runs Theorem 1.1 on a forest3 above the
+// engine's touch gate (131072 nodes), where the rounds after a dense round
+// step in touch blocks, at one, two and three workers: the whole Report
+// must be equal, and rounds, messages, bits, DS weight and certified ratio
+// must equal the pins, recorded before the touch blocks existed. Every
+// other determinism graph is below the gate.
+func TestLargeForestWorkerInvariance(t *testing.T) {
+	const spec = "forest:n=150000,k=3,seed=1/uniform:max=100,seed=1"
+	w, err := gen.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *mds.Report
+	for _, workers := range []int{1, 2, 3} {
+		rep, err := mds.WeightedDeterministic(w.G, 3, 0.2, congest.WithSeed(1), congest.WithWorkers(workers),
+			congest.WithRoundStats(), congest.WithMessageStats())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = rep
+			continue
+		}
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("workers=%d: the report differs from the one at workers=1", workers)
+		}
+	}
+	type pin struct {
+		rounds         int
+		messages, bits int64
+		dsWeight       int64
+		ratio          float64
+	}
+	got := pin{want.Rounds(), want.Result.Messages, want.Result.TotalBits, want.DSWeight, want.CertifiedRatio()}
+	if pinned := (pin{18, 7623484, 85279469, 1111905, 3.9892642972189387}); got != pinned {
+		t.Errorf("%s: got %+v, want the pin %+v", spec, got, pinned)
+	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }

@@ -2,8 +2,10 @@ package mds
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -30,7 +32,7 @@ func TestPartialIterationsDefinition(t *testing.T) {
 		highOK := target < math.Pow(1+eps, float64(r))*(1+1e-12)
 		return lowOK && highOK
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +51,7 @@ func TestExtensionIterationsReachProbabilityOne(t *testing.T) {
 		p := math.Pow(gamma, float64(iters-1)) / float64(delta+1)
 		return p >= 1-1e-9
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,7 +68,7 @@ func TestExtensionPhasesCoverLambda(t *testing.T) {
 		}
 		return math.Pow(gamma, float64(phases)) >= 1/lambda*(1-1e-9)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(prop, quickConfig(t, 500)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,4 +114,14 @@ func TestValidation(t *testing.T) {
 	if err := validateAlpha(0); err == nil {
 		t.Fatal("α=0 accepted")
 	}
+}
+
+// quickConfig returns a testing/quick config of count cases drawn from one
+// seed, which it takes from the clock and logs: a failing run prints the
+// seed, and putting it in place of the clock replays the same inputs.
+func quickConfig(t *testing.T, count int) *quick.Config {
+	t.Helper()
+	seed := time.Now().UnixNano()
+	t.Logf("testing/quick seed %d", seed)
+	return &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}
 }
