@@ -44,9 +44,11 @@ const (
 // WithSeed sets the run seed for all per-node randomness.
 func WithSeed(seed uint64) Option { return congest.WithSeed(seed) }
 
-// WithWorkers sets the simulator's goroutine count (1 = sequential
-// engine; 0 = adaptive — sequential below a size crossover, GOMAXPROCS
-// above it; results are bit-identical for any value).
+// WithWorkers sets the simulator's goroutine count, clamped to the node
+// count (1 = sequential engine). Without it, or below 1, the Runner
+// picks: one worker below 16384 nodes, its CPU share from there — all of
+// GOMAXPROCS, or a RunnerPool's split. Results are bit-identical for any
+// value.
 func WithWorkers(w int) Option { return congest.WithWorkers(w) }
 
 // WithMode selects the communication model (default Congest).
@@ -91,9 +93,10 @@ func WithRunner(r *Runner) Option { return congest.WithRunner(r) }
 // RunnerPool is a bounded, goroutine-safe set of reusable Runners for
 // concurrent batch execution: workers check a Runner out with GetContext,
 // run on it, and Put it back, so at most Size runs are in flight and every
-// Runner keeps its warmed state between checkouts. Workers() is the
-// per-run engine worker budget (GOMAXPROCS split across the pool) that
-// keeps run-level and engine-level parallelism from oversubscribing the
+// Runner keeps its warmed state between checkouts. Each of its Runners
+// carries a CPU share of GOMAXPROCS divided by Size (reported by
+// Workers), which a large run on it takes as its worker count, so
+// run-level and engine-level parallelism do not oversubscribe the
 // machine.
 type RunnerPool = congest.RunnerPool
 
@@ -101,10 +104,10 @@ type RunnerPool = congest.RunnerPool
 func NewRunnerPool(size int) *RunnerPool { return congest.NewRunnerPool(size) }
 
 // Job is one independent unit of a batch — typically one simulator run of
-// a sweep. It receives its checked-out Runner and worker budget; pass
-// them along as WithRunner(r) and WithWorkers(workers), and write results
-// only into state the job owns (its slot of a caller-owned slice), so
-// batch results are identical to the sequential sweep.
+// a sweep. It receives its checked-out Runner, which carries its share of
+// the machine; pass it along as WithRunner(r), and write results only
+// into state the job owns (its slot of a caller-owned slice), so batch
+// results are identical to the sequential sweep.
 type Job = congest.Job
 
 // Batch schedules independent jobs across a RunnerPool with bounded

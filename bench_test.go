@@ -113,8 +113,9 @@ func BenchmarkWeightedRandomized(b *testing.B) {
 // families at n=20000 with uniform weights up to 100 (the repo benchmark's
 // first four serve_read graphs at its seed 1), α = the graph's degeneracy
 // and t = 2 (the daemon's defaults for an uploaded graph), one worker on a
-// warm Runner (the daemon's pool gives each solve GOMAXPROCS/pool-size
-// workers) and a fresh seed per run. λ(Δ+1) < 1 on three of the families,
+// warm Runner (the CPU share of each Runner in the daemon's default pool,
+// GOMAXPROCS divided by a pool size of GOMAXPROCS) and a fresh seed per
+// run. λ(Δ+1) < 1 on three of the families,
 // so their run is the Lemma 4.6 extension alone.
 func BenchmarkWeightedRandomizedServe(b *testing.B) {
 	specs := []string{"forest:n=20000,k=3", "ba:n=20000,m=3", "geom:n=20000,r=0.012", "er:n=20000,p=0.0002"}

@@ -347,6 +347,11 @@ type retryAfterError struct {
 func (e *retryAfterError) Error() string { return e.api.Error() }
 func (e *retryAfterError) Unwrap() error { return e.api }
 
+// maxResponseBytes caps what the client reads of a solve answer or a
+// graph download: the daemon's default upload cap, so the ARBCSR01 body
+// of any graph a default daemon accepts fits.
+const maxResponseBytes = 64 << 20
+
 // solveOnce runs one solve attempt against one endpoint and classifies
 // the outcome: transport errors and 5xx feed the breaker and retry;
 // 429/503 retry after the server's hint without blaming the endpoint
@@ -364,7 +369,7 @@ func (c *Client) solveOnce(ctx context.Context, ep *endpoint, body []byte) (*Sol
 		return nil, true, fmt.Errorf("%s: %w", ep.base, err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
+	data, err := io.ReadAll(io.LimitReader(hresp.Body, maxResponseBytes))
 	if err != nil {
 		c.markBreaker(ep, false)
 		return nil, true, fmt.Errorf("%s: read response: %w", ep.base, err)
@@ -453,7 +458,8 @@ func (c *Client) Upload(ctx context.Context, g *arbods.Graph) (GraphInfo, error)
 
 // Graph downloads the identified graph over the binary wire, verifies
 // its content hash against id, and caches it; VerifyReceipts rides this
-// path to re-prove domination locally.
+// path to re-prove domination locally. It reads at most maxResponseBytes
+// of an answer, and only an answer of the binary content type.
 func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
 	c.mu.Lock()
 	g, ok := c.graphs[id]
@@ -482,13 +488,26 @@ func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
 				&APIError{Status: hresp.StatusCode, Code: "fetch_failed", Endpoint: ep.base, Message: "graph fetch"}
 		}
 		c.markBreaker(ep, true)
-		decoded, err := arbods.DecodeGraphBinary(hresp.Body)
+		// A corrupt, oversized or wrong answer from one replica must not
+		// poison verification — try elsewhere.
+		if ct := hresp.Header.Get("Content-Type"); !strings.Contains(ct, api.BinaryContentType) {
+			return true, fmt.Errorf("%s: graph fetch answered Content-Type %q, want %s", ep.base, ct, api.BinaryContentType)
+		}
+		if hresp.ContentLength > maxResponseBytes {
+			return true, fmt.Errorf("%s: graph body of %d bytes exceeds %d", ep.base, hresp.ContentLength, maxResponseBytes)
+		}
+		data, err := io.ReadAll(io.LimitReader(hresp.Body, maxResponseBytes+1))
+		if err != nil {
+			return true, fmt.Errorf("%s: read graph: %w", ep.base, err)
+		}
+		if len(data) > maxResponseBytes {
+			return true, fmt.Errorf("%s: graph body exceeds %d bytes", ep.base, maxResponseBytes)
+		}
+		decoded, got, err := graph.DecodeBinaryID(data)
 		if err != nil {
 			return true, fmt.Errorf("%s: decode graph: %w", ep.base, err)
 		}
-		if got := graph.ID(decoded); got != id {
-			// A corrupt or wrong blob from one replica must not poison
-			// verification — try elsewhere.
+		if got != id {
 			return true, fmt.Errorf("%s: graph hash mismatch: got %s want %s", ep.base, got, id)
 		}
 		g = decoded

@@ -8,12 +8,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	neturl "net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"arbods"
+	"arbods/internal/api"
 	"arbods/internal/faultinject"
 	"arbods/internal/server"
 )
@@ -314,37 +319,93 @@ func TestVerifyRejectsTamperedAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A proxy that corrupts the dominating set must be caught by the
-	// client-side re-proof even though the receipt itself is untouched.
+	// A proxy that swaps one dominator for a non-member must be caught by
+	// the client-side re-proof even though the receipt itself is
+	// untouched. On the unit-weight grid the swap keeps the set's size and
+	// weight, so only the domination check can see it.
+	tamperedDS := swapLeavingUndominated(t, g, good.DS)
+	target, err := neturl.Parse(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forward := httputil.NewSingleHostReverseProxy(target)
 	tamper := scripted(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/solve" {
 			var tampered SolveResponse
 			blob, _ := json.Marshal(good)
 			json.Unmarshal(blob, &tampered)
 			tampered.ReceiptBytes = good.ReceiptBytes
-			tampered.DS = append([]int(nil), good.DS[1:]...) // drop one dominator
+			tampered.DS = tamperedDS
 			json.NewEncoder(w).Encode(tampered)
 			return
 		}
-		// Pass graph downloads through to the real server.
-		resp, err := http.Get(url + r.URL.Path)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		w.Write(buf.Bytes())
-		return
+		// Graph downloads reach the real server with their Accept header,
+		// so the client gets the binary wire and re-proves the set.
+		forward.ServeHTTP(w, r)
 	})
-	_ = tamper
 	c := mustClient(t, Config{Endpoints: []string{tamper.URL}, VerifyReceipts: true})
 	_, err = c.Solve(context.Background(), SolveRequest{Graph: info.ID, Algorithm: "thm1.1", Seed: 2, IncludeDS: true})
-	if err == nil || !strings.Contains(err.Error(), "receipt verification failed") {
-		t.Fatalf("tampered answer accepted: err = %v", err)
+	if err == nil || !strings.Contains(err.Error(), "receipt verification failed") || !strings.Contains(err.Error(), "undominated") {
+		t.Fatalf("tampered answer not refused by the domination check: err = %v", err)
+	}
+}
+
+// swapLeavingUndominated returns ds with one member replaced by a
+// non-member such that some node of g is left undominated.
+func swapLeavingUndominated(t *testing.T, g *arbods.Graph, ds []int) []int {
+	t.Helper()
+	inSet := make([]bool, g.N())
+	for _, v := range ds {
+		inSet[v] = true
+	}
+	for i, d := range ds {
+		for u := range inSet {
+			if inSet[u] {
+				continue
+			}
+			inSet[d], inSet[u] = false, true
+			undominated := arbods.IsDominatingSet(g, inSet)
+			inSet[d], inSet[u] = true, false
+			if len(undominated) > 0 {
+				swapped := slices.Clone(ds)
+				swapped[i] = u
+				return swapped
+			}
+		}
+	}
+	t.Fatal("every swap keeps the set dominating")
+	return nil
+}
+
+// TestGraphDownloadCapped: a graph download reads at most
+// maxResponseBytes. An endpoint that streams a longer body of the binary
+// type fails the fetch on its declared length, and the client hangs up
+// instead of buffering the body. (A body that declares no length is cut
+// at the cap by the same read; streaming one costs the test 64 MiB.)
+func TestGraphDownloadCapped(t *testing.T) {
+	const streamed = 2 * maxResponseBytes
+	wrote := make(chan int64, 1)
+	ep := scripted(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", api.BinaryContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(streamed))
+		chunk := make([]byte, 1<<20)
+		var n int64
+		for n < streamed {
+			k, err := w.Write(chunk)
+			n += int64(k)
+			if err != nil {
+				break
+			}
+		}
+		wrote <- n
+	})
+	c := mustClient(t, Config{Endpoints: []string{ep.URL}, MaxAttempts: 1})
+	_, err := c.Graph(context.Background(), "sha256:00")
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("over-cap download: err = %v, want a refusal naming the cap", err)
+	}
+	if n := <-wrote; n >= streamed {
+		t.Fatalf("the client read all %d streamed bytes", n)
 	}
 }
 

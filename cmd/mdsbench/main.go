@@ -62,9 +62,9 @@ func run(args []string) error {
 	// and amortized across all experiments — the serving pattern the
 	// engine is designed around. With -parallel > 1 the independent runs
 	// of each experiment additionally pipeline across a shared RunnerPool
-	// (one warmed Runner per concurrency slot, GOMAXPROCS split between
-	// run- and engine-level parallelism); the emitted tables are
-	// bit-identical either way, so -parallel is purely a wall-clock knob.
+	// (one warmed Runner per concurrency slot, each with an equal share
+	// of GOMAXPROCS); the emitted tables are bit-identical either way, so
+	// -parallel is purely a wall-clock knob.
 	runner := congest.NewRunner()
 	defer runner.Close()
 	cfg := bench.Config{Seed: *seed, Reps: *reps, Runner: runner}
@@ -75,10 +75,8 @@ func run(args []string) error {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
 	if *parallel > 1 {
-		pool := congest.NewRunnerPool(*parallel)
-		defer pool.Close()
-		cfg.Parallel = *parallel
-		cfg.Pool = pool
+		cfg.Pool = congest.NewRunnerPool(*parallel)
+		defer cfg.Pool.Close()
 	}
 	switch *scale {
 	case "small":

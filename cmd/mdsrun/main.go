@@ -80,7 +80,7 @@ func run(args []string) error {
 		seed    = fs.Uint64("seed", 1, "run seed")
 		printDS = fs.Bool("print-ds", false, "print the dominating set node IDs")
 		receipt = fs.Bool("receipt", false, "print the full verification receipt instead of the summary")
-		workers = fs.Int("workers", 0, "simulator goroutines (0 = GOMAXPROCS, 1 = sequential)")
+		workers = fs.Int("workers", 0, "simulator goroutines (0 = one below 16384 nodes, GOMAXPROCS from there; 1 = sequential)")
 		local   = fs.Bool("local", false, "run in the LOCAL model (no bandwidth limit)")
 		timeout = fs.Duration("timeout", 0, "abort the run after this long (checked at each round barrier; 0 = no limit)")
 		servers = fs.String("servers", "", "comma-separated arbods-server base URLs: solve remotely through the resilient client instead of in-process")
@@ -157,11 +157,7 @@ func newSummary(algo, name string, g *arbods.Graph, rec *arbods.Receipt) summary
 // the server dispatches from, and verifies it through BuildReceipt, the
 // one path the server and bench harness use too.
 func solveLocal(ctx context.Context, g *arbods.Graph, req api.SolveRequest, workers int) (*arbods.Receipt, []int, error) {
-	opts := []arbods.Option{arbods.WithContext(ctx)}
-	if workers > 0 {
-		opts = append(opts, arbods.WithWorkers(workers))
-	}
-	rep, err := api.Run(g, &req, opts...)
+	rep, err := api.Run(g, &req, arbods.WithContext(ctx), arbods.WithWorkers(workers))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -49,8 +49,10 @@
 // the limit.
 //
 // Runners. A Runner holds reusable run state and serves one run at a
-// time; a Report stays valid after the Runner's next run. A RunnerPool
-// bounds the runs in flight and splits GOMAXPROCS across them (Workers);
+// time; a Report stays valid after the Runner's next run. Without
+// WithWorkers, a run below 16384 nodes steps on one worker and a larger
+// one on its Runner's CPU share: all of GOMAXPROCS, or, in a RunnerPool,
+// which bounds the runs in flight, GOMAXPROCS divided by its size.
 // RunBatch and RunnerPool.Batch land each Job's result in its submission
 // slot and report the first error in submission order.
 //

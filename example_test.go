@@ -70,9 +70,9 @@ func ExampleNewRunner() {
 // ExampleRunBatch is the batch pattern: a sweep of independent runs —
 // here one run per seed — pipelines across a RunnerPool with bounded
 // parallelism, each job writing into its own slot so the assembled
-// results are bit-identical to the sequential sweep. GOMAXPROCS is split
-// between concurrent runs and each run's engine workers, so the sweep
-// uses the whole machine without oversubscribing it.
+// results are bit-identical to the sequential sweep. Each pooled Runner
+// carries an equal share of GOMAXPROCS, so the sweep uses the whole
+// machine without oversubscribing it.
 func ExampleRunBatch() {
 	w := arbods.ForestUnion(600, 2, 7)
 	g := arbods.UniformWeights(w.G, 50, 3)
@@ -81,9 +81,9 @@ func ExampleRunBatch() {
 	weights := make([]int64, sweeps)
 	jobs := make([]arbods.Job, sweeps)
 	for i := range jobs {
-		jobs[i] = func(r *arbods.Runner, workers int) error {
+		jobs[i] = func(r *arbods.Runner) error {
 			rep, err := arbods.WeightedRandomized(g, w.ArboricityBound, 2,
-				arbods.WithSeed(uint64(i+1)), arbods.WithRunner(r), arbods.WithWorkers(workers))
+				arbods.WithSeed(uint64(i+1)), arbods.WithRunner(r))
 			if err != nil {
 				return err
 			}

@@ -3,10 +3,10 @@
 // batched across a RunnerPool with RunBatch — and verifies the results
 // are identical point for point. The batch path is how cmd/mdsbench
 // -parallel executes every repetition loop of the experiment suite:
-// independent runs pipeline across warmed Runners, GOMAXPROCS is split
-// between concurrent runs and per-run engine workers, and each job
-// writes into its submission slot so parallelism never shows up in the
-// output, only in the wall clock.
+// independent runs pipeline across warmed Runners, each Runner carries
+// an equal share of GOMAXPROCS, and each job writes into its submission
+// slot so parallelism never shows up in the output, only in the wall
+// clock.
 //
 //	go run ./examples/sweep
 package main
@@ -68,9 +68,9 @@ func main() {
 	par := make([]outcome, len(sweep))
 	jobs := make([]arbods.Job, len(sweep))
 	for i, p := range sweep {
-		jobs[i] = func(pr *arbods.Runner, workers int) error {
+		jobs[i] = func(pr *arbods.Runner) error {
 			var err error
-			par[i], err = run(p, arbods.WithRunner(pr), arbods.WithWorkers(workers))
+			par[i], err = run(p, arbods.WithRunner(pr))
 			return err
 		}
 	}

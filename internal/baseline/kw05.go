@@ -27,8 +27,9 @@ import (
 // Each (l, m) iteration costs two rounds (value announcements, coverage
 // announcements), for 2k² + O(1) rounds total. Unweighted graphs only.
 type kwProc struct {
-	ni congest.NodeInfo
-	k  int
+	ni    congest.NodeInfo
+	k     int
+	delta int // Δ, known to every node
 
 	x        float64
 	mIdx     int // smallest m announced so far (-1 = none)
@@ -47,11 +48,11 @@ type kwProc struct {
 var _ congest.Proc[mds.Output] = (*kwProc)(nil)
 
 func (p *kwProc) value(m int) float64 {
-	return math.Pow(float64(p.ni.MaxDegree+1), -float64(m)/float64(p.k))
+	return math.Pow(float64(p.delta+1), -float64(m)/float64(p.k))
 }
 
 func (p *kwProc) threshold(l int) float64 {
-	return math.Pow(float64(p.ni.MaxDegree+1), float64(l)/float64(p.k))
+	return math.Pow(float64(p.delta+1), float64(l)/float64(p.k))
 }
 
 // span counts fractionally uncovered nodes in the closed neighborhood.
@@ -130,7 +131,7 @@ func (p *kwProc) Step(round int, in []congest.Incoming, s *congest.Sender) bool 
 		return false
 
 	case 2: // randomized rounding
-		prob := math.Min(1, p.x*math.Log(float64(p.ni.MaxDegree+1)))
+		prob := math.Min(1, p.x*math.Log(float64(p.delta+1)))
 		if p.ni.Rand.Bernoulli(prob) {
 			p.inDS = true
 			p.dominated = true
@@ -169,6 +170,7 @@ func KW05(g *graph.Graph, k int, opts ...congest.Option) (*mds.Report, float64, 
 		*p = kwProc{
 			ni:      ni,
 			k:       k,
+			delta:   g.MaxDegree(),
 			nbrX:    ni.Arena.Float64s(ni.Degree()),
 			nbrFCov: ni.Arena.Bools(ni.Degree()),
 			mIdx:    -1,
@@ -177,8 +179,7 @@ func KW05(g *graph.Graph, k int, opts ...congest.Option) (*mds.Report, float64, 
 		}
 		return p
 	}
-	all := append(append([]congest.Option{}, opts...), congest.WithKnownMaxDegree())
-	res, err := congest.Run(g, factory, all...)
+	res, err := congest.Run(g, factory, opts...)
 	if err != nil {
 		return nil, 0, err
 	}

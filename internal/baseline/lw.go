@@ -101,8 +101,7 @@ func LWDeterministic(g *graph.Graph, opts ...congest.Option) (*mds.Report, error
 		}
 		return p
 	}
-	all := append(append([]congest.Option{}, opts...), congest.WithKnownMaxDegree())
-	res, err := congest.Run(g, factory, all...)
+	res, err := congest.Run(g, factory, opts...)
 	if err != nil {
 		return nil, err
 	}

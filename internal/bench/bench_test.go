@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,10 +28,9 @@ func TestExperimentsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := runtime.GOMAXPROCS(0)
-	pool := congest.NewRunnerPool(procs)
+	pool := congest.NewRunnerPool(0) // GOMAXPROCS Runners
 	defer pool.Close()
-	tables := runAll(t, bench.Config{Seed: 1, Scale: bench.Full, Parallel: procs, Pool: pool})
+	tables := runAll(t, bench.Config{Seed: 1, Scale: bench.Full, Pool: pool})
 	checkClaims(t, tables)
 	if got := renderAll(tables); got != string(want) {
 		t.Errorf("EXPERIMENTS.md differs from a fresh run; if the change is intended, regenerate it with\n"+

@@ -32,23 +32,20 @@ type Config struct {
 	// the whole experiment sweep instead of being rebuilt per run. The
 	// caller owns it (and its Close); nil keeps each run on transient
 	// state. Batched runs never touch it — they execute on Runners checked
-	// out of the pool (see Parallel).
+	// out of Pool.
 	Runner *congest.Runner
-	// Parallel is the number of independent simulator runs an experiment
-	// may execute concurrently (0 or 1 = strictly sequential, the
-	// default). Tables are bit-identical for every value: batch jobs write
-	// into submission-indexed slots and derive their seeds from the slot
-	// index, never from scheduling order, and simulator transcripts are
-	// deterministic per (graph, seed, options). GOMAXPROCS is split
-	// between run-level and intra-run parallelism by the RunnerPool;
-	// values up to the core count use the machine without oversubscribing
-	// it (beyond that the per-run worker floor of 1 starts stacking runs
-	// on cores — cmd/mdsbench clamps its flag for that reason).
-	Parallel int
-	// Pool, when set with Parallel > 1, is the RunnerPool batch
-	// submissions execute on; the caller owns it (and its Close), and its
-	// warmed Runners then carry across every experiment of the sweep. Nil
-	// makes each batch build a transient pool.
+	// Pool, when set, runs each experiment's independent simulator runs
+	// concurrently, at most Pool.Size() at once; nil keeps them strictly
+	// sequential. The caller owns it (and its Close), and its warmed
+	// Runners carry across every experiment of the sweep. Tables are
+	// bit-identical either way: batch jobs write into submission-indexed
+	// slots and derive their seeds from the slot index, never from
+	// scheduling order, and simulator transcripts are deterministic per
+	// (graph, seed, options). The pool splits GOMAXPROCS between its
+	// Runners; sizes up to the core count use the machine without
+	// oversubscribing it (beyond that the per-Runner share floor of 1
+	// starts stacking runs on cores — cmd/mdsbench clamps its flag for
+	// that reason).
 	Pool *congest.RunnerPool
 }
 
@@ -61,9 +58,9 @@ func (c Config) opts(seed uint64, extra ...congest.Option) []congest.Option {
 }
 
 // optsOn is opts for a batch job: slot carries the job's pooled Runner
-// and intra-run worker budget (handed to the job by batch) and replaces
-// the config-level Runner, which concurrent jobs must never share. A nil
-// slot — sequential execution — falls back to opts' behavior exactly.
+// (handed to the job by batch) and replaces the config-level Runner,
+// which concurrent jobs must never share. A nil slot — sequential
+// execution — falls back to opts' behavior exactly.
 func (c Config) optsOn(slot []congest.Option, seed uint64, extra ...congest.Option) []congest.Option {
 	o := make([]congest.Option, 0, 2+len(slot)+len(extra))
 	o = append(o, congest.WithSeed(seed))
@@ -75,17 +72,17 @@ func (c Config) optsOn(slot []congest.Option, seed uint64, extra ...congest.Opti
 	return append(o, extra...)
 }
 
-// batch executes n independent jobs, sequentially or across a RunnerPool
-// according to cfg.Parallel. Job i must derive everything it does from i
-// alone and write its outcome into slot i of caller-owned storage; with
-// results (and the first-error choice below) pinned to submission slots,
-// the tables assembled afterwards are bit-identical to the sequential
-// sweep for every parallelism. The slot options passed to each job carry
-// the Runner and worker budget its simulator runs must use — jobs thread
-// them through cfg.optsOn. Errors: the first one in slot order wins,
-// whatever order the scheduler finished the jobs in.
+// batch executes n independent jobs, sequentially or across cfg.Pool.
+// Job i must derive everything it does from i alone and write its outcome
+// into slot i of caller-owned storage; with results (and the first-error
+// choice below) pinned to submission slots, the tables assembled
+// afterwards are bit-identical to the sequential sweep for every pool
+// size. The slot options passed to each job carry the Runner its
+// simulator runs must use — jobs thread them through cfg.optsOn. Errors:
+// the first one in slot order wins, whatever order the scheduler finished
+// the jobs in.
 func (c Config) batch(n int, job func(i int, slot []congest.Option) error) error {
-	if c.Parallel <= 1 || n <= 1 {
+	if c.Pool == nil || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := job(i, nil); err != nil {
 				return err
@@ -93,19 +90,10 @@ func (c Config) batch(n int, job func(i int, slot []congest.Option) error) error
 		}
 		return nil
 	}
-	pool := c.Pool
-	if pool == nil {
-		size := c.Parallel
-		if size > n {
-			size = n
-		}
-		pool = congest.NewRunnerPool(size)
-		defer pool.Close()
-	}
-	b := pool.Batch()
+	b := c.Pool.Batch()
 	for i := 0; i < n; i++ {
-		b.Submit(func(r *congest.Runner, workers int) error {
-			return job(i, []congest.Option{congest.WithRunner(r), congest.WithWorkers(workers)})
+		b.Submit(func(r *congest.Runner) error {
+			return job(i, []congest.Option{congest.WithRunner(r)})
 		})
 	}
 	return b.Wait()

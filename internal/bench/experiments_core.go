@@ -94,7 +94,7 @@ func E1Comparison(cfg Config) ([]*Table, error) {
 	}
 
 	// One batch job per (algorithm, instance): jobs land in slots, so the
-	// table below is identical whatever cfg.Parallel is.
+	// table below is identical with or without cfg.Pool.
 	type e1runs struct{ big, small *mds.Report }
 	runs := make([]e1runs, len(algos))
 	err := cfg.batch(2*len(algos), func(i int, slot []congest.Option) error {

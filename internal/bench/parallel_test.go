@@ -12,7 +12,7 @@ import (
 // renderAll flattens every table to its committed markdown form — the
 // stdout of cmd/mdsbench, of which EXPERIMENTS.md is one run — so byte
 // equality here is exactly the "tables are bit-identical" contract of
-// Config.Parallel.
+// Config.Pool.
 func renderAll(tables []*bench.Table) string {
 	var sb strings.Builder
 	for _, t := range tables {
@@ -38,8 +38,7 @@ func runAll(t *testing.T, cfg bench.Config) []*bench.Table {
 }
 
 // TestParallelMatchesSequential runs the complete experiment suite
-// sequentially and under several parallel configurations (shared
-// RunnerPool, transient per-batch pools) and requires byte-identical
+// sequentially and on a shared RunnerPool and requires byte-identical
 // rendered tables: batch scheduling must be invisible in every emitted
 // number. Under -race this doubles as the concurrency test for the whole
 // bench-on-RunnerPool stack.
@@ -52,16 +51,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 	t.Run("shared-pool", func(t *testing.T) {
 		pool := congest.NewRunnerPool(4)
 		defer pool.Close()
-		par := runAll(t, bench.Config{Seed: 1, Scale: bench.Small, Parallel: 4, Pool: pool})
+		par := runAll(t, bench.Config{Seed: 1, Scale: bench.Small, Pool: pool})
 		if got := renderAll(par); got != want {
-			t.Fatalf("Parallel=4 tables differ from the sequential sweep:\n%s", firstDiff(want, got))
-		}
-	})
-
-	t.Run("transient-pools", func(t *testing.T) {
-		par := runAll(t, bench.Config{Seed: 1, Scale: bench.Small, Parallel: 2})
-		if got := renderAll(par); got != want {
-			t.Fatalf("Parallel=2 (transient pools) tables differ from the sequential sweep:\n%s", firstDiff(want, got))
+			t.Fatalf("tables on a pool of 4 differ from the sequential sweep:\n%s", firstDiff(want, got))
 		}
 	})
 }

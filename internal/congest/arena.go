@@ -14,9 +14,7 @@ package congest
 // round 0; Step executes on worker goroutines, and the arena is not
 // goroutine-safe). Carved slices are zeroed, are valid for the duration of
 // the run, and must not be referenced from a Result — the owning Runner
-// recycles the blocks on its next run. A nil *Arena falls back to plain
-// make, so procs built outside an engine run (tests, direct construction)
-// keep working.
+// recycles the blocks on its next run.
 type Arena struct {
 	first int // elements in each type's first block: the bound graph's DegreeSum()
 	f64   slab[float64]
@@ -27,44 +25,19 @@ type Arena struct {
 }
 
 // Float64s carves a zeroed []float64 of length and capacity n.
-func (a *Arena) Float64s(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
-	}
-	return a.f64.alloc(n, a.first)
-}
+func (a *Arena) Float64s(n int) []float64 { return a.f64.alloc(n, a.first) }
 
 // Int64s carves a zeroed []int64 of length and capacity n.
-func (a *Arena) Int64s(n int) []int64 {
-	if a == nil {
-		return make([]int64, n)
-	}
-	return a.i64.alloc(n, a.first)
-}
+func (a *Arena) Int64s(n int) []int64 { return a.i64.alloc(n, a.first) }
 
 // Int32s carves a zeroed []int32 of length and capacity n.
-func (a *Arena) Int32s(n int) []int32 {
-	if a == nil {
-		return make([]int32, n)
-	}
-	return a.i32.alloc(n, a.first)
-}
+func (a *Arena) Int32s(n int) []int32 { return a.i32.alloc(n, a.first) }
 
 // Ints carves a zeroed []int of length and capacity n.
-func (a *Arena) Ints(n int) []int {
-	if a == nil {
-		return make([]int, n)
-	}
-	return a.ints.alloc(n, a.first)
-}
+func (a *Arena) Ints(n int) []int { return a.ints.alloc(n, a.first) }
 
 // Bools carves a zeroed []bool of length and capacity n.
-func (a *Arena) Bools(n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
-	return a.bools.alloc(n, a.first)
-}
+func (a *Arena) Bools(n int) []bool { return a.bools.alloc(n, a.first) }
 
 // Reset recycles every block for the next run: carve cursors rewind and
 // the carved memory is re-zeroed, so the next run's carves see zero values

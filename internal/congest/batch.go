@@ -8,13 +8,13 @@ import (
 
 // Job is one independent unit of a batch: typically one simulator run (a
 // seed × option × graph point of a sweep). It receives the Runner checked
-// out for it and the pool's intra-run worker budget; a job that executes
-// simulator runs must pass both along as WithRunner(r) and
-// WithWorkers(workers), and must keep its side effects confined to state
-// it owns — the batch pattern is that job i writes its result into slot i
-// of a caller-owned slice, so the assembled results are identical to the
-// sequential sweep no matter how the scheduler interleaves execution.
-type Job func(r *Runner, workers int) error
+// out for it, which carries its share of the machine; a job that executes
+// simulator runs must pass it along as WithRunner(r), and must keep its
+// side effects confined to state it owns — the batch pattern is that job
+// i writes its result into slot i of a caller-owned slice, so the
+// assembled results are identical to the sequential sweep no matter how
+// the scheduler interleaves execution.
+type Job func(r *Runner) error
 
 // Batch schedules independent jobs across a RunnerPool with bounded
 // parallelism. Submit never blocks (jobs queue on the pool's checkout);
@@ -56,7 +56,7 @@ func (b *Batch) Submit(job Job) {
 			return
 		}
 		defer b.pool.Put(r)
-		if err := job(r, b.pool.workers); err != nil {
+		if err := job(r); err != nil {
 			b.recordErr(idx, err)
 		}
 	}()
@@ -81,7 +81,7 @@ func (b *Batch) Wait() error {
 // transient RunnerPool (parallel ≤ 0 selects GOMAXPROCS; the pool never
 // outgrows the job count) and returns the first error in submission
 // order. parallel = 1 degenerates to a plain sequential loop on one
-// reusable Runner with the full worker budget — the reference the
+// reusable Runner with all of GOMAXPROCS as its share — the reference the
 // determinism tests compare every other parallelism against. Callers
 // running several batches should hold their own RunnerPool and use
 // Batch/Submit/Wait instead, so the warmed Runners carry over.
@@ -99,7 +99,7 @@ func RunBatch(parallel int, jobs ...Job) error {
 		r := NewRunner()
 		defer r.Close()
 		for _, job := range jobs {
-			if err := job(r, runtime.GOMAXPROCS(0)); err != nil {
+			if err := job(r); err != nil {
 				return err
 			}
 		}

@@ -23,10 +23,10 @@ type batchPoint struct {
 // batchJob runs the echo workload for point p and stores the Result in
 // out[i] — the slot discipline every batch caller follows.
 func batchJob(p batchPoint, out []*congest.Result[int64], i int) congest.Job {
-	return func(r *congest.Runner, workers int) error {
+	return func(r *congest.Runner) error {
 		res, err := congest.Run(p.g, func(ni congest.NodeInfo) congest.Proc[int64] {
 			return &echoProc{ni: ni, rounds: 3}
-		}, batchOpts(p, congest.WithRunner(r), congest.WithWorkers(workers))...)
+		}, batchOpts(p, congest.WithRunner(r))...)
 		if err != nil {
 			return fmt.Errorf("job %d: %w", i, err)
 		}
@@ -116,10 +116,10 @@ func TestBatchAbortedJob(t *testing.T) {
 	for i := 0; i < jobs; i++ {
 		if i%3 == 1 {
 			i := i
-			b.Submit(func(r *congest.Runner, workers int) error {
+			b.Submit(func(r *congest.Runner) error {
 				_, err := congest.Run(g, func(ni congest.NodeInfo) congest.Proc[struct{}] {
 					return &sendOnceProc{target: int(ni.Neighbors[0]), fat: true}
-				}, congest.WithSeed(1), congest.WithRunner(r), congest.WithWorkers(workers))
+				}, congest.WithSeed(1), congest.WithRunner(r))
 				if err == nil {
 					return fmt.Errorf("job %d: fat packet did not trip strict mode", i)
 				}
@@ -148,9 +148,9 @@ func TestBatchAbortedJob(t *testing.T) {
 	}
 }
 
-// TestRunnerPoolWorkerBudget pins the GOMAXPROCS split: pool checkouts
-// together never budget more engine workers than the machine has (with
-// the at-least-one floor), so batch parallelism does not oversubscribe.
+// TestRunnerPoolWorkerBudget pins the GOMAXPROCS split: the CPU shares of
+// a pool's Runners together never exceed the machine (with the
+// at-least-one floor), so batch parallelism does not oversubscribe.
 func TestRunnerPoolWorkerBudget(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, size := range []int{1, 2, 3, procs, 2 * procs} {

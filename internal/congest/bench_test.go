@@ -146,8 +146,8 @@ func BenchmarkRunnerReuse(b *testing.B) {
 // of a sweep of independent runs (here 8 seeds on a 100k-node sparse
 // graph — the shape of one experiment repetition loop), sequential versus
 // pipelined across a RunnerPool. parallel=1 is the exact sequential
-// reference (one warm Runner, full worker budget); the other
-// sub-benchmarks split GOMAXPROCS between concurrent runs, so on a
+// reference (one warm Runner with all of GOMAXPROCS as its share); the
+// other sub-benchmarks split GOMAXPROCS between concurrent runs, so on a
 // ≥ 4-core machine the batch rows should show the multicore scaling
 // curve (≈ #cores× up to memory bandwidth) at bit-identical results. On
 // a single-core machine all rows degenerate to the sequential engine.
@@ -169,14 +169,14 @@ func BenchmarkSweepBatch(b *testing.B) {
 			sums := make([]int64, sweepJobs)
 			jobs := make([]congest.Job, sweepJobs)
 			for j := range jobs {
-				jobs[j] = func(r *congest.Runner, workers int) error {
+				jobs[j] = func(r *congest.Runner) error {
 					// Each job owns its proc slab — concurrent runs must
 					// not share one. Both modes pay the same make, so the
 					// comparison stays apples to apples.
 					slab := make([]echoProc, g.N())
 					res, err := congest.Run(g, slabFactory(slab, 2),
 						congest.WithSeed(uint64(j+1)), congest.WithMode(congest.Local),
-						congest.WithRunner(r), congest.WithWorkers(workers))
+						congest.WithRunner(r))
 					if err != nil {
 						return err
 					}

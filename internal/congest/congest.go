@@ -92,11 +92,13 @@
 // binary search per boundary on the graph's CSR offsets), so hubs don't
 // serialize one shard; on regular graphs the cut equals the node-count
 // split. Light rounds, whose work is per node, cut by node count. The same
-// code runs at every worker count: WithWorkers(1) is one shard stepped
-// inline, and WithWorkers(0) picks adaptively by graph size (two workers
-// beat one from 16384 nodes in a sweep on a 2-vCPU host). Per-shard
-// structs carry trailing cache-line padding so adjacent shards' hot fields
-// never false-share.
+// code runs at every worker count: one worker is one shard stepped inline.
+// The count comes from one rule in Runner.bind: an explicit WithWorkers
+// wins; otherwise a graph below 16384 nodes gets one worker (two workers
+// beat one from there in a sweep on a 2-vCPU host) and a larger one the
+// Runner's CPU share, all of GOMAXPROCS unless a RunnerPool split it.
+// Per-shard structs carry trailing cache-line padding so adjacent shards'
+// hot fields never false-share.
 //
 // A full walk stalls on its first load of each sending neighbor's head: a
 // cache miss once the heads outgrow the cache, and without help each
@@ -119,8 +121,9 @@
 // across cores through a RunnerPool: a bounded set of Runners with
 // checkout/checkin, plus a Batch scheduler (Submit/Wait, or the RunBatch
 // convenience) that keeps at most pool-size runs in flight. The pool
-// splits GOMAXPROCS between run-level and engine-level parallelism
-// (RunnerPool.Workers), and the whole construction is deterministic:
+// splits GOMAXPROCS between run-level and engine-level parallelism by
+// giving each of its Runners an equal CPU share, which a large run on it
+// takes as its worker count, and the whole construction is deterministic:
 // jobs write results into their submission slots, Wait reports the
 // lowest-slot error, and per-run transcripts never depend on worker
 // count — so a batch sweep is bit-identical to the sequential loop it
@@ -132,7 +135,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sort"
 
 	"arbods/internal/faultinject"
@@ -160,10 +162,6 @@ type NodeInfo struct {
 	Weight int64
 	// N is the number of nodes in the network (globally known).
 	N int
-	// MaxDegree is Δ if the algorithm assumes it known, else 0.
-	MaxDegree int
-	// Arboricity is (an upper bound on) α if assumed known, else 0.
-	Arboricity int
 	// Rand is the node's private random stream, embedded by value: the
 	// proc that stores this NodeInfo owns the stream state in place, with
 	// no per-node heap object behind a pointer. Because it is a value,
@@ -174,9 +172,7 @@ type NodeInfo struct {
 	Rand rng.Stream
 	// Arena is the run-scoped slab allocator for per-node state (neighbor
 	// caches and similar degree-sized scratch). Carve only while the
-	// Factory runs; see Arena for the lifetime contract. Nil when the proc
-	// is constructed outside an engine run — the carve methods then fall
-	// back to plain make.
+	// Factory runs; see Arena for the lifetime contract.
 	Arena *Arena
 }
 
@@ -229,10 +225,8 @@ type config struct {
 	mode       Mode
 	bandwidth  int // 0 = DefaultBandwidth(n)
 	maxRounds  int
-	workers    int
+	workers    int // below 1 = not set: the Runner picks (see WithWorkers)
 	seed       uint64
-	maxDegree  bool // expose Δ in NodeInfo
-	arboricity int  // expose α in NodeInfo when > 0
 	roundStats bool
 	msgStats   bool
 	roundObs   func(RoundStat)       // per-round progress hook (nil = none)
@@ -259,26 +253,19 @@ func WithBandwidth(b int) Option { return optionFunc(func(c *config) { c.bandwid
 // hitting the cap means a bug.
 func WithMaxRounds(r int) Option { return optionFunc(func(c *config) { c.maxRounds = r }) }
 
-// WithWorkers sets the number of goroutines stepping nodes
-// (default GOMAXPROCS; 1 selects the sequential engine). WithWorkers(0)
-// selects the adaptive heuristic: the sequential engine below a node-count
-// crossover — small runs never pay the per-round dispatch barriers — and
-// GOMAXPROCS workers above it. Results are bit-identical for every worker
-// count, so the choice is purely about wall-clock time.
+// WithWorkers sets the number of goroutines stepping nodes: w ≥ 1 is
+// used as given, clamped to the node count, and 1 selects the sequential
+// engine. Without it, or with w < 1, the Runner picks: one worker below
+// adaptiveWorkersMin (16384) nodes, where the per-round barrier costs
+// more than a second worker recovers, and the Runner's CPU share from
+// there — all of GOMAXPROCS for a Runner from NewRunner or a transient
+// run, GOMAXPROCS divided by the pool size for a Runner of a RunnerPool.
+// Results are bit-identical for every worker count, so the choice is
+// purely about wall-clock time.
 func WithWorkers(w int) Option { return optionFunc(func(c *config) { c.workers = w }) }
 
 // WithSeed sets the run seed for the per-node random streams.
 func WithSeed(seed uint64) Option { return optionFunc(func(c *config) { c.seed = seed }) }
-
-// WithKnownMaxDegree exposes Δ to the nodes via NodeInfo (the paper's
-// default assumption; Remark 4.4 drops it).
-func WithKnownMaxDegree() Option { return optionFunc(func(c *config) { c.maxDegree = true }) }
-
-// WithKnownArboricity exposes the given arboricity bound to the nodes (the
-// paper's default assumption; Remark 4.5 drops it).
-func WithKnownArboricity(alpha int) Option {
-	return optionFunc(func(c *config) { c.arboricity = alpha })
-}
 
 // WithRoundStats records per-round message/bit statistics in the result.
 func WithRoundStats() Option { return optionFunc(func(c *config) { c.roundStats = true }) }
@@ -527,16 +514,9 @@ func (s *Sender) neighborPos(v int) int {
 // reused Runner (WithRunner). It never cancels unless a WithContext
 // option says otherwise.
 func Run[O any](g *graph.Graph, factory Factory[O], opts ...Option) (*Result[O], error) {
-	cfg := config{
-		mode:      Congest,
-		maxRounds: 1_000_000,
-		workers:   runtime.GOMAXPROCS(0),
-	}
+	cfg := config{mode: Congest, maxRounds: 1_000_000}
 	for _, o := range opts {
 		o.apply(&cfg)
-	}
-	if cfg.workers < 0 {
-		cfg.workers = 0 // negative collapses to the adaptive heuristic
 	}
 	r := cfg.runner
 	transient := r == nil

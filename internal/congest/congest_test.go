@@ -236,33 +236,28 @@ func TestRoundStats(t *testing.T) {
 	}
 }
 
+// TestKnowledgeFlags pins the one global parameter the engine hands every
+// node: n. Algorithms that assume Δ or α known pass them to their procs
+// themselves.
 func TestKnowledgeFlags(t *testing.T) {
 	g := gen.Star(5).G
-	factory := func(ni congest.NodeInfo) congest.Proc[know] {
-		return &knowProc{k: know{n: ni.N, d: ni.MaxDegree, a: ni.Arboricity}}
-	}
-	res, err := congest.Run(g, factory)
+	res, err := congest.Run(g, func(ni congest.NodeInfo) congest.Proc[int] {
+		return &knowProc{n: ni.N}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outputs[0].d != 0 || res.Outputs[0].a != 0 {
-		t.Fatal("Δ/α leaked without options")
-	}
-	res, err = congest.Run(g, factory, congest.WithKnownMaxDegree(), congest.WithKnownArboricity(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[0].d != 4 || res.Outputs[0].a != 1 || res.Outputs[0].n != 5 {
-		t.Fatalf("knowledge flags wrong: %+v", res.Outputs[0])
+	for v, n := range res.Outputs {
+		if n != 5 {
+			t.Fatalf("node %d saw N = %d, want 5", v, n)
+		}
 	}
 }
 
-type know struct{ n, d, a int }
-
-type knowProc struct{ k know }
+type knowProc struct{ n int }
 
 func (p *knowProc) Step(round int, in []congest.Incoming, s *congest.Sender) bool { return true }
-func (p *knowProc) Output() know                                                  { return p.k }
+func (p *knowProc) Output() int                                                   { return p.n }
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).MustBuild()

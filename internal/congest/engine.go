@@ -7,11 +7,6 @@ import (
 	"arbods/internal/rng"
 )
 
-// parallelStepMin is the node count below which the engine stays
-// sequential regardless of the configured worker count: for tiny graphs
-// the barrier cost dwarfs the per-node work.
-const parallelStepMin = 64
-
 // engine is the per-run, output-typed veneer over a Runner. The Runner
 // (embedded) owns everything O-independent — outbox records and slabs,
 // done entries, marks, both shard layouts, inbox scratch, worker pool,
@@ -100,21 +95,14 @@ func newEngine[O any](r *Runner, g *graph.Graph, factory Factory[O], cfg config)
 		}()
 		for v := 0; v < n; v++ {
 			cur = v
-			ni := NodeInfo{
+			e.procs[v] = factory(NodeInfo{
 				ID:        v,
 				Neighbors: g.Neighbors(v),
 				Weight:    g.Weight(v),
 				N:         n,
 				Rand:      rng.Init(cfg.seed, v),
 				Arena:     &r.arena,
-			}
-			if cfg.maxDegree {
-				ni.MaxDegree = g.MaxDegree()
-			}
-			if cfg.arboricity > 0 {
-				ni.Arboricity = cfg.arboricity
-			}
-			e.procs[v] = factory(ni)
+			})
 		}
 	}()
 	if perr != nil {

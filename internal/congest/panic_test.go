@@ -129,7 +129,7 @@ func TestRunnerPoolReplacesPoisoned(t *testing.T) {
 	r := get(t, p)
 	_, err := congest.Run(g, func(ni congest.NodeInfo) congest.Proc[int64] {
 		return &panicProc{echo: echoProc{ni: ni, rounds: 3}, panicRound: 1, panicFrom: 0}
-	}, congest.WithRunner(r), congest.WithWorkers(p.Workers()))
+	}, congest.WithRunner(r))
 	if !errors.Is(err, congest.ErrProcPanic) {
 		t.Fatalf("want ErrProcPanic, got %v", err)
 	}
@@ -145,7 +145,7 @@ func TestRunnerPoolReplacesPoisoned(t *testing.T) {
 	if fresh.Poisoned() {
 		t.Fatal("replacement Runner is poisoned")
 	}
-	got := runEcho(t, g, congest.WithRunner(fresh), congest.WithWorkers(p.Workers()))
+	got := runEcho(t, g, congest.WithRunner(fresh))
 	p.Put(fresh)
 	if p.Replaced() != 1 {
 		t.Fatalf("clean Put incremented Replaced to %d", p.Replaced())

@@ -18,15 +18,21 @@ import (
 //
 // A Runner may be reused across different graphs (graph-derived state is
 // rebuilt on the first run after the graph changes) and across different
-// option sets. It is not goroutine-safe: runs sharing a Runner must be
-// sequential, and a run that finds the Runner mid-run fails. Close releases
-// the worker pool; closing is optional for transient use but polite for
-// long-lived Runners (the pool goroutines otherwise persist until the
-// Runner is collected).
+// option sets. A run without WithWorkers on a graph of at least 16384
+// nodes takes the Runner's CPU share as its worker count: all of
+// GOMAXPROCS, or a RunnerPool's split. It is not goroutine-safe: runs
+// sharing a Runner must be sequential, and a run that finds the Runner
+// mid-run fails. Close releases the worker pool; closing is optional for
+// transient use but polite for long-lived Runners (the pool goroutines
+// otherwise persist until the Runner is collected).
 type Runner struct {
 	g       *graph.Graph
 	n       int
 	workers int // shard layout currently built (0 = none)
+	// share is the Runner's CPU share, the worker count a run of at least
+	// adaptiveWorkersMin nodes gets without WithWorkers: all of GOMAXPROCS
+	// from NewRunner, GOMAXPROCS divided by the pool size in a RunnerPool.
+	share int
 
 	pool     *pool
 	poolSize int
@@ -63,9 +69,9 @@ type Runner struct {
 	poisoned bool
 }
 
-// NewRunner returns an empty Runner; all state is built lazily by the first
-// run and reused afterwards.
-func NewRunner() *Runner { return &Runner{} }
+// NewRunner returns an empty Runner whose CPU share is all of GOMAXPROCS;
+// all state is built lazily by the first run and reused afterwards.
+func NewRunner() *Runner { return &Runner{share: runtime.GOMAXPROCS(0)} }
 
 // Poisoned reports whether a run on this Runner ended in a recovered proc
 // panic (ErrProcPanic). A panicking callback may have been interrupted at
@@ -137,22 +143,18 @@ func (r *Runner) bind(g *graph.Graph, cfg config) error {
 	// stale.
 	clear(r.marks)
 
+	// The one worker rule: an explicit count wins; otherwise small graphs
+	// stay sequential, since below the crossover the per-round barrier
+	// costs more than a second worker recovers, and larger ones take the
+	// Runner's share.
 	workers := cfg.workers
-	if workers == 0 {
-		// Adaptive: callers that pass WithWorkers(0) let the engine pick.
-		// Small graphs stay sequential — the per-round dispatch barriers
-		// cost more than the parallelism recovers below the crossover.
+	if workers < 1 {
 		workers = 1
 		if n >= adaptiveWorkersMin {
-			workers = runtime.GOMAXPROCS(0)
+			workers = r.share
 		}
 	}
-	if workers > n {
-		workers = n
-	}
-	if n < parallelStepMin || workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, n), 1)
 	if workers != r.workers {
 		r.workers = workers
 		// Dense boundaries are cut by cumulative degree (one binary search on

@@ -22,11 +22,11 @@ var ErrPoolClosed = errors.New("congest: RunnerPool is closed")
 // worker goroutines survive the checkout/checkin cycle, so a sweep of
 // hundreds of runs pays the setup cost at most size times.
 //
-// The pool also owns the machine's worker budget: Workers reports how many
-// intra-run engine workers each checkout should use (GOMAXPROCS split
-// evenly across the pool, never below 1), so for size ≤ GOMAXPROCS the
-// pool does not oversubscribe the CPUs the way `size` runs at the default
-// WithWorkers(GOMAXPROCS) would. An explicit size is honored even beyond
+// The pool also splits the machine: each of its Runners, and each
+// replacement Put checks in, has a CPU share of GOMAXPROCS divided by the
+// pool size (never below 1), which a run without WithWorkers takes as its
+// worker count from 16384 nodes, so for size ≤ GOMAXPROCS concurrent runs
+// do not oversubscribe the CPUs. An explicit size is honored even beyond
 // GOMAXPROCS — useful for checkout-slot isolation — but buys CPU-bound
 // runs nothing and keeps size warmed Runners resident, so CPU-bound
 // sweeps should stay at or below the core count (cmd/mdsbench clamps its
@@ -37,7 +37,7 @@ type RunnerPool struct {
 	closed    chan struct{} // closed by Close once every Runner is back
 	closeOnce sync.Once
 	size      int
-	workers   int
+	share     int          // each Runner's CPU share
 	replaced  atomic.Int64 // poisoned Runners discarded by Put
 }
 
@@ -51,16 +51,13 @@ func NewRunnerPool(size int) *RunnerPool {
 		size = procs
 	}
 	p := &RunnerPool{
-		free:    make(chan *Runner, size),
-		closed:  make(chan struct{}),
-		size:    size,
-		workers: procs / size,
-	}
-	if p.workers < 1 {
-		p.workers = 1
+		free:   make(chan *Runner, size),
+		closed: make(chan struct{}),
+		size:   size,
+		share:  max(procs/size, 1),
 	}
 	for i := 0; i < size; i++ {
-		p.free <- NewRunner()
+		p.free <- &Runner{share: p.share}
 	}
 	return p
 }
@@ -69,19 +66,19 @@ func NewRunnerPool(size int) *RunnerPool {
 // runs.
 func (p *RunnerPool) Size() int { return p.size }
 
-// Workers is the per-checkout intra-run worker budget: GOMAXPROCS divided
-// by the pool size (at least 1). Pass it to WithWorkers so run-level and
-// engine-level parallelism share the machine instead of multiplying.
-func (p *RunnerPool) Workers() int { return p.workers }
+// Workers is the CPU share of each of the pool's Runners: GOMAXPROCS
+// divided by the pool size (at least 1), the worker count a run of at
+// least 16384 nodes gets on a checked-out Runner without WithWorkers.
+func (p *RunnerPool) Workers() int { return p.share }
 
 // GetContext checks a Runner out, waiting until one is free, ctx is
 // canceled (ctx.Err()), or the pool is closed (ErrPoolClosed). A free
 // Runner is preferred over an already-expired context, so a pool with
 // capacity never rejects. Every successful GetContext must be balanced by
-// a Put of the same Runner; the easiest way to get both the pairing and
-// the worker budget right is to go through Batch or RunBatch. A checkout
-// already waiting when Close drains the last Runner fails with
-// ErrPoolClosed instead of blocking forever.
+// a Put of the same Runner; the easiest way to get the pairing right is
+// to go through Batch or RunBatch. A checkout already waiting when Close
+// drains the last Runner fails with ErrPoolClosed instead of blocking
+// forever.
 func (p *RunnerPool) GetContext(ctx context.Context) (*Runner, error) {
 	select {
 	case r := <-p.free:
@@ -111,7 +108,7 @@ func (p *RunnerPool) Put(r *Runner) {
 	if r.Poisoned() {
 		r.Close()
 		p.replaced.Add(1)
-		r = NewRunner()
+		r = &Runner{share: p.share}
 	}
 	p.free <- r
 }

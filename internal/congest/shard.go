@@ -29,9 +29,10 @@ import (
 // the shard that stepped its node and offsets into that shard's slabs,
 // whichever range that shard covers next.
 
-// adaptiveWorkersMin is the node count at which WithWorkers(0) switches
-// from the sequential engine to GOMAXPROCS workers. Below it the one
-// per-round dispatch barrier costs more than the parallelism recovers.
+// adaptiveWorkersMin is the node count at which a run without WithWorkers
+// switches from the sequential engine to its Runner's CPU share (see
+// Runner.bind). Below it the one per-round dispatch barrier costs more
+// than the parallelism recovers.
 // A sweep on the 2-vCPU host timed two workers against one (7 alternating
 // pairs per cell, transient Runners) on forest3, ER (average degree 4) and
 // BA (m = 3) graphs with uniform weights, under Theorem 1.1 (α the

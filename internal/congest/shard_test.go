@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -134,6 +136,65 @@ func TestShardBoundsRegularDegradesToNodeCount(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWorkerRule pins the one rule Runner.bind picks a run's worker count
+// by. Without WithWorkers, or below 1, a graph below adaptiveWorkersMin
+// nodes steps on one worker and a larger one on the Runner's CPU share:
+// all of GOMAXPROCS from NewRunner, GOMAXPROCS divided by the pool size
+// for a pooled Runner and for the replacement Put checks in for a
+// poisoned one. An explicit count wins, clamped to the node count.
+func TestWorkerRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	small, large := buildCycle(t, adaptiveWorkersMin-1), buildCycle(t, adaptiveWorkersMin)
+	workersOn := func(r *Runner, g *graph.Graph, opts ...Option) int {
+		t.Helper()
+		if _, err := runFlood(t, g, 8, append(opts, WithRunner(r))...); err != nil {
+			t.Fatal(err)
+		}
+		return r.workers
+	}
+	check := func(what string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %d workers, want %d", what, got, want)
+		}
+	}
+
+	fresh := NewRunner()
+	defer fresh.Close()
+	check("fresh Runner, small graph", workersOn(fresh, small), 1)
+	check("fresh Runner, large graph", workersOn(fresh, large), 2)
+	check("fresh Runner, large graph, WithWorkers(0)", workersOn(fresh, large, WithWorkers(0)), 2)
+	check("fresh Runner, large graph, WithWorkers(-1)", workersOn(fresh, large, WithWorkers(-1)), 2)
+
+	pool := NewRunnerPool(2)
+	defer pool.Close()
+	a, b := get(t, pool), get(t, pool)
+	check("pooled Runner, large graph", workersOn(b, large), 1)
+	a.poisoned = true
+	pool.Put(a)
+	pool.Put(b)
+	replacement := get(t, pool)
+	if replacement == a || pool.Replaced() != 1 {
+		t.Fatalf("Put did not replace the poisoned Runner (replaced %d)", pool.Replaced())
+	}
+	check("replacement Runner, large graph", workersOn(replacement, large), 1)
+	pool.Put(replacement)
+
+	path := buildCycle(t, 100)
+	check("WithWorkers(3) on 100 nodes", workersOn(fresh, path, WithWorkers(3)), 3)
+	check("WithWorkers(500) on 100 nodes", workersOn(fresh, path, WithWorkers(500)), 100)
+}
+
+// get checks a Runner out of p.
+func get(t *testing.T, p *RunnerPool) *Runner {
+	t.Helper()
+	r, err := p.GetContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestShardPadding pins the memory layouts the pull walk depends on. The

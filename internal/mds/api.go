@@ -130,7 +130,7 @@ func UnweightedDeterministic(g *graph.Graph, alpha int, eps float64, opts ...con
 	}
 	lambda := 1 / (float64(2*alpha+1) * (1 + eps))
 	params := detParams{eps: eps, lambda: lambda, mode: completeSelf}
-	res, err := run(g, params, alpha, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func WeightedDeterministic(g *graph.Graph, alpha int, eps float64, opts ...conge
 	}
 	lambda := 1 / (float64(2*alpha+1) * (1 + eps))
 	params := detParams{eps: eps, lambda: lambda, mode: completeRequest}
-	res, err := run(g, params, alpha, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func PartialWeighted(g *graph.Graph, alpha int, eps, lambda float64, opts ...con
 		return nil, fmt.Errorf("mds: λ=%g outside (0, 1/((α+1)(1+ε)))", lambda)
 	}
 	params := detParams{eps: eps, lambda: lambda, mode: completeNone}
-	res, err := run(g, params, alpha, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +214,7 @@ func TruncatedUnweighted(g *graph.Graph, alpha int, eps float64, iters int, opts
 	}
 	lambda := 1 / (float64(2*alpha+1) * (1 + eps))
 	params := detParams{eps: eps, lambda: lambda, mode: completeSelf, forceIters: iters}
-	res, err := run(g, params, alpha, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ func AblationNoFreeze(g *graph.Graph, alpha int, eps float64, opts ...congest.Op
 	}
 	lambda := 1 / (float64(2*alpha+1) * (1 + eps))
 	params := detParams{eps: eps, lambda: lambda, mode: completeRequest, noFreeze: true}
-	res, err := run(g, params, alpha, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +263,7 @@ func WeightedRandomized(g *graph.Graph, alpha, t int, opts ...congest.Option) (*
 	lambda := eps / float64(alpha+1)
 	gamma := math.Max(2, math.Pow(float64(alpha), 1/float64(2*t)))
 	params := detParams{eps: eps, lambda: lambda, gamma: gamma, mode: completeExtension}
-	res, err := run(g, params, alpha, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func GeneralGraphs(g *graph.Graph, k int, opts ...congest.Option) (*Report, erro
 	}
 	lambda := 1 / float64(delta+1)
 	params := detParams{eps: 0.5, lambda: lambda, gamma: gamma, mode: completeExtension, skipPartial: true}
-	res, err := run(g, params, 0, opts)
+	res, err := run(g, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -306,18 +306,13 @@ func GeneralGraphs(g *graph.Graph, k int, opts ...congest.Option) (*Report, erro
 	return rep, nil
 }
 
-// run wires a detParams proc into the simulator with the globally known
-// parameters the paper assumes (Δ, and α when relevant). Procs are
-// constructed in place in one slab — a single allocation for all n nodes —
-// with their neighbor caches carved from the run's arena; an extension run
-// adds one more slab for the nodes' extension state.
-func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*congest.Result[Output], error) {
-	all := make([]congest.Option, 0, len(opts)+2)
-	all = append(all, opts...)
-	all = append(all, congest.WithKnownMaxDegree())
-	if alpha > 0 {
-		all = append(all, congest.WithKnownArboricity(alpha))
-	}
+// run wires a detParams proc into the simulator; the globally known
+// parameters the paper assumes (Δ, and α through λ) reach the procs in
+// params. Procs are constructed in place in one slab — a single allocation
+// for all n nodes — with their neighbor caches carved from the run's
+// arena; an extension run adds one more slab for the nodes' extension
+// state.
+func run(g *graph.Graph, params detParams, opts []congest.Option) (*congest.Result[Output], error) {
 	switch {
 	case params.skipPartial:
 		params.r = 0
@@ -343,7 +338,7 @@ func run(g *graph.Graph, params detParams, alpha int, opts []congest.Option) (*c
 		}
 		return pr
 	}
-	return congest.Run(g, factory, all...)
+	return congest.Run(g, factory, opts...)
 }
 
 // wrapProc, when set, wraps every proc run builds. Only tests set it: they

@@ -225,10 +225,7 @@ func UnknownDelta(g *graph.Graph, alpha int, eps float64, opts ...congest.Option
 		p.init(ni, eps, lambda, 0, pow)
 		return p
 	}
-	all := make([]congest.Option, 0, len(opts)+1)
-	all = append(all, opts...)
-	all = append(all, congest.WithKnownArboricity(alpha))
-	res, err := congest.Run(g, factory, all...)
+	res, err := congest.Run(g, factory, opts...)
 	if err != nil {
 		return nil, err
 	}

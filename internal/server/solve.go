@@ -299,11 +299,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.lat.queue.observe(time.Since(tQueue))
 
 	var stream *streamWriter
-	opts := []arbods.Option{
-		arbods.WithContext(ctx),
-		arbods.WithRunner(runner),
-		arbods.WithWorkers(s.pool.Workers()),
-	}
+	opts := []arbods.Option{arbods.WithContext(ctx), arbods.WithRunner(runner)}
 	if s.cfg.Faults != nil {
 		opts = append(opts, arbods.WithFaultInjection(s.cfg.Faults))
 	}
