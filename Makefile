@@ -31,14 +31,16 @@ unlinked:
 	bash unlinked.sh
 
 # Fuzz the solve-request contract (strict decoding, Normalize, cache
-# keys), the text graph decoder (against its reference) and the ARBCSR01
-# decoder for 10s each beyond their committed seed corpora, which
-# `go test ./...` already runs. The graph corpora hold kilobyte bodies,
-# and with its default 60s the minimizer can spend a whole 10s budget on
-# one of them (a mutated ARBCSR01 blob fails its checksum on almost every
-# byte it drops); 1s leaves the budget to new inputs.
+# keys), the bounded body reader (api.ReadBody), the text graph decoder
+# (against its reference) and the ARBCSR01 decoder for 10s each beyond
+# their seed corpora, which `go test ./...` already runs. The graph
+# corpora hold kilobyte bodies, and with its default 60s the minimizer
+# can spend a whole 10s budget on one of them (a mutated ARBCSR01 blob
+# fails its checksum on almost every byte it drops); 1s leaves the budget
+# to new inputs.
 fuzz:
 	$(GO) test ./internal/api/ -run '^$$' -fuzz FuzzSolveRequest -fuzztime 10s
+	$(GO) test ./internal/api/ -run '^$$' -fuzz '^FuzzReadBody$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/graph/ -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 10s -fuzzminimizetime 1s
 

@@ -3,8 +3,12 @@
 // with capped exponential backoff and full jitter, honors the server's
 // adaptive Retry-After hints, spends from a retry budget so client
 // retries cannot amplify a server outage, and trips a per-endpoint
-// circuit breaker (closed → open → half-open) so a dead daemon costs one
-// probe per cooldown instead of one timeout per request.
+// circuit breaker (an internal/health Tracker) so a dead daemon is
+// skipped until its cooldown passes instead of costing one timeout per
+// request. Solve, Upload and Graph share one attempt loop and classify
+// outcomes alike: a transport error or a 5xx other than 503 blames the
+// endpoint and retries, 429 and 503 retry after the server's hint, 404
+// tries the next endpoint, and any other 4xx is terminal.
 //
 // The library's determinism is the client's verification lever: a solve's
 // receipt is byte-identical for a fixed (graph, algorithm, params, seed)
@@ -25,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -35,6 +38,7 @@ import (
 	"arbods"
 	"arbods/internal/api"
 	"arbods/internal/graph"
+	"arbods/internal/health"
 )
 
 // Config configures a Client. Every knob has a production-safe default;
@@ -68,7 +72,9 @@ type Config struct {
 	RetryBudget float64
 	// BreakerThreshold consecutive endpoint failures open that endpoint's
 	// breaker (default 5); BreakerCooldown is how long it stays open
-	// before one half-open probe is allowed through (default 2s).
+	// (default 2s). Once the cooldown has passed, requests go to the
+	// endpoint again as a trial: the first success closes the breaker,
+	// and a failure re-opens it for another cooldown.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// VerifyReceipts re-checks every solve answer locally; see the
@@ -146,7 +152,7 @@ func New(cfg Config) (*Client, error) {
 		}
 		c.endpoints = append(c.endpoints, &endpoint{
 			base:    e,
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			breaker: health.New(cfg.BreakerThreshold, 1, cfg.BreakerCooldown),
 		})
 	}
 	if len(c.endpoints) == 0 {
@@ -164,7 +170,7 @@ func (c *Client) logf(format string, args ...any) {
 // endpoint is one server base URL plus its breaker.
 type endpoint struct {
 	base    string
-	breaker *breaker
+	breaker *health.Tracker
 }
 
 // SolveRequest and GraphInfo are the daemon's own declarations of the
@@ -217,17 +223,23 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	if err != nil {
 		return nil, err
 	}
-	var resp *SolveResponse
-	err = c.withRetries(ctx, func(ctx context.Context, ep *endpoint) (retryable bool, err error) {
-		r, retryable, err := c.solveOnce(ctx, ep, body)
-		if err != nil {
-			return retryable, err
-		}
-		resp = r
-		return false, nil
-	}, &resp)
+	var data []byte
+	ep, attempts, err := c.call(ctx, func(ctx context.Context, base string) (err error) {
+		data, err = c.post(ctx, base+"/v1/solve", "application/json", body, api.MaxAnswerBytes)
+		return err
+	})
 	if err != nil {
 		return nil, err
+	}
+	resp := &SolveResponse{Endpoint: ep, Attempts: attempts}
+	if err := json.Unmarshal(data, resp); err != nil {
+		return nil, fmt.Errorf("%s: decode response: %w", ep, err)
+	}
+	if len(resp.ReceiptBytes) > 0 {
+		resp.Receipt = new(arbods.Receipt)
+		if err := json.Unmarshal(resp.ReceiptBytes, resp.Receipt); err != nil {
+			return nil, fmt.Errorf("%s: decode receipt: %w", ep, err)
+		}
 	}
 	if c.cfg.VerifyReceipts {
 		if err := c.verifyResponse(ctx, resp); err != nil {
@@ -237,20 +249,77 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	return resp, nil
 }
 
-// withRetries is the shared attempt loop: pick an endpoint the breaker
-// allows, run op, and on a retryable failure spend budget, sleep the
-// jittered backoff (or the server's Retry-After), and go again. attempts
-// is written back onto the response via the pointer dance in Solve.
-func (c *Client) withRetries(ctx context.Context, op func(context.Context, *endpoint) (bool, error), resp **SolveResponse) error {
+// Upload sends g to the cluster over the ARBCSR01 binary wire and
+// returns its content-hash id. Any daemon accepts an upload; the cluster
+// replicates it to the graph's owners.
+func (c *Client) Upload(ctx context.Context, g *arbods.Graph) (GraphInfo, error) {
+	blob := graph.AppendBinary(nil, g)
+	var data []byte
+	_, _, err := c.call(ctx, func(ctx context.Context, base string) (err error) {
+		data, err = c.post(ctx, base+"/v1/graphs", api.BinaryContentType, blob, 1<<20)
+		return err
+	})
+	var info GraphInfo
+	if err == nil {
+		err = json.Unmarshal(data, &info)
+	}
+	return info, err
+}
+
+// Graph downloads the identified graph over the binary wire
+// (api.FetchGraph: at most api.MaxAnswerBytes of the binary type, its
+// content hash checked against id) and caches it; VerifyReceipts rides
+// this path to re-prove domination locally.
+func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
+	c.mu.Lock()
+	g, ok := c.graphs[id]
+	c.mu.Unlock()
+	if ok {
+		return g, nil
+	}
+	_, _, err := c.call(ctx, func(ctx context.Context, base string) (err error) {
+		g, err = api.FetchGraph(ctx, c.hc, base, id, api.MaxAnswerBytes)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.graphs[id] = g
+	c.mu.Unlock()
+	return g, nil
+}
+
+// post sends body to url and returns the answer, read under limit; an
+// answer other than 200 OK is an *api.StatusError.
+func (c *Client) post(ctx context.Context, url, contentType string, body []byte, limit int64) ([]byte, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", contentType)
+	hresp, err := c.hc.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	return api.ReadAnswer(hresp, limit)
+}
+
+// call is the one attempt loop of Solve, Upload and Graph: pick an
+// endpoint the breaker allows, run op against its base URL, classify the
+// outcome, and on a retryable failure spend budget, sleep the jittered
+// backoff (or the server's Retry-After) and go again. It returns the
+// endpoint that answered and the attempts made, first included.
+func (c *Client) call(ctx context.Context, op func(ctx context.Context, base string) error) (string, int, error) {
 	start := int(c.nextStart())
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if !c.budget.spend() {
-				return fmt.Errorf("%w after %d attempts: %v", ErrBudgetExhausted, attempt, lastErr)
+				return "", 0, fmt.Errorf("%w after %d attempts: %v", ErrBudgetExhausted, attempt, lastErr)
 			}
 			if err := c.sleep(ctx, attempt, lastErr); err != nil {
-				return err
+				return "", 0, err
 			}
 		}
 		ep := c.pickEndpoint(start + attempt)
@@ -259,26 +328,59 @@ func (c *Client) withRetries(ctx context.Context, op func(context.Context, *endp
 			continue
 		}
 		attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		retryable, err := op(attemptCtx, ep)
+		retryable, err := c.classify(ep, op(attemptCtx, ep.base))
 		cancel()
 		if err == nil {
 			c.budget.refund()
-			if resp != nil && *resp != nil {
-				(*resp).Endpoint = ep.base
-				(*resp).Attempts = attempt + 1
-			}
-			return nil
+			return ep.base, attempt + 1, nil
 		}
 		lastErr = err
 		if !retryable {
-			return err
+			return "", 0, err
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return "", 0, ctx.Err()
 		}
 		c.logf("event=retry attempt=%d endpoint=%s err=%q", attempt+1, ep.base, err.Error())
 	}
-	return fmt.Errorf("arbodsclient: %d attempts exhausted: %w", c.cfg.MaxAttempts, lastErr)
+	return "", 0, fmt.Errorf("arbodsclient: %d attempts exhausted: %w", c.cfg.MaxAttempts, lastErr)
+}
+
+// classify feeds one attempt's outcome to ep's breaker, logging each
+// open and each close once, and says whether to try again. A transport
+// or read error, or a 5xx other than 503, blames the endpoint and
+// retries; 429 and 503 retry after the server's hint without blaming it
+// (an overloaded daemon is alive); 404 tries the next endpoint (another
+// replica may hold the graph); any other 4xx is terminal.
+func (c *Client) classify(ep *endpoint, err error) (retryable bool, out error) {
+	var status *api.StatusError
+	isStatus := errors.As(err, &status)
+	ok := err == nil || isStatus && (status.Status < 500 || status.Status == http.StatusServiceUnavailable)
+	if ep.breaker.Record(ok) {
+		c.logf("event=breaker endpoint=%s open=%v", ep.base, !ok)
+	}
+	switch {
+	case err == nil:
+		return false, nil
+	case !isStatus:
+		return true, fmt.Errorf("%s: %w", ep.base, err)
+	}
+	apiErr := &APIError{Status: status.Status, Endpoint: ep.base}
+	var envelope api.ErrorBody
+	if json.Unmarshal(status.Body, &envelope) == nil {
+		apiErr.Code, apiErr.Message = envelope.Code, envelope.Error
+	}
+	switch status.Status {
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		var delay time.Duration
+		if secs, err := strconv.Atoi(status.Header.Get("Retry-After")); err == nil && secs > 0 {
+			delay = time.Duration(secs) * time.Second
+		}
+		return true, &retryAfterError{api: apiErr, delay: delay}
+	case http.StatusNotFound:
+		return true, apiErr
+	}
+	return status.Status >= 500, apiErr
 }
 
 func (c *Client) nextStart() uint64 {
@@ -295,7 +397,7 @@ func (c *Client) pickEndpoint(start int) *endpoint {
 	n := len(c.endpoints)
 	for i := 0; i < n; i++ {
 		ep := c.endpoints[(start+i)%n]
-		if ep.breaker.allow() {
+		if ep.breaker.Allow() {
 			return ep
 		}
 	}
@@ -346,178 +448,3 @@ type retryAfterError struct {
 
 func (e *retryAfterError) Error() string { return e.api.Error() }
 func (e *retryAfterError) Unwrap() error { return e.api }
-
-// maxResponseBytes caps what the client reads of a solve answer or a
-// graph download: the daemon's default upload cap, so the ARBCSR01 body
-// of any graph a default daemon accepts fits.
-const maxResponseBytes = 64 << 20
-
-// solveOnce runs one solve attempt against one endpoint and classifies
-// the outcome: transport errors and 5xx feed the breaker and retry;
-// 429/503 retry after the server's hint without blaming the endpoint
-// (an overloaded daemon is alive); 404 tries the next endpoint (another
-// replica may hold the graph); remaining 4xx are terminal.
-func (c *Client) solveOnce(ctx context.Context, ep *endpoint, body []byte) (*SolveResponse, bool, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.base+"/v1/solve", bytes.NewReader(body))
-	if err != nil {
-		return nil, false, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		c.markBreaker(ep, false)
-		return nil, true, fmt.Errorf("%s: %w", ep.base, err)
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, maxResponseBytes))
-	if err != nil {
-		c.markBreaker(ep, false)
-		return nil, true, fmt.Errorf("%s: read response: %w", ep.base, err)
-	}
-	if hresp.StatusCode == http.StatusOK {
-		c.markBreaker(ep, true)
-		var resp SolveResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, false, fmt.Errorf("%s: decode response: %w", ep.base, err)
-		}
-		if len(resp.ReceiptBytes) > 0 {
-			resp.Receipt = new(arbods.Receipt)
-			if err := json.Unmarshal(resp.ReceiptBytes, resp.Receipt); err != nil {
-				return nil, false, fmt.Errorf("%s: decode receipt: %w", ep.base, err)
-			}
-		}
-		return &resp, false, nil
-	}
-	apiErr := &APIError{Status: hresp.StatusCode, Endpoint: ep.base}
-	var envelope api.ErrorBody
-	if json.Unmarshal(data, &envelope) == nil {
-		apiErr.Code, apiErr.Message = envelope.Code, envelope.Error
-	}
-	switch {
-	case hresp.StatusCode == http.StatusTooManyRequests || hresp.StatusCode == http.StatusServiceUnavailable:
-		// The daemon answered: alive, just shedding. Honor its hint.
-		c.markBreaker(ep, true)
-		var delay time.Duration
-		if secs, err := strconv.Atoi(hresp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			delay = time.Duration(secs) * time.Second
-		}
-		return nil, true, &retryAfterError{api: apiErr, delay: delay}
-	case hresp.StatusCode >= 500:
-		c.markBreaker(ep, false)
-		return nil, true, apiErr
-	case hresp.StatusCode == http.StatusNotFound:
-		// Another replica may hold the graph; the endpoint is healthy.
-		c.markBreaker(ep, true)
-		return nil, true, apiErr
-	default:
-		c.markBreaker(ep, true)
-		return nil, false, apiErr
-	}
-}
-
-// markBreaker feeds one outcome to ep's breaker, logging transitions.
-func (c *Client) markBreaker(ep *endpoint, ok bool) {
-	if changed, open := ep.breaker.record(ok); changed {
-		c.logf("event=breaker endpoint=%s open=%v", ep.base, open)
-	}
-}
-
-// Upload sends g to the cluster over the ARBCSR01 binary wire and
-// returns its content-hash id. Any daemon accepts an upload; the cluster
-// replicates it to the graph's owners.
-func (c *Client) Upload(ctx context.Context, g *arbods.Graph) (GraphInfo, error) {
-	blob := graph.AppendBinary(nil, g)
-	var info GraphInfo
-	err := c.withRetries(ctx, func(ctx context.Context, ep *endpoint) (bool, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ep.base+"/v1/graphs", bytes.NewReader(blob))
-		if err != nil {
-			return false, err
-		}
-		hreq.Header.Set("Content-Type", api.BinaryContentType)
-		hresp, err := c.hc.Do(hreq)
-		if err != nil {
-			c.markBreaker(ep, false)
-			return true, fmt.Errorf("%s: %w", ep.base, err)
-		}
-		defer hresp.Body.Close()
-		data, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
-		if err != nil {
-			c.markBreaker(ep, false)
-			return true, fmt.Errorf("%s: read response: %w", ep.base, err)
-		}
-		if hresp.StatusCode != http.StatusOK {
-			retryable := hresp.StatusCode >= 500 || hresp.StatusCode == http.StatusTooManyRequests
-			c.markBreaker(ep, hresp.StatusCode < 500)
-			return retryable, &APIError{Status: hresp.StatusCode, Endpoint: ep.base, Message: string(data)}
-		}
-		c.markBreaker(ep, true)
-		return false, json.Unmarshal(data, &info)
-	}, nil)
-	return info, err
-}
-
-// Graph downloads the identified graph over the binary wire, verifies
-// its content hash against id, and caches it; VerifyReceipts rides this
-// path to re-prove domination locally. It reads at most maxResponseBytes
-// of an answer, and only an answer of the binary content type.
-func (c *Client) Graph(ctx context.Context, id string) (*arbods.Graph, error) {
-	c.mu.Lock()
-	g, ok := c.graphs[id]
-	c.mu.Unlock()
-	if ok {
-		return g, nil
-	}
-	err := c.withRetries(ctx, func(ctx context.Context, ep *endpoint) (bool, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.base+"/v1/graphs/"+id, nil)
-		if err != nil {
-			return false, err
-		}
-		hreq.Header.Set("Accept", api.BinaryContentType)
-		hresp, err := c.hc.Do(hreq)
-		if err != nil {
-			c.markBreaker(ep, false)
-			return true, fmt.Errorf("%s: %w", ep.base, err)
-		}
-		defer hresp.Body.Close()
-		if hresp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<20))
-			c.markBreaker(ep, hresp.StatusCode < 500)
-			// 404 is retryable here for the same reason as in solveOnce:
-			// another replica may hold the graph.
-			return hresp.StatusCode >= 500 || hresp.StatusCode == http.StatusNotFound,
-				&APIError{Status: hresp.StatusCode, Code: "fetch_failed", Endpoint: ep.base, Message: "graph fetch"}
-		}
-		c.markBreaker(ep, true)
-		// A corrupt, oversized or wrong answer from one replica must not
-		// poison verification — try elsewhere.
-		if ct := hresp.Header.Get("Content-Type"); !strings.Contains(ct, api.BinaryContentType) {
-			return true, fmt.Errorf("%s: graph fetch answered Content-Type %q, want %s", ep.base, ct, api.BinaryContentType)
-		}
-		if hresp.ContentLength > maxResponseBytes {
-			return true, fmt.Errorf("%s: graph body of %d bytes exceeds %d", ep.base, hresp.ContentLength, maxResponseBytes)
-		}
-		data, err := io.ReadAll(io.LimitReader(hresp.Body, maxResponseBytes+1))
-		if err != nil {
-			return true, fmt.Errorf("%s: read graph: %w", ep.base, err)
-		}
-		if len(data) > maxResponseBytes {
-			return true, fmt.Errorf("%s: graph body exceeds %d bytes", ep.base, maxResponseBytes)
-		}
-		decoded, got, err := graph.DecodeBinaryID(data)
-		if err != nil {
-			return true, fmt.Errorf("%s: decode graph: %w", ep.base, err)
-		}
-		if got != id {
-			return true, fmt.Errorf("%s: graph hash mismatch: got %s want %s", ep.base, got, id)
-		}
-		g = decoded
-		return false, nil
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.graphs[id] = g
-	c.mu.Unlock()
-	return g, nil
-}

@@ -20,6 +20,7 @@ import (
 	"arbods"
 	"arbods/internal/api"
 	"arbods/internal/faultinject"
+	"arbods/internal/graph"
 	"arbods/internal/server"
 )
 
@@ -117,13 +118,6 @@ func (b *retryBudget) remaining() float64 {
 	return b.tokens
 }
 
-// snapshot reports the breaker's current state.
-func (b *breaker) snapshot() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 func TestRetryBudgetExhausted(t *testing.T) {
 	var calls atomic.Int64
 	ts := scripted(t, func(w http.ResponseWriter, r *http.Request) {
@@ -172,46 +166,6 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
-func TestBreakerTransitions(t *testing.T) {
-	b := newBreaker(2, 30*time.Millisecond)
-	if !b.allow() || b.snapshot() != breakerClosed {
-		t.Fatal("breaker must start closed")
-	}
-	b.record(false)
-	if b.snapshot() != breakerClosed {
-		t.Fatal("opened before threshold")
-	}
-	if changed, open := b.record(false); !changed || !open {
-		t.Fatal("threshold failure must open the breaker")
-	}
-	if b.allow() {
-		t.Fatal("open breaker admitted a request inside the cooldown")
-	}
-	time.Sleep(35 * time.Millisecond)
-	if !b.allow() || b.snapshot() != breakerHalfOpen {
-		t.Fatal("cooldown elapsed: one half-open probe must be admitted")
-	}
-	// A failed probe re-opens immediately (no threshold accumulation).
-	if changed, open := b.record(false); !changed || !open {
-		t.Fatal("failed half-open probe must re-open")
-	}
-	if b.allow() {
-		t.Fatal("re-opened breaker admitted a request")
-	}
-	time.Sleep(35 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("second cooldown elapsed: probe must be admitted")
-	}
-	// allow() already moved the verdict to "not open" at half-open, so
-	// the close is not a verdict change — just the state settling.
-	if _, open := b.record(true); open {
-		t.Fatal("successful probe must close the breaker")
-	}
-	if b.snapshot() != breakerClosed {
-		t.Fatal("breaker not closed after successful probe")
-	}
-}
-
 func TestBreakerShieldsDeadEndpoint(t *testing.T) {
 	var deadCalls atomic.Int64
 	dead := scripted(t, func(w http.ResponseWriter, r *http.Request) {
@@ -254,6 +208,100 @@ func TestTerminalErrorsDoNotRetry(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("terminal 400 retried: %d requests", n)
+	}
+}
+
+// TestClientOutcomes pins the one classification Solve, Upload and
+// Graph share. Endpoint A answers its status once (0: it drops the
+// connection) with a Retry-After hint, endpoint B answers 200, and every
+// call must end the same way: a transport error or a 500 opens A's
+// breaker (threshold 1) and retries on B, 429 and 503 wait out the hint
+// and retry without opening it, 404 moves on to B, and 400 is terminal.
+func TestClientOutcomes(t *testing.T) {
+	g := arbods.Grid(3, 3).G
+	blob := graph.AppendBinary(nil, g)
+	id := graph.ID(g)
+	answer := func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/solve":
+			fmt.Fprint(w, okSolveBody)
+		case r.Method == http.MethodPost:
+			fmt.Fprintf(w, `{"id":%q,"nodes":9,"edges":12,"alpha":2}`, id)
+		default:
+			w.Header().Set("Content-Type", api.BinaryContentType)
+			w.Write(blob)
+		}
+	}
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		run  func(*Client) error
+	}{
+		{"Solve", func(c *Client) error { _, err := c.Solve(ctx, SolveRequest{Graph: id}); return err }},
+		{"Upload", func(c *Client) error { _, err := c.Upload(ctx, g); return err }},
+		{"Graph", func(c *Client) error { _, err := c.Graph(ctx, id); return err }},
+	}
+	type outcome struct {
+		status       int // the terminal error's status, 0 on success
+		aHits, bHits int64
+		opened       bool // A's breaker opened
+		waited       bool // the retry waited out the hint
+	}
+	const hint = 250 * time.Millisecond
+	for _, tc := range []struct {
+		status int
+		want   outcome
+	}{
+		{0, outcome{aHits: 1, bHits: 1, opened: true}},
+		{http.StatusInternalServerError, outcome{aHits: 1, bHits: 1, opened: true}},
+		{http.StatusTooManyRequests, outcome{aHits: 1, bHits: 1, waited: true}},
+		{http.StatusServiceUnavailable, outcome{aHits: 1, bHits: 1, waited: true}},
+		{http.StatusNotFound, outcome{aHits: 1, bHits: 1}},
+		{http.StatusBadRequest, outcome{status: http.StatusBadRequest, aHits: 1}},
+	} {
+		for _, call := range calls {
+			var aHits, bHits atomic.Int64
+			a := scripted(t, func(w http.ResponseWriter, r *http.Request) {
+				aHits.Add(1)
+				if tc.status == 0 {
+					conn, _, _ := w.(http.Hijacker).Hijack()
+					conn.Close()
+					return
+				}
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":"scripted","code":"scripted"}`, tc.status)
+			})
+			b := scripted(t, func(w http.ResponseWriter, r *http.Request) {
+				bHits.Add(1)
+				answer(w, r)
+			})
+			var opened atomic.Bool
+			c := mustClient(t, Config{
+				Endpoints:        []string{a.URL, b.URL},
+				BaseBackoff:      time.Nanosecond,
+				MaxBackoff:       time.Nanosecond,
+				RetryAfterCap:    hint,
+				BreakerThreshold: 1,
+				BreakerCooldown:  time.Hour,
+				Logf: func(format string, args ...any) {
+					if fmt.Sprintf(format, args...) == "event=breaker endpoint="+a.URL+" open=true" {
+						opened.Store(true)
+					}
+				},
+			})
+			start := time.Now()
+			err := call.run(c)
+			got := outcome{aHits: aHits.Load(), bHits: bHits.Load(), opened: opened.Load(), waited: time.Since(start) >= hint}
+			var apiErr *APIError
+			if errors.As(err, &apiErr) {
+				got.status = apiErr.Status
+			} else if err != nil {
+				t.Errorf("%s after %d: %v", call.name, tc.status, err)
+			}
+			if got != tc.want {
+				t.Errorf("%s after %d: got %+v, want %+v", call.name, tc.status, got, tc.want)
+			}
+		}
 	}
 }
 
@@ -376,6 +424,9 @@ func swapLeavingUndominated(t *testing.T, g *arbods.Graph, ds []int) []int {
 	t.Fatal("every swap keeps the set dominating")
 	return nil
 }
+
+// maxResponseBytes is the cap a graph download reads under.
+const maxResponseBytes = api.MaxAnswerBytes
 
 // TestGraphDownloadCapped: a graph download reads at most
 // maxResponseBytes. An endpoint that streams a longer body of the binary

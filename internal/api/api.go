@@ -3,7 +3,10 @@
 // cannot drift: the POST /v1/solve request with its defaults and cache
 // key, the graph and algorithm descriptions, the answer and error
 // envelopes, the ARBCSR01 content type, and the table of servable
-// algorithms that turns a request into a library run.
+// algorithms that turns a request into a library run. The daemon and
+// the client also share its wire helpers: ReadBody, the one bounded
+// reader of every body that arrives over the wire, and FetchGraph, the
+// one verified graph download.
 package api
 
 import (

@@ -15,11 +15,11 @@
 //     from the same inputs, with no token ring to rebalance; removing
 //     a peer from the set moves only that peer's share of the keyspace.
 //   - Health is probed, not assumed: a background loop hits every
-//     peer's /readyz on an interval, and proxy failures feed the same
-//     counters, with hysteresis in both directions (FailAfter
-//     consecutive failures to go unhealthy, ReviveAfter consecutive
-//     successes to come back) so one dropped probe doesn't flap the
-//     routing and one lucky probe doesn't resurrect a dying daemon.
+//     peer's /readyz on an interval, and proxy outcomes feed the same
+//     internal/health Tracker, with hysteresis in both directions (3
+//     consecutive failures to go unhealthy, 2 consecutive successes to
+//     come back) so one dropped probe doesn't flap the routing and one
+//     lucky probe doesn't resurrect a dying daemon.
 //   - The Set only tracks and scores; the serving integration — who
 //     proxies, who falls back, who replicates — lives in
 //     internal/server, which asks Owners/Healthy and reports outcomes
@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"arbods/internal/health"
 )
 
 // Config configures a peer Set.
@@ -55,12 +57,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe or proxied request (default 5s).
 	ProbeTimeout time.Duration
-	// FailAfter is the consecutive-failure count that flips a peer to
-	// unhealthy (default 3); ReviveAfter the consecutive-success count
-	// that flips it back (default 2). Hysteresis in both directions
-	// keeps one dropped packet from flapping the routing.
-	FailAfter   int
-	ReviveAfter int
 	// Transport carries every peer request — probes, proxies, snapshot
 	// fetches (nil = http.DefaultTransport). Chaos tests inject
 	// faultinject.Transport here to partition specific links.
@@ -69,14 +65,17 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// A peer goes unhealthy after failAfter consecutive failed probes or
+// forwards and comes back after reviveAfter consecutive successes.
+const (
+	failAfter   = 3
+	reviveAfter = 2
+)
+
 // peerState is the live health and traffic record of one peer.
 type peerState struct {
-	base string
-
-	mu        sync.Mutex
-	healthy   bool
-	consecOK  int
-	consecBad int
+	base   string
+	health *health.Tracker
 
 	probes       atomic.Int64
 	probeFails   atomic.Int64
@@ -136,12 +135,6 @@ func New(cfg Config) (*Set, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 5 * time.Second
 	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
-	}
-	if cfg.ReviveAfter <= 0 {
-		cfg.ReviveAfter = 2
-	}
 	s := &Set{
 		cfg:   cfg,
 		self:  cfg.Self,
@@ -151,7 +144,7 @@ func New(cfg Config) (*Set, error) {
 		done:  make(chan struct{}),
 	}
 	for _, u := range urls {
-		ps := &peerState{base: u, healthy: true}
+		ps := &peerState{base: u, health: health.New(failAfter, reviveAfter, 0)}
 		s.peers = append(s.peers, ps)
 		s.byURL[u] = ps
 	}
@@ -245,42 +238,19 @@ func (s *Set) Healthy(peer string) bool {
 		return true
 	}
 	ps, ok := s.byURL[peer]
-	if !ok {
-		return false
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.healthy
+	return ok && ps.health.Up()
 }
 
 // observe feeds one health observation (a probe result or a proxy
-// outcome) into peer's hysteresis counters and flips its verdict at the
-// configured thresholds.
+// outcome) to peer's Tracker and logs a flip of its verdict.
 func (s *Set) observe(ps *peerState, ok bool) {
-	ps.mu.Lock()
-	was := ps.healthy
-	if ok {
-		ps.consecOK++
-		ps.consecBad = 0
-		if !ps.healthy && ps.consecOK >= s.cfg.ReviveAfter {
-			ps.healthy = true
-		}
-	} else {
-		ps.consecBad++
-		ps.consecOK = 0
-		if ps.healthy && ps.consecBad >= s.cfg.FailAfter {
-			ps.healthy = false
-		}
-	}
-	now := ps.healthy
-	ps.mu.Unlock()
-	if was != now && s.cfg.Logf != nil {
-		s.cfg.Logf("event=peer_health peer=%s healthy=%v", ps.base, now)
+	if ps.health.Record(ok) && s.cfg.Logf != nil {
+		s.cfg.Logf("event=peer_health peer=%s healthy=%v", ps.base, ok)
 	}
 }
 
 // MarkForward records a proxied-solve outcome against peer: the traffic
-// counters move, and the result feeds the same hysteresis as a probe —
+// counters move, and the result feeds the same Tracker as a probe —
 // a peer that eats three forwards in a row is as unhealthy as one that
 // drops three probes, and the prober notices the revival later.
 func (s *Set) MarkForward(peer string, ok bool) {
@@ -379,16 +349,10 @@ func (s *Set) Status() []PeerStatus {
 	}
 	out := make([]PeerStatus, 0, len(s.peers))
 	for _, ps := range s.peers {
-		ps.mu.Lock()
-		healthy := ps.healthy
-		ps.mu.Unlock()
-		if ps.base == s.self {
-			healthy = true
-		}
 		out = append(out, PeerStatus{
 			Peer:            ps.base,
 			Self:            ps.base == s.self,
-			Healthy:         healthy,
+			Healthy:         ps.base == s.self || ps.health.Up(),
 			Probes:          ps.probes.Load(),
 			ProbeFailures:   ps.probeFails.Load(),
 			Forwards:        ps.forwards.Load(),

@@ -109,8 +109,6 @@ func TestNilSetAccessors(t *testing.T) {
 func TestHealthHysteresis(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1"}
 	s := newSet(t, peers[0], peers, func(c *cluster.Config) {
-		c.FailAfter = 3
-		c.ReviveAfter = 2
 	})
 	other := peers[1]
 	if !s.Healthy(other) {
@@ -169,8 +167,6 @@ func TestProbeLifecycle(t *testing.T) {
 	s := newSet(t, "http://self:1", []string{peer.URL}, func(c *cluster.Config) {
 		c.ProbeInterval = 5 * time.Millisecond
 		c.ProbeTimeout = 500 * time.Millisecond
-		c.FailAfter = 2
-		c.ReviveAfter = 2
 	})
 	s.Start()
 	s.Start() // idempotent

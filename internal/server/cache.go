@@ -25,22 +25,10 @@ type graphEntry struct {
 	hits  int64
 }
 
-// entryView is an immutable snapshot of a cache entry, safe to read after
-// the cache mutex is released (hits and name on the live entry keep
-// moving under concurrent requests).
-type entryView struct {
-	id    string
-	name  string
-	g     *arbods.Graph
-	bound int
-	degen int
-	hits  int64
-}
-
-// view snapshots the entry; callers must hold the cache mutex.
-func (e *graphEntry) view() entryView {
-	return entryView{id: e.id, name: e.name, g: e.g, bound: e.bound, degen: e.degen, hits: e.hits}
-}
+// view snapshots the entry as a value, safe to read after the cache
+// mutex is released (hits and name on the live entry keep moving under
+// concurrent requests); callers must hold the cache mutex.
+func (e *graphEntry) view() graphEntry { return *e }
 
 // graphCache is the content-addressed store of built graph.Graph CSRs.
 // Keys are graph.ID — sha256 of the ARBCSR01 encoding, the one canonical
@@ -69,13 +57,13 @@ func newGraphCache(capacity int) *graphCache {
 }
 
 // getID returns the entry under id, counting a solve-path hit or miss.
-func (c *graphCache) getID(id string) (entryView, bool) {
+func (c *graphCache) getID(id string) (graphEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries.get(id)
 	if !ok {
 		c.misses++
-		return entryView{}, false
+		return graphEntry{}, false
 	}
 	e.hits++
 	c.hits++
@@ -85,17 +73,17 @@ func (c *graphCache) getID(id string) (entryView, bool) {
 // getName returns the entry under a secondary name key ("corpus:…",
 // "spec:…"), counting a hit; a miss is not counted here because the
 // caller proceeds to build and insert (insert counts it).
-func (c *graphCache) getName(name string) (entryView, bool) {
+func (c *graphCache) getName(name string) (graphEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, ok := c.byName[name]
 	if !ok {
-		return entryView{}, false
+		return graphEntry{}, false
 	}
 	e, ok := c.entries.get(id)
 	if !ok { // name outlived an evicted entry
 		delete(c.byName, name)
-		return entryView{}, false
+		return graphEntry{}, false
 	}
 	e.hits++
 	c.hits++
@@ -108,7 +96,7 @@ func (c *graphCache) getName(name string) (entryView, bool) {
 // entry wins — the build raced with another request — and the name key is
 // attached to it. Returns the resident entry and whether it already
 // existed.
-func (c *graphCache) insert(e *graphEntry, countMiss bool) (entryView, bool) {
+func (c *graphCache) insert(e *graphEntry, countMiss bool) (graphEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if countMiss {
@@ -135,7 +123,7 @@ func (c *graphCache) insert(e *graphEntry, countMiss bool) (entryView, bool) {
 
 // snapshot returns views of the resident entries, most recently used
 // first, and the cumulative solve-path hit/miss counters.
-func (c *graphCache) snapshot() (entries []entryView, hits, misses int64) {
+func (c *graphCache) snapshot() (entries []graphEntry, hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries.each(func(e *graphEntry) { entries = append(entries, e.view()) })

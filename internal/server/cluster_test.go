@@ -54,8 +54,6 @@ func newTestCluster(t *testing.T, n int, reg *faultinject.Registry, mutate func(
 			Peers:         tc.urls,
 			ProbeInterval: 10 * time.Millisecond,
 			ProbeTimeout:  300 * time.Millisecond,
-			FailAfter:     2,
-			ReviveAfter:   1,
 			Transport:     tr,
 		})
 		if err != nil {

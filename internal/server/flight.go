@@ -29,7 +29,7 @@ type flightGroup struct {
 // it are final.
 type flightCall struct {
 	done   chan struct{}
-	view   entryView
+	view   graphEntry
 	status int
 	err    error
 }
@@ -50,7 +50,7 @@ func (e *buildPanicError) Error() string {
 // reports leadership — true when this caller executed fn — which is what
 // the builds counter keys off. A panic in fn is every caller's
 // *buildPanicError with status 500.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (entryView, int, error)) (entryView, int, error, bool) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (graphEntry, int, error)) (graphEntry, int, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[string]*flightCall)
@@ -65,7 +65,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (entryView, 
 		case <-c.done:
 			return c.view, c.status, c.err, false
 		case <-ctxDone:
-			return entryView{}, 0, ctx.Err(), false
+			return graphEntry{}, 0, ctx.Err(), false
 		}
 	}
 	c := &flightCall{done: make(chan struct{})}
@@ -81,7 +81,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (entryView, 
 }
 
 // run calls fn and stores its result, or a *buildPanicError if it panics.
-func (c *flightCall) run(fn func() (entryView, int, error)) {
+func (c *flightCall) run(fn func() (graphEntry, int, error)) {
 	defer func() {
 		if v := recover(); v != nil {
 			c.status, c.err = http.StatusInternalServerError, &buildPanicError{value: v, stack: debug.Stack()}

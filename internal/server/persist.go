@@ -187,7 +187,7 @@ func (p *persistStore) loadBlob(row persistEntry) (*graphEntry, error) {
 // Failures are counted and logged but never fail the request that
 // triggered the save: persistence is a durability upgrade, not a
 // serving dependency.
-func (p *persistStore) save(e entryView) {
+func (p *persistStore) save(e graphEntry) {
 	if err := p.trySave(e); err != nil {
 		p.errs.Add(1)
 		p.logf("event=snapshot_error id=%s err=%q", e.id, err.Error())
@@ -196,7 +196,7 @@ func (p *persistStore) save(e entryView) {
 	p.saves.Add(1)
 }
 
-func (p *persistStore) trySave(e entryView) error {
+func (p *persistStore) trySave(e graphEntry) error {
 	if err := p.faults.Fire("persist.writeBlob"); err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"arbods/internal/api"
@@ -31,8 +30,8 @@ const forwardedHeader = "X-Arbods-Forwarded"
 // proxySolve forwards the solve to the first healthy owner and relays
 // its answer, returning false when no owner could be reached (the
 // caller then serves locally). Outcomes feed the cluster's passive
-// health view, so a dead owner stops receiving forwards after
-// FailAfter consecutive failures even between probe ticks.
+// health view, so a dead owner stops receiving forwards once enough
+// consecutive forwards fail, even between probe ticks.
 func (s *Server) proxySolve(w http.ResponseWriter, r *http.Request, raw []byte, req *SolveRequest, owners []string) bool {
 	for _, owner := range owners {
 		if owner == s.cluster.Self() || !s.cluster.Healthy(owner) {
@@ -73,7 +72,8 @@ func (s *Server) proxySolve(w http.ResponseWriter, r *http.Request, raw []byte, 
 // plain responses are re-tagged proxied=true through the shared envelope,
 // whose raw receipt keeps every receipt byte untouched;
 // streams and error statuses — including the owner's 429/503 with its
-// Retry-After hint — pass through verbatim.
+// Retry-After hint — pass through verbatim. A plain answer is read under
+// api.MaxAnswerBytes.
 func (s *Server) relayProxied(w http.ResponseWriter, resp *http.Response, stream bool) {
 	defer resp.Body.Close()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -86,7 +86,7 @@ func (s *Server) relayProxied(w http.ResponseWriter, resp *http.Response, stream
 		flushingCopy(w, resp.Body)
 		return
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := api.ReadBody(resp.Body, resp.ContentLength, api.MaxAnswerBytes)
 	if err != nil {
 		s.errorCode(w, http.StatusBadGateway, "proxy_failed", "read proxied response: %v", err)
 		return
@@ -130,7 +130,7 @@ func flushingCopy(w http.ResponseWriter, src io.Reader) {
 // failures are counted and logged, never surfaced to the uploader —
 // the owners can always recover the graph later through the peer
 // snapshot-fetch path.
-func (s *Server) replicate(e entryView) {
+func (s *Server) replicate(e graphEntry) {
 	var blob []byte
 	for _, owner := range s.cluster.Owners(e.id) {
 		if owner == s.cluster.Self() {
@@ -151,7 +151,8 @@ func (s *Server) replicate(e entryView) {
 	}
 }
 
-// pushSnapshot uploads one binary-encoded graph to a peer.
+// pushSnapshot uploads one binary-encoded graph to a peer, reading at
+// most 1 MiB of its answer.
 func (s *Server) pushSnapshot(ctx context.Context, peer string, blob []byte) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/graphs", bytes.NewReader(blob))
 	if err != nil {
@@ -163,18 +164,8 @@ func (s *Server) pushSnapshot(ctx context.Context, peer string, blob []byte) err
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return &httpStatusError{status: resp.StatusCode}
-	}
-	return nil
-}
-
-type httpStatusError struct{ status int }
-
-func (e *httpStatusError) Error() string {
-	return "unexpected status " + http.StatusText(e.status)
+	_, err = api.ReadAnswer(resp, 1<<20)
+	return err
 }
 
 // fetchPeerSnapshot recovers a sha256: graph this daemon has never seen
@@ -182,11 +173,11 @@ func (e *httpStatusError) Error() string {
 // snapshot files use. This is the failover rebuild path: an owner that
 // restarted without -data-dir, or a non-owner serving while every owner
 // is down, repopulates itself from whichever replica still holds the
-// graph. The decoded graph is content-hash cross-checked before it is
-// trusted, exactly like a disk snapshot.
-func (s *Server) fetchPeerSnapshot(ctx context.Context, id string) (entryView, bool) {
+// graph. api.FetchGraph cross-checks the decoded graph's content hash
+// before it is trusted, exactly like a disk snapshot's.
+func (s *Server) fetchPeerSnapshot(ctx context.Context, id string) (graphEntry, bool) {
 	if s.cluster == nil {
-		return entryView{}, false
+		return graphEntry{}, false
 	}
 	// Owners first — they are where the graph should be — then the rest.
 	tried := make(map[string]bool)
@@ -196,49 +187,19 @@ func (s *Server) fetchPeerSnapshot(ctx context.Context, id string) (entryView, b
 			continue
 		}
 		tried[peer] = true
-		e, err := s.tryFetchSnapshot(ctx, peer, id)
+		fctx, cancel := context.WithTimeout(ctx, s.cluster.ProbeTimeout())
+		g, err := api.FetchGraph(fctx, s.cluster.Client(), peer, id, s.cfg.MaxUploadBytes)
+		cancel()
 		if err != nil {
 			continue
 		}
 		s.snapFetches.Add(1)
 		s.logf("event=snapshot_fetch id=%s peer=%s", id, peer)
-		resident, _ := s.cache.insert(e, false)
+		resident, _ := s.cache.insert(buildEntry(g, id, "", 0), false)
 		if s.persist != nil {
 			s.persist.save(resident)
 		}
 		return resident, true
 	}
-	return entryView{}, false
-}
-
-func (s *Server) tryFetchSnapshot(ctx context.Context, peer, id string) (*graphEntry, error) {
-	fctx, cancel := context.WithTimeout(ctx, s.cluster.ProbeTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodGet, peer+"/v1/graphs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", api.BinaryContentType)
-	req.Header.Set(forwardedHeader, s.cluster.Self())
-	resp, err := s.cluster.Client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Header.Get("Content-Type"), api.BinaryContentType) {
-		io.Copy(io.Discard, resp.Body)
-		return nil, &httpStatusError{status: resp.StatusCode}
-	}
-	data, err := readBody(resp.Body, resp.ContentLength, s.cfg.MaxUploadBytes)
-	if err != nil {
-		return nil, err
-	}
-	g, got, err := graph.DecodeBinaryID(data)
-	if err != nil {
-		return nil, err
-	}
-	if got != id {
-		return nil, &httpStatusError{status: http.StatusUnprocessableEntity}
-	}
-	return buildEntry(g, id, "", 0), nil
+	return graphEntry{}, false
 }

@@ -242,7 +242,7 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func entryInfo(e entryView) GraphInfo {
+func entryInfo(e graphEntry) GraphInfo {
 	return GraphInfo{
 		ID: e.id, Name: e.name, Nodes: e.g.N(), Edges: e.g.M(),
 		Alpha: api.DefaultAlpha(e.bound, e.degen), Hits: e.hits,
@@ -259,7 +259,7 @@ func entryInfo(e entryView) GraphInfo {
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// Read fully before decoding: a cap hit must answer 413, not whatever
 	// parse error the truncation happens to produce.
-	raw, err := readBody(r.Body, r.ContentLength, s.cfg.MaxUploadBytes)
+	raw, err := api.ReadBody(r.Body, r.ContentLength, s.cfg.MaxUploadBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {

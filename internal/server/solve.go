@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -31,10 +30,10 @@ type (
 // only the waiting; a build in progress always runs to completion so its
 // result lands in the cache. A waiter abandoned by its context returns
 // ctx.Err() with status 0.
-func (s *Server) resolveGraph(ctx context.Context, ref string) (entryView, bool, int, error) {
+func (s *Server) resolveGraph(ctx context.Context, ref string) (graphEntry, bool, int, error) {
 	switch {
 	case ref == "":
-		return entryView{}, false, http.StatusBadRequest, fmt.Errorf("missing graph reference")
+		return graphEntry{}, false, http.StatusBadRequest, fmt.Errorf("missing graph reference")
 	case strings.HasPrefix(ref, "sha256:"):
 		e, ok := s.cache.getID(ref)
 		if !ok {
@@ -44,7 +43,7 @@ func (s *Server) resolveGraph(ctx context.Context, ref string) (entryView, bool,
 			if e, ok = s.fetchPeerSnapshot(ctx, ref); ok {
 				return e, false, 0, nil
 			}
-			return entryView{}, false, http.StatusNotFound,
+			return graphEntry{}, false, http.StatusNotFound,
 				fmt.Errorf("graph %s not cached (upload it first; uploads cannot be rebuilt)", ref)
 		}
 		return e, true, 0, nil
@@ -65,7 +64,7 @@ func (s *Server) resolveGraph(ctx context.Context, ref string) (entryView, bool,
 			return g, bound, 0, nil
 		})
 	default:
-		return entryView{}, false, http.StatusBadRequest,
+		return graphEntry{}, false, http.StatusBadRequest,
 			fmt.Errorf("graph reference %q must start with sha256:, corpus:, or spec:", ref)
 	}
 }
@@ -74,23 +73,23 @@ func (s *Server) resolveGraph(ctx context.Context, ref string) (entryView, bool,
 // singleflighted load+build on a miss. load produces the graph plus the
 // generator-certified α bound (0 for corpus files, which certify
 // nothing) and an HTTP status for its failures.
-func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arbods.Graph, int, int, error)) (entryView, bool, int, error) {
+func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arbods.Graph, int, int, error)) (graphEntry, bool, int, error) {
 	if e, ok := s.cache.getName(ref); ok {
 		return e, true, 0, nil
 	}
 	builtHere := false
-	e, status, err, _ := s.flight.do(ctx, ref, func() (entryView, int, error) {
+	e, status, err, _ := s.flight.do(ctx, ref, func() (graphEntry, int, error) {
 		// Double-check under flight leadership: a previous leader may have
 		// finished between our miss and our takeover.
 		if e, ok := s.cache.getName(ref); ok {
 			return e, 0, nil
 		}
 		if err := s.cfg.Faults.Fire("server.build"); err != nil {
-			return entryView{}, http.StatusInternalServerError, err
+			return graphEntry{}, http.StatusInternalServerError, err
 		}
 		g, bound, status, err := load()
 		if err != nil {
-			return entryView{}, status, err
+			return graphEntry{}, status, err
 		}
 		s.builds.Add(1)
 		builtHere = true
@@ -103,7 +102,7 @@ func (s *Server) resolveNamed(ctx context.Context, ref string, load func() (*arb
 		return e, 0, nil
 	})
 	if err != nil {
-		return entryView{}, false, status, err
+		return graphEntry{}, false, status, err
 	}
 	return e, !builtHere, 0, nil
 }
@@ -186,7 +185,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Read fully before decoding: when the graph hashes to another
 	// daemon, the raw bytes forward verbatim — re-encoding a decoded
 	// request could normalize a field and change the solve.
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	raw, err := api.ReadBody(r.Body, r.ContentLength, 1<<20)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, "read request: %v", err)
 		return
